@@ -181,6 +181,22 @@ def _build_optimizer(cfg: dict) -> OptimizerConfig:
     )
 
 
+def _mode(d: dict, path: str, default: tuple[int, int]) -> tuple[int, int]:
+    """The Fourier mode of a field description: a list of two integers."""
+    if d.get("mode") is None:
+        return default
+    v = d["mode"]
+    if not (
+        isinstance(v, list)
+        and len(v) == 2
+        and all(isinstance(m, int) and not isinstance(m, bool) for m in v)
+    ):
+        raise ValidationError(
+            f"config key {path}.mode must be a list of two integers, got {v!r}"
+        )
+    return int(v[0]), int(v[1])
+
+
 _VECTOR_TYPES = {"zero", "taylor-green", "single-mode", "random-divfree", "file"}
 _SCALAR_TYPES = {"zero", "constant", "sine", "random", "file"}
 
@@ -202,9 +218,8 @@ def _vector_field(desc, grid: TorusGrid, rng, path: str) -> VectorField:
         return synth.taylor_green(grid, _num(d, "amplitude", path, False, 1.0))
     if kind == "single-mode":
         _check_keys(d, {"type", "mode", "amplitude"}, set(), path)
-        mode = d.get("mode", [1, 0])
         return synth.single_mode_velocity(
-            grid, (int(mode[0]), int(mode[1])), _num(d, "amplitude", path, False, 1.0)
+            grid, _mode(d, path, (1, 0)), _num(d, "amplitude", path, False, 1.0)
         )
     if kind == "random-divfree":
         _check_keys(d, {"type", "amplitude", "k_cut"}, set(), path)
@@ -235,10 +250,9 @@ def _scalar_field(desc, grid: TorusGrid, rng, path: str) -> ScalarField:
         return ScalarField.constant(grid, _num(d, "value", path))
     if kind == "sine":
         _check_keys(d, {"type", "mode", "amplitude", "mean"}, set(), path)
-        mode = d.get("mode", [1, 1])
         return synth.sine_scalar(
             grid,
-            (int(mode[0]), int(mode[1])),
+            _mode(d, path, (1, 1)),
             _num(d, "amplitude", path, False, 1.0),
             _num(d, "mean", path, False, 0.0),
         )
@@ -575,7 +589,7 @@ def _run_check(ctx: RunContext) -> int:
     s2 = ScalarField(g, rng.standard_normal(g.shape))
     lhs = s1.inner(s2)
     rhs = float(
-        np.sum(g.fft2(s1.values) * np.conj(g.fft2(s2.values))).real
+        g.parseval_sum((g.fft2(s1.values) * np.conj(g.fft2(s2.values))).real)
         * g.cell_area
         / g.n_points
     )

@@ -180,7 +180,9 @@ class Stepper:
         self.kx = g.kxg_d
         self.ky = g.kyg_d
         self.ksq = g.ksq
-        self.mask = g.dealias_mask if config.dealias else np.ones(g.shape, dtype=bool)
+        self.mask = (
+            g.dealias_mask if config.dealias else np.ones(g.spectral_shape, dtype=bool)
+        )
         self.visc_den = 1.0 + config.nu * dt * g.ksq
         self.S = config.stabilization_value(params.kernel)
         self.ch_den = 1.0 + self.S * dt * g.ksq
@@ -189,12 +191,6 @@ class Stepper:
         self.cfl_length = min(g.dx, g.dy)
 
     # -- spectral helpers ----------------------------------------------
-
-    def fft(self, v):
-        return np.fft.fft2(v)
-
-    def ifft(self, vh):
-        return np.fft.ifft2(vh).real
 
     def project(self, fx_h, fy_h):
         """Leray projection in transform space; k = 0 passes through."""
@@ -206,12 +202,13 @@ class Stepper:
 
     def masked_gradients(self, fh):
         m = self.mask
-        return self.ifft(1j * self.kx * fh * m), self.ifft(1j * self.ky * fh * m)
+        g = self.grid
+        return g.ifft2(1j * self.kx * fh * m), g.ifft2(1j * self.ky * fh * m)
 
     def advect(self, vx, vy, fh):
         """Dealiased transform of v . grad(f) with f given spectrally."""
         fx, fy = self.masked_gradients(fh)
-        return self.fft(vx * fx + vy * fy) * self.mask
+        return self.grid.fft2(vx * fx + vy * fy) * self.mask
 
     # -- one forward step, spectral in / spectral out -------------------
 
@@ -222,30 +219,31 @@ class Stepper:
         for this step (already time-averaged), or None.
         """
         m = self.mask
-        ux = self.ifft(ux_h * m)
-        uy = self.ifft(uy_h * m)
+        g = self.grid
+        ux = g.ifft2(ux_h * m)
+        uy = g.ifft2(uy_h * m)
         dux_dx, dux_dy = self.masked_gradients(ux_h)
         duy_dx, duy_dy = self.masked_gradients(uy_h)
         dp_dx, dp_dy = self.masked_gradients(ph)
-        conv = self.ifft(self.J_hat * ph * m)
+        conv = g.ifft2(self.J_hat * ph * m)
 
         fx = -(ux * dux_dx + uy * dux_dy) - conv * dp_dx
         fy = -(ux * duy_dx + uy * duy_dy) - conv * dp_dy
-        fx_h = self.fft(fx) * m
-        fy_h = self.fft(fy) * m
+        fx_h = g.fft2(fx) * m
+        fy_h = g.fft2(fy) * m
         if extra_x is not None:
-            fx_h = fx_h + self.fft(extra_x)
-            fy_h = fy_h + self.fft(extra_y)
+            fx_h = fx_h + g.fft2(extra_x)
+            fy_h = fy_h + g.fft2(extra_y)
         fx_h, fy_h = self.project(fx_h, fy_h)
         new_ux_h = (ux_h + self.dt * fx_h) / self.visc_den
         new_uy_h = (uy_h + self.dt * fy_h) / self.visc_den
 
-        phim = self.ifft(ph * m)
-        fprime_h = self.fft(self.params.potential.df(phim)) * m
+        phim = g.ifft2(ph * m)
+        fprime_h = g.fft2(self.params.potential.df(phim)) * m
         mu_expl_h = fprime_h - self.J_hat * ph
         if self.a != self.S:
             mu_expl_h = mu_expl_h + (self.a - self.S) * ph
-        advect_h = self.fft(ux * dp_dx + uy * dp_dy) * m
+        advect_h = g.fft2(ux * dp_dx + uy * dp_dy) * m
         rhs = -self.ksq * mu_expl_h - advect_h
         rhs[0, 0] = 0.0  # exact mass conservation
         new_ph = (ph + self.dt * rhs) / self.ch_den
@@ -281,9 +279,9 @@ def step(
     st.check_cfl(state.u.u_x, state.u.u_y)
     extra_x, extra_y = _combine_force(control_value, forcing, g)
     ux_h, uy_h, ph = st.forward_step_hat(
-        np.fft.fft2(state.u.u_x),
-        np.fft.fft2(state.u.u_y),
-        np.fft.fft2(state.phi.values),
+        g.fft2(state.u.u_x),
+        g.fft2(state.u.u_y),
+        g.fft2(state.phi.values),
         extra_x,
         extra_y,
     )
@@ -304,9 +302,9 @@ def _combine_force(control_value, forcing, grid):
 
 
 def _materialize(grid, ux_h, uy_h, ph, t) -> FlowState:
-    ux = np.fft.ifft2(ux_h).real
-    uy = np.fft.ifft2(uy_h).real
-    phi = np.fft.ifft2(ph).real
+    ux = grid.ifft2(ux_h)
+    uy = grid.ifft2(uy_h)
+    phi = grid.ifft2(ph)
     if not (np.all(np.isfinite(ux)) and np.all(np.isfinite(uy)) and np.all(np.isfinite(phi))):
         raise NumericError("solver produced non-finite fields")
     return FlowState(
@@ -322,7 +320,7 @@ def energy(state: FlowState, kernel: Kernel, potential: Potential) -> float:
     """
     g = state.grid
     phi = state.phi.values
-    conv = np.fft.ifft2(kernel.hat * np.fft.fft2(phi)).real
+    conv = g.ifft2(kernel.hat * g.fft2(phi))
     kinetic = 0.5 * g.cell_area * float(
         np.sum(state.u.u_x**2 + state.u.u_y**2)
     )
@@ -347,13 +345,25 @@ def energy_identity_residual(
     and the force at the step's time-averaged value.  First-order
     accurate, so r_n = O(dt) on smooth runs.
     """
+    return _energy_residual(
+        traj, _energy_series(traj, params), forcing, control, params, config
+    )
+
+
+def _energy_series(traj: Trajectory, params: ModelParams) -> np.ndarray:
+    """Free energy at every node of the trajectory."""
+    return np.array(
+        [energy(s, params.kernel, params.potential) for s in traj.states]
+    )
+
+
+def _energy_residual(traj, energies, forcing, control, params, config):
+    """energy_identity_residual with the node energies already computed."""
     g = traj.grid
     dt = traj.dt
     out = np.empty(traj.n_steps)
-    e_prev = energy(traj.states[0], params.kernel, params.potential)
     for n in range(traj.n_steps):
         nxt = traj.states[n + 1]
-        e_next = energy(nxt, params.kernel, params.potential)
         mu = chemical_potential(nxt.phi, params.kernel, params.potential)
         diss = config.nu * grad_norm(nxt.u) ** 2 + grad_norm(mu) ** 2
         applied = _sum_applied(
@@ -362,8 +372,7 @@ def energy_identity_residual(
         work = 0.0
         if applied is not None:
             work = g.inner(applied.u_x, nxt.u.u_x) + g.inner(applied.u_y, nxt.u.u_y)
-        out[n] = (e_next - e_prev) / dt + diss - work
-        e_prev = e_next
+        out[n] = (energies[n + 1] - energies[n]) / dt + diss - work
     return out
 
 
@@ -396,9 +405,9 @@ def simulate(
 
     states = [initial.copy()]
     states[0].t = 0.0
-    ux_h = np.fft.fft2(initial.u.u_x)
-    uy_h = np.fft.fft2(initial.u.u_y)
-    ph = np.fft.fft2(initial.phi.values)
+    ux_h = g.fft2(initial.u.u_x)
+    uy_h = g.fft2(initial.u.u_y)
+    ph = g.fft2(initial.phi.values)
 
     for n in range(n_steps):
         st.check_cfl(states[n].u.u_x, states[n].u.u_y)
@@ -418,14 +427,12 @@ def simulate(
 def _collect_diagnostics(traj, forcing, control, params, config):
     from .grid import curl2d
 
-    g = traj.grid
     n_nodes = len(traj)
-    en = np.empty(n_nodes)
+    en = _energy_series(traj, params)
     kin = np.empty(n_nodes)
     ens = np.empty(n_nodes)
     mass = np.empty(n_nodes)
     for i, s in enumerate(traj.states):
-        en[i] = energy(s, params.kernel, params.potential)
         kin[i] = 0.5 * s.u.norm() ** 2
         ens[i] = 0.5 * curl2d(s.u).norm() ** 2
         mass[i] = s.phi.mean()
@@ -435,7 +442,7 @@ def _collect_diagnostics(traj, forcing, control, params, config):
         "kinetic": kin,
         "enstrophy": ens,
         "mass": mass,
-        "residual": energy_identity_residual(traj, forcing, control, params, config),
+        "residual": _energy_residual(traj, en, forcing, control, params, config),
     }
 
 

@@ -11,8 +11,21 @@ exact for resolved modes.
 Conventions used throughout the package:
 
 * a scalar field is an (n_x, n_y) float64 array of point samples,
-* wavenumbers are integer multiples of 2*pi/l per axis, laid out in
-  ``numpy.fft`` order,
+* every field is real, so :meth:`TorusGrid.fft2` is the real-to-complex
+  ``numpy.fft.rfft2`` and keeps only the half spectrum, an
+  (n_x, n_y // 2 + 1) complex array (``TorusGrid.spectral_shape``); the
+  dropped modes are the complex conjugates of the kept ones,
+* wavenumbers are integer multiples of 2*pi/l per axis: ``kx`` in
+  ``numpy.fft.fftfreq`` order (all n_x modes), ``ky`` in
+  ``numpy.fft.rfftfreq`` order (the n_y // 2 + 1 nonnegative modes, the
+  last one the Nyquist mode); every spectral array on the grid
+  (``ksq``, the derivative lines, the dealias mask, ``Kernel.hat``) has
+  the half-spectrum shape,
+* a Parseval sum over the full spectrum is a sum over the half spectrum
+  weighted by ``hermitian_weight``: 1 on the first and last columns
+  (k_y = 0 and the Nyquist column), which hold both members of each
+  conjugate pair, and 2 on every other column, which stands for itself
+  and its dropped conjugate,
 * the dealias mask implements the 2/3 rule: modes with index >= n/3 on
   either axis are dropped, which makes quadratic products alias-free.
 """
@@ -54,7 +67,7 @@ class TorusGrid:
             raise ValidationError("domain lengths must be positive")
 
         kx = 2.0 * np.pi / self.l_x * np.fft.fftfreq(self.n_x, 1.0 / self.n_x)
-        ky = 2.0 * np.pi / self.l_y * np.fft.fftfreq(self.n_y, 1.0 / self.n_y)
+        ky = 2.0 * np.pi / self.l_y * np.fft.rfftfreq(self.n_y, 1.0 / self.n_y)
         kxg = kx[:, None]
         kyg = ky[None, :]
         ksq = kxg**2 + kyg**2
@@ -72,8 +85,12 @@ class TorusGrid:
         inv_ksq_d = np.where(ksq_d > 0.0, 1.0 / np.where(ksq_d > 0.0, ksq_d, 1.0), 0.0)
 
         ix = np.abs(np.fft.fftfreq(self.n_x, 1.0 / self.n_x))
-        iy = np.abs(np.fft.fftfreq(self.n_y, 1.0 / self.n_y))
+        iy = np.fft.rfftfreq(self.n_y, 1.0 / self.n_y)
         mask = (ix[:, None] < self.n_x / 3.0) & (iy[None, :] < self.n_y / 3.0)
+
+        weight = np.full((1, self.n_y // 2 + 1), 2.0)
+        weight[0, 0] = 1.0
+        weight[0, -1] = 1.0
 
         dx = self.l_x / self.n_x
         dy = self.l_y / self.n_y
@@ -85,7 +102,7 @@ class TorusGrid:
             ("ksq", ksq), ("inv_ksq", inv_ksq),
             ("kxg_d", kxg_d), ("kyg_d", kyg_d),
             ("ksq_d", ksq_d), ("inv_ksq_d", inv_ksq_d),
-            ("dealias_mask", mask),
+            ("dealias_mask", mask), ("hermitian_weight", weight),
             ("dx", dx), ("dy", dy), ("cell_area", dx * dy),
             ("x", x), ("y", y), ("X", x[:, None] + 0.0 * y[None, :]),
             ("Y", 0.0 * x[:, None] + y[None, :]),
@@ -97,6 +114,11 @@ class TorusGrid:
         return (self.n_x, self.n_y)
 
     @property
+    def spectral_shape(self) -> tuple[int, int]:
+        """Shape of a half-spectrum transform, (n_x, n_y // 2 + 1)."""
+        return (self.n_x, self.n_y // 2 + 1)
+
+    @property
     def n_points(self) -> int:
         return self.n_x * self.n_y
 
@@ -106,19 +128,25 @@ class TorusGrid:
         return min((2.0 * np.pi / self.l_x) ** 2, (2.0 * np.pi / self.l_y) ** 2)
 
     def fft2(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fft2(values)
+        """Half-spectrum transform of a real field."""
+        return np.fft.rfft2(values)
 
     def ifft2(self, hat: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(hat).real
+        """Real field whose half-spectrum transform is ``hat``."""
+        return np.fft.irfft2(hat, s=self.shape)
+
+    def parseval_sum(self, density: np.ndarray) -> float:
+        """Sum over the full spectrum of a density given on the half
+        spectrum and even under k -> -k, such as |hat|^2."""
+        return float(np.sum(self.hermitian_weight * density))
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(self.cell_area * np.sum(a * b))
 
     def hat_norm(self, hat: np.ndarray) -> float:
         """L2 norm of the field whose transform is ``hat`` (Parseval)."""
-        return float(
-            np.sqrt(self.cell_area / self.n_points * np.sum(np.abs(hat) ** 2))
-        )
+        total = self.parseval_sum(np.abs(hat) ** 2)
+        return float(np.sqrt(self.cell_area / self.n_points * total))
 
 
 def _as_grid_array(grid: TorusGrid, values, name: str) -> np.ndarray:
@@ -327,14 +355,14 @@ def convolve(kernel_hat: np.ndarray, f: ScalarField) -> ScalarField:
     """Periodic convolution with a kernel given by its scaled transform.
 
     ``kernel_hat`` must be fft2(kernel samples) * cell_area on the same
-    grid, so that the result approximates the integral of
-    kernel(x - y) f(y) over the torus.
+    grid, a half-spectrum array, so that the result approximates the
+    integral of kernel(x - y) f(y) over the torus.
     """
     g = f.grid
     kh = np.asarray(kernel_hat)
-    if kh.shape != g.shape:
+    if kh.shape != g.spectral_shape:
         raise GridMismatchError(
-            f"kernel transform has shape {kh.shape}, expected {g.shape}"
+            f"kernel transform has shape {kh.shape}, expected {g.spectral_shape}"
         )
     return ScalarField(g, g.ifft2(kh * g.fft2(f.values)))
 
@@ -343,12 +371,14 @@ def grad_norm(v) -> float:
     """Gradient norm of a scalar or vector field, computed spectrally."""
     g = v.grid
     if isinstance(v, ScalarField):
-        total = np.sum(g.ksq_d * np.abs(g.fft2(v.values)) ** 2)
+        total = g.parseval_sum(g.ksq_d * np.abs(g.fft2(v.values)) ** 2)
     else:
-        uxh = g.fft2(v.u_x)
-        uyh = g.fft2(v.u_y)
-        total = np.sum(g.ksq_d * (np.abs(uxh) ** 2 + np.abs(uyh) ** 2))
+        total = _velocity_gradient_sum(g, g.fft2(v.u_x), g.fft2(v.u_y))
     return float(np.sqrt(g.cell_area / g.n_points * total))
+
+
+def _velocity_gradient_sum(g: TorusGrid, uxh, uyh) -> float:
+    return g.parseval_sum(g.ksq_d * (np.abs(uxh) ** 2 + np.abs(uyh) ** 2))
 
 
 def relative_divergence(v: VectorField) -> float:
@@ -360,10 +390,7 @@ def relative_divergence(v: VectorField) -> float:
     uxh = g.fft2(v.u_x)
     uyh = g.fft2(v.u_y)
     dnorm = g.hat_norm(1j * (g.kxg_d * uxh + g.kyg_d * uyh))
-    gnorm = np.sqrt(
-        g.cell_area / g.n_points
-        * np.sum(g.ksq_d * (np.abs(uxh) ** 2 + np.abs(uyh) ** 2))
-    )
+    gnorm = np.sqrt(g.cell_area / g.n_points * _velocity_gradient_sum(g, uxh, uyh))
     if gnorm == 0.0:
         return 0.0
     return float(dnorm / gnorm)
@@ -373,7 +400,7 @@ def h_minus_one_norm(f: ScalarField) -> float:
     """Discrete dual-space norm, |f_hat(k)|^2 weighted by 1/(1+|k|^2)."""
     g = f.grid
     fh = g.fft2(f.values)
-    total = np.sum(np.abs(fh) ** 2 / (1.0 + g.ksq))
+    total = g.parseval_sum(np.abs(fh) ** 2 / (1.0 + g.ksq))
     return float(np.sqrt(g.cell_area / g.n_points * total))
 
 

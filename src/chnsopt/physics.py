@@ -44,7 +44,8 @@ def _min_image_radius_sq(grid: TorusGrid) -> np.ndarray:
 class Kernel:
     """Even interaction kernel sampled on a grid, rescaled to exact mass.
 
-    ``hat`` caches fft2(samples) * cell_area, the transform used by
+    ``hat`` caches ``grid.fft2(samples) * cell_area``, the half-spectrum
+    transform of shape ``grid.spectral_shape`` used by
     :func:`chnsopt.grid.convolve`; ``mass`` is then reproduced exactly
     by convolution with the constant 1.
     """

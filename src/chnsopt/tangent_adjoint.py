@@ -108,11 +108,8 @@ def _weights_of(targets):
 
 
 def _hat_fields(state):
-    return (
-        np.fft.fft2(state.u.u_x),
-        np.fft.fft2(state.u.u_y),
-        np.fft.fft2(state.phi.values),
-    )
+    g = state.grid
+    return g.fft2(state.u.u_x), g.fft2(state.u.u_y), g.fft2(state.phi.values)
 
 
 class _BaseCoeffs:
@@ -120,18 +117,19 @@ class _BaseCoeffs:
 
     def __init__(self, st: Stepper, state):
         m = st.mask
+        g = st.grid
         ux_h, uy_h, ph = _hat_fields(state)
-        self.ux = st.ifft(ux_h * m)
-        self.uy = st.ifft(uy_h * m)
-        self.phi = st.ifft(ph * m)
+        self.ux = g.ifft2(ux_h * m)
+        self.uy = g.ifft2(uy_h * m)
+        self.phi = g.ifft2(ph * m)
         self.dux = st.masked_gradients(ux_h)
         self.duy = st.masked_gradients(uy_h)
         self.dphi = st.masked_gradients(ph)
-        self.conv_phi = st.ifft(st.J_hat * ph * m)
+        self.conv_phi = g.ifft2(st.J_hat * ph * m)
         # J*grad(phi), used by the concentration adjoint coupling
         self.conv_dphi = (
-            st.ifft(st.J_hat * 1j * st.kx * ph * m),
-            st.ifft(st.J_hat * 1j * st.ky * ph * m),
+            g.ifft2(st.J_hat * 1j * st.kx * ph * m),
+            g.ifft2(st.J_hat * 1j * st.ky * ph * m),
         )
         self.ph = ph
 
@@ -165,9 +163,9 @@ def tangent_solve(
     if w0.grid != g:
         raise ValidationError("tangent initial data on wrong grid")
 
-    wx_h = np.fft.fft2(w0.u_x)
-    wy_h = np.fft.fft2(w0.u_y)
-    psh = np.fft.fft2(psi0.values)
+    wx_h = g.fft2(w0.u_x)
+    wy_h = g.fft2(w0.u_y)
+    psh = g.fft2(psi0.values)
     t0 = base.states[start_node].t
     states = [TangentState(w0.copy(), psi0.copy(), t0)]
 
@@ -175,33 +173,33 @@ def tangent_solve(
     dt = st.dt
     for n in range(start_node, n_total):
         c = _BaseCoeffs(st, base.states[n])
-        wx = st.ifft(wx_h * m)
-        wy = st.ifft(wy_h * m)
-        psm = st.ifft(psh * m)
+        wx = g.ifft2(wx_h * m)
+        wy = g.ifft2(wy_h * m)
+        psm = g.ifft2(psh * m)
         dwx = st.masked_gradients(wx_h)
         dwy = st.masked_gradients(wy_h)
         dps = st.masked_gradients(psh)
-        conv_psi = st.ifft(st.J_hat * psh * m)
+        conv_psi = g.ifft2(st.J_hat * psh * m)
 
         fx = -(wx * c.dux[0] + wy * c.dux[1]) - (c.ux * dwx[0] + c.uy * dwx[1])
         fy = -(wx * c.duy[0] + wy * c.duy[1]) - (c.ux * dwy[0] + c.uy * dwy[1])
         fx = fx - conv_psi * c.dphi[0] - c.conv_phi * dps[0]
         fy = fy - conv_psi * c.dphi[1] - c.conv_phi * dps[1]
-        fx_h = st.fft(fx) * m
-        fy_h = st.fft(fy) * m
+        fx_h = g.fft2(fx) * m
+        fy_h = g.fft2(fy) * m
         du = step_average(delta_control, n)
         if du is not None:
-            fx_h = fx_h + st.fft(du.u_x)
-            fy_h = fy_h + st.fft(du.u_y)
+            fx_h = fx_h + g.fft2(du.u_x)
+            fy_h = fy_h + g.fft2(du.u_y)
         fx_h, fy_h = st.project(fx_h, fy_h)
         wx_h = (wx_h + dt * fx_h) / st.visc_den
         wy_h = (wy_h + dt * fy_h) / st.visc_den
 
         d2f = params.potential.d2f(c.phi)
-        mu_lin_h = st.fft(d2f * psm) * m - st.J_hat * psh
+        mu_lin_h = g.fft2(d2f * psm) * m - st.J_hat * psh
         if st.a != st.S:
             mu_lin_h = mu_lin_h + (st.a - st.S) * psh
-        adv_h = st.fft(c.ux * dps[0] + c.uy * dps[1] + wx * c.dphi[0] + wy * c.dphi[1]) * m
+        adv_h = g.fft2(c.ux * dps[0] + c.uy * dps[1] + wx * c.dphi[0] + wy * c.dphi[1]) * m
         rhs = -st.ksq * mu_lin_h - adv_h
         rhs[0, 0] = 0.0  # mean psi frozen, matching the forward update
         psh = (psh + dt * rhs) / st.ch_den
@@ -209,9 +207,9 @@ def tangent_solve(
         states.append(
             TangentState(
                 VectorField(
-                    g, st.ifft(wx_h), st.ifft(wy_h), divergence_free=True
+                    g, g.ifft2(wx_h), g.ifft2(wy_h), divergence_free=True
                 ),
-                ScalarField(g, st.ifft(psh)),
+                ScalarField(g, g.ifft2(psh)),
                 base.states[n + 1].t,
             )
         )
@@ -228,8 +226,8 @@ def _tracking_sources(mode: AdjointMode, targets, state, node: int, st: Stepper)
         dux = state.u.u_x - (u_ref.u_x if u_ref is not None else 0.0)
         duy = state.u.u_y - (u_ref.u_y if u_ref is not None else 0.0)
         # enstrophy tracking pairs through -Lap(u - u_d)
-        spx = w.track_u * st.ifft(st.ksq * np.fft.fft2(dux))
-        spy = w.track_u * st.ifft(st.ksq * np.fft.fft2(duy))
+        spx = w.track_u * g.ifft2(st.ksq * g.fft2(dux))
+        spy = w.track_u * g.ifft2(st.ksq * g.fft2(duy))
     else:
         u_ref = signal_node(getattr(targets, "u_M", None), node)
         dux = state.u.u_x - (u_ref.u_x if u_ref is not None else 0.0)
@@ -298,9 +296,9 @@ def adjoint_solve(
     dt = st.dt
 
     p_T, eta_T = terminal_adjoint_data(base, mode, targets)
-    px_h = np.fft.fft2(p_T.u_x)
-    py_h = np.fft.fft2(p_T.u_y)
-    eh = np.fft.fft2(eta_T.values)
+    px_h = g.fft2(p_T.u_x)
+    py_h = g.fft2(p_T.u_y)
+    eh = g.fft2(eta_T.values)
 
     states: list = [None] * (n_total + 1)
     states[n_total] = AdjointState(p_T, eta_T, base.final.t)
@@ -310,9 +308,9 @@ def adjoint_solve(
         c = _BaseCoeffs(st, base.states[node])
         spx, spy, seta = _tracking_sources(mode, targets, base.states[node], node, st)
 
-        px = st.ifft(px_h * m)
-        py = st.ifft(py_h * m)
-        em = st.ifft(eh * m)
+        px = g.ifft2(px_h * m)
+        py = g.ifft2(py_h * m)
+        em = g.ifft2(eh * m)
         dpx = st.masked_gradients(px_h)
         dpy = st.masked_gradients(py_h)
         deta = st.masked_gradients(eh)
@@ -321,28 +319,28 @@ def adjoint_solve(
         fy = (c.ux * dpy[0] + c.uy * dpy[1]) - (px * c.dux[1] + py * c.duy[1])
         fx = fx - em * c.dphi[0]
         fy = fy - em * c.dphi[1]
-        fx_h = st.fft(fx) * m + st.fft(spx)
-        fy_h = st.fft(fy) * m + st.fft(spy)
+        fx_h = g.fft2(fx) * m + g.fft2(spx)
+        fy_h = g.fft2(fy) * m + g.fft2(spy)
         fx_h, fy_h = st.project(fx_h, fy_h)
         px_h = (px_h + dt * fx_h) / st.visc_den
         py_h = (py_h + dt * fy_h) / st.visc_den
 
-        lap_eta = st.ifft(-st.ksq * eh * m)
+        lap_eta = g.ifft2(-st.ksq * eh * m)
         d2f = params.potential.d2f(c.phi)
-        r_h = st.fft(d2f * lap_eta) * m
+        r_h = g.fft2(d2f * lap_eta) * m
         r_h = r_h + st.ksq * st.J_hat * eh
         if st.a != st.S:
             r_h = r_h - st.ksq * (st.a - st.S) * eh
-        r_h = r_h + st.fft(c.ux * deta[0] + c.uy * deta[1]) * m
-        pg_h = st.fft(px * c.dphi[0] + py * c.dphi[1]) * m
+        r_h = r_h + g.fft2(c.ux * deta[0] + c.uy * deta[1]) * m
+        pg_h = g.fft2(px * c.dphi[0] + py * c.dphi[1]) * m
         r_h = r_h - st.J_hat * pg_h
-        r_h = r_h + st.fft(c.conv_dphi[0] * px + c.conv_dphi[1] * py) * m
-        r_h = r_h + st.fft(seta)
+        r_h = r_h + g.fft2(c.conv_dphi[0] * px + c.conv_dphi[1] * py) * m
+        r_h = r_h + g.fft2(seta)
         eh = (eh + dt * r_h) / st.ch_den
 
         states[n] = AdjointState(
-            VectorField(g, st.ifft(px_h), st.ifft(py_h), divergence_free=True),
-            ScalarField(g, st.ifft(eh)),
+            VectorField(g, g.ifft2(px_h), g.ifft2(py_h), divergence_free=True),
+            ScalarField(g, g.ifft2(eh)),
             base.states[n].t,
         )
     return AdjointTrajectory(states=states, dt=config.dt, mode=mode)

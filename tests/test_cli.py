@@ -81,6 +81,43 @@ class TestErrorPaths:
         assert "model assumption (2) violated" in capsys.readouterr().err
 
 
+MALFORMED_MODES = [
+    pytest.param(3, id="scalar"),
+    pytest.param(["a", 1], id="non-integer-entry"),
+    pytest.param([1], id="one-entry"),
+    pytest.param([1, 0, 2], id="three-entries"),
+    pytest.param("xy", id="string"),
+    pytest.param([True, 0], id="boolean-entry"),
+]
+
+
+class TestMalformedMode:
+    @pytest.mark.parametrize("mode", MALFORMED_MODES)
+    def test_single_mode_velocity(self, tmp_path, capsys, mode):
+        cfg = base_config(tmp_path / "out")
+        cfg["initial"] = {"u": {"type": "single-mode", "mode": mode}}
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert "initial.u.mode must be a list of two integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", MALFORMED_MODES)
+    def test_sine_scalar(self, tmp_path, capsys, mode):
+        cfg = base_config(tmp_path / "out")
+        cfg["initial"] = {"phi": {"type": "sine", "mode": mode, "amplitude": 0.1}}
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert "initial.phi.mode must be a list of two integers" in capsys.readouterr().err
+
+    def test_well_formed_mode_runs(self, tmp_path):
+        cfg = base_config(tmp_path / "out")
+        cfg["initial"] = {
+            "u": {"type": "single-mode", "mode": [0, 2], "amplitude": 0.3},
+            "phi": {"type": "sine", "mode": [2, 1], "amplitude": 0.1},
+        }
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
+        assert rc == 0
+
+
 class TestSimulate:
     def test_artifacts_and_diagnostics(self, tmp_path):
         out = tmp_path / "out"

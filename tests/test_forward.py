@@ -4,6 +4,7 @@ import pytest
 from chnsopt import (
     ControlSignal,
     FlowState,
+    Kernel,
     ModelParams,
     NumericError,
     ScalarField,
@@ -148,6 +149,21 @@ class TestConservation:
         traj = simulate(smooth_state32, None, None, params32, cfg)
         en = traj.diagnostics["energy"]
         assert np.all(np.diff(en) < 0.0)
+
+
+    def test_invariants_on_anisotropic_grid(self, double_well):
+        g = TorusGrid(32, 48, TWO_PI, 3.0 * np.pi)
+        params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), double_well)
+        r = np.random.default_rng(48)
+        u0 = synth.random_divfree_velocity(g, r, amplitude=0.5, k_cut=3.0)
+        phi0 = synth.random_scalar(g, r, amplitude=0.3, k_cut=3.0, mean=0.1)
+        forcing = synth.single_mode_velocity(g, (1, 1), 0.1)
+        cfg = SolverConfig(dt=1e-3, T=0.02, nu=0.1)
+        traj = simulate(FlowState(u0, phi0, 0.0), None, forcing, params, cfg)
+        assert traj.n_steps == 20
+        mass = traj.diagnostics["mass"]
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12
+        assert max(relative_divergence(s.u) for s in traj.states) <= 1e-12
 
 
 class TestEnergy:

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from chnsopt import (
     GridMismatchError,
+    Kernel,
     NumericError,
     ScalarField,
     TorusGrid,
@@ -239,6 +243,130 @@ class TestNorms:
     def test_relative_divergence_of_constant_is_zero(self, g16):
         v = VectorField(g16, np.full(g16.shape, 1.0), np.full(g16.shape, 2.0))
         assert relative_divergence(v) == 0.0
+
+
+HALF_SPECTRUM_GRIDS = [
+    pytest.param((16, 16, TWO_PI, TWO_PI), id="16x16"),
+    pytest.param((32, 48, TWO_PI, 3.0 * np.pi), id="32x48-aniso"),
+    pytest.param((48, 32, TWO_PI, TWO_PI), id="48x32"),
+]
+
+
+class _FullSpectrum:
+    """Complex-to-complex reference: the whole Fourier lattice of a grid,
+    Nyquist lines of the first derivatives zeroed."""
+
+    def __init__(self, g):
+        kx = TWO_PI / g.l_x * np.fft.fftfreq(g.n_x, 1.0 / g.n_x)
+        ky = TWO_PI / g.l_y * np.fft.fftfreq(g.n_y, 1.0 / g.n_y)
+        self.ksq = kx[:, None] ** 2 + ky[None, :] ** 2
+        kx[g.n_x // 2] = 0.0
+        ky[g.n_y // 2] = 0.0
+        self.kx = kx[:, None]
+        self.ky = ky[None, :]
+        self.ksq_d = self.kx**2 + self.ky**2
+        self.scale = g.cell_area / g.n_points
+
+    @staticmethod
+    def real(hat):
+        return np.fft.ifft2(hat).real
+
+    def norm(self, density):
+        return float(np.sqrt(self.scale * np.sum(density)))
+
+
+def _rel(a, ref):
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+
+
+class TestHalfSpectrum:
+    """The real-to-complex layer against full complex transforms."""
+
+    @pytest.fixture(params=HALF_SPECTRUM_GRIDS)
+    def case(self, request):
+        g = TorusGrid(*request.param)
+        r = np.random.default_rng(g.n_x * 1000 + g.n_y)
+        f = ScalarField(g, r.standard_normal(g.shape))
+        v = VectorField(g, r.standard_normal(g.shape), r.standard_normal(g.shape))
+        return g, _FullSpectrum(g), f, v
+
+    def test_round_trip_and_layout(self, case):
+        g, ref, f, _ = case
+        fh = g.fft2(f.values)
+        assert fh.shape == g.spectral_shape == (g.n_x, g.n_y // 2 + 1)
+        assert g.ksq.shape == g.dealias_mask.shape == g.spectral_shape
+        assert _rel(fh, np.fft.fft2(f.values)[:, : g.n_y // 2 + 1]) <= 1e-13
+        assert _rel(g.ifft2(fh), f.values) <= 1e-13
+
+    def test_derivatives(self, case):
+        g, ref, f, v = case
+        fh = np.fft.fft2(f.values)
+        uxh = np.fft.fft2(v.u_x)
+        uyh = np.fft.fft2(v.u_y)
+        gf = grad(f)
+        assert _rel(gf.u_x, ref.real(1j * ref.kx * fh)) <= 1e-13
+        assert _rel(gf.u_y, ref.real(1j * ref.ky * fh)) <= 1e-13
+        dv = ref.real(1j * ref.kx * uxh + 1j * ref.ky * uyh)
+        assert _rel(div(v).values, dv) <= 1e-13
+        cv = ref.real(1j * ref.kx * uyh - 1j * ref.ky * uxh)
+        assert _rel(curl2d(v).values, cv) <= 1e-13
+        assert _rel(laplacian(f).values, ref.real(-ref.ksq * fh)) <= 1e-13
+
+    def test_leray_projection(self, case):
+        g, ref, _, v = case
+        uxh = np.fft.fft2(v.u_x)
+        uyh = np.fft.fft2(v.u_y)
+        inv = np.where(ref.ksq_d > 0.0, 1.0 / np.where(ref.ksq_d > 0.0, ref.ksq_d, 1.0), 0.0)
+        k_dot_u = (ref.kx * uxh + ref.ky * uyh) * inv
+        pv = leray_project(v)
+        assert _rel(pv.u_x, ref.real(uxh - ref.kx * k_dot_u)) <= 1e-13
+        assert _rel(pv.u_y, ref.real(uyh - ref.ky * k_dot_u)) <= 1e-13
+
+    def test_convolution(self, case):
+        g, ref, f, _ = case
+        kernel = Kernel("gaussian", 0.5, 5.0, g)
+        assert kernel.hat.shape == g.spectral_shape
+        full = np.fft.fft2(kernel.samples) * g.cell_area * np.fft.fft2(f.values)
+        assert _rel(convolve(kernel.hat, f).values, ref.real(full)) <= 1e-13
+
+    def test_norms(self, case):
+        g, ref, f, v = case
+        fh = np.fft.fft2(f.values)
+        uxh = np.fft.fft2(v.u_x)
+        uyh = np.fft.fft2(v.u_y)
+        checks = [
+            (g.hat_norm(g.fft2(f.values)), ref.norm(np.abs(fh) ** 2)),
+            (grad_norm(f), ref.norm(ref.ksq_d * np.abs(fh) ** 2)),
+            (grad_norm(v), ref.norm(ref.ksq_d * (np.abs(uxh) ** 2 + np.abs(uyh) ** 2))),
+            (
+                relative_divergence(v),
+                ref.norm(np.abs(ref.kx * uxh + ref.ky * uyh) ** 2)
+                / ref.norm(ref.ksq_d * (np.abs(uxh) ** 2 + np.abs(uyh) ** 2)),
+            ),
+            (h_minus_one_norm(f), ref.norm(np.abs(fh) ** 2 / (1.0 + ref.ksq))),
+        ]
+        for got, want in checks:
+            assert got == pytest.approx(want, rel=1e-13)
+
+
+class TestSingleTransformLayer:
+    def test_only_grid_calls_numpy_fft(self):
+        """Every transform goes through TorusGrid.fft2/ifft2."""
+        import chnsopt
+
+        pattern = re.compile(r"\b(np|numpy)\.fft\b|from\s+numpy\s+import\s+[^\n]*\bfft\b")
+        root = Path(chnsopt.__file__).parent
+        sources = sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py"))
+        assert "grid.py" in sources
+        offenders = []
+        for name in sources:
+            if name == "grid.py":
+                continue
+            text = (root / name).read_text(encoding="utf-8")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                if pattern.search(line):
+                    offenders.append(f"{name}:{lineno}")
+        assert offenders == []
 
 
 class TestSnapshots:
