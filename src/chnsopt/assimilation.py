@@ -59,7 +59,7 @@ def cost_da(traj: Trajectory, U: VectorField, problem: AssimilationProblem) -> f
     for n, s in enumerate(traj.states):
         u_ref = signal_node(m.u_M, n)
         du = s.u if u_ref is None else s.u - u_ref
-        phi_ref = _scalar_node(m.phi_M, n)
+        phi_ref = signal_node(m.phi_M, n)
         dphi = s.phi.values - (0.0 if phi_ref is None else phi_ref.values)
         total += tw[n] * 0.5 * (
             w.track_u * du.dot(du) + w.track_phi * g.inner(dphi, dphi)
@@ -70,18 +70,6 @@ def cost_da(traj: Trajectory, U: VectorField, problem: AssimilationProblem) -> f
     total += 0.5 * w.final_u * du_f.dot(du_f)
     total += 0.5 * w.final_phi * g.inner(dphi_f, dphi_f)
     return float(total)
-
-
-def _scalar_node(signal, n):
-    if signal is None:
-        return None
-    if isinstance(signal, ScalarField):
-        return signal
-    if isinstance(signal, (list, tuple)):
-        return signal[n]
-    if hasattr(signal, "at_node"):
-        return signal.at_node(n)
-    raise ValidationError(f"cannot read a time-indexed signal from {type(signal)!r}")
 
 
 def reduced_gradient_da(

@@ -201,15 +201,27 @@ _VECTOR_TYPES = {"zero", "taylor-green", "single-mode", "random-divfree", "file"
 _SCALAR_TYPES = {"zero", "constant", "sine", "random", "file"}
 
 
+def _field_kind(d: dict, path: str, types: set) -> str:
+    kind = d.get("type")
+    if not isinstance(kind, str) or kind not in types:
+        raise ValidationError(f"config key {path}.type must be one of {sorted(types)}")
+    return kind
+
+
+def _read_field(read, d: dict, grid: TorusGrid, path: str):
+    """A field of type "file", read by ``read`` (a snapshot reader)."""
+    _check_keys(d, {"type", "path"}, {"path"}, path)
+    try:
+        return read(str(d["path"]), grid=grid)
+    except OSError as e:
+        raise ValidationError(f"config key {path}.path: cannot read field file: {e}") from e
+
+
 def _vector_field(desc, grid: TorusGrid, rng, path: str) -> VectorField:
     if desc is None:
         return VectorField.zeros(grid)
     d = _as_mapping(desc, path)
-    kind = d.get("type")
-    if kind not in _VECTOR_TYPES:
-        raise ValidationError(
-            f"config key {path}.type must be one of {sorted(_VECTOR_TYPES)}"
-        )
+    kind = _field_kind(d, path, _VECTOR_TYPES)
     if kind == "zero":
         _check_keys(d, {"type"}, set(), path)
         return VectorField.zeros(grid)
@@ -229,19 +241,14 @@ def _vector_field(desc, grid: TorusGrid, rng, path: str) -> VectorField:
             _num(d, "amplitude", path, False, 1.0),
             _num(d, "k_cut", path, False, 4.0),
         )
-    _check_keys(d, {"type", "path"}, {"path"}, path)
-    return read_vector_snapshot(str(d["path"]), grid=grid)
+    return _read_field(read_vector_snapshot, d, grid, path)
 
 
 def _scalar_field(desc, grid: TorusGrid, rng, path: str) -> ScalarField:
     if desc is None:
         return ScalarField.zeros(grid)
     d = _as_mapping(desc, path)
-    kind = d.get("type")
-    if kind not in _SCALAR_TYPES:
-        raise ValidationError(
-            f"config key {path}.type must be one of {sorted(_SCALAR_TYPES)}"
-        )
+    kind = _field_kind(d, path, _SCALAR_TYPES)
     if kind == "zero":
         _check_keys(d, {"type"}, set(), path)
         return ScalarField.zeros(grid)
@@ -265,8 +272,7 @@ def _scalar_field(desc, grid: TorusGrid, rng, path: str) -> ScalarField:
             _num(d, "k_cut", path, False, 4.0),
             _num(d, "mean", path, False, 0.0),
         )
-    _check_keys(d, {"type", "path"}, {"path"}, path)
-    return read_snapshot(str(d["path"]), grid=grid)
+    return _read_field(read_snapshot, d, grid, path)
 
 
 _TOP_KEYS = {
@@ -316,6 +322,10 @@ class RunContext:
         seed = _int(cfg, "seed", "config", required=False, default=0)
         if seed_override is not None:
             seed = seed_override
+        if seed < 0:
+            raise ValidationError(
+                f"config key config.seed (or --seed) must be nonnegative, got {seed}"
+            )
         self.seed = seed
         self.rng = np.random.default_rng(seed)
 
@@ -613,12 +623,15 @@ def _run_check(ctx: RunContext) -> int:
     record("chemical_potential_of_constant", err <= 1e-10, f"{err:.3e}")
 
     # low-mode asymmetric field: cubic products stay below Nyquist, so
-    # the rewriting holds to rounding
+    # the rewriting holds to rounding; the wavenumbers are those of the
+    # box, so the field is periodic on it
+    kx = TWO_PI / g.l_x
+    ky = TWO_PI / g.l_y
     phi = ScalarField(
         g,
-        0.5 * np.sin(g.X)
-        + 0.3 * np.cos(2.0 * g.Y)
-        + 0.2 * np.sin(g.X + g.Y)
+        0.5 * np.sin(kx * g.X)
+        + 0.3 * np.cos(2.0 * ky * g.Y)
+        + 0.2 * np.sin(kx * g.X + ky * g.Y)
         + 0.1,
     )
     mu = chemical_potential(phi, kernel, potential)

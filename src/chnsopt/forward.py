@@ -19,10 +19,11 @@ the mean of the applied force.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericError, StabilityError, ValidationError
+from .errors import StabilityError, ValidationError
 from .grid import (
     ScalarField,
     TorusGrid,
@@ -128,21 +129,24 @@ class Trajectory:
         return self.states[0].grid
 
 
-def signal_node(signal, n: int):
+def signal_node(signal, n: int | None):
     """Value of a time-indexed signal at node n.
 
-    Accepts None (zero), a single VectorField (constant in time), a
-    list/tuple indexed by node, or any object with an at_node method.
+    Accepts None (zero), a single VectorField or ScalarField (constant in
+    time), a list/tuple indexed by node, or any object with an at_node
+    method.  A node-indexed signal needs an integer node.
     """
     if signal is None:
         return None
-    if isinstance(signal, VectorField):
+    if isinstance(signal, (VectorField, ScalarField)):
         return signal
+    if not isinstance(signal, (list, tuple)) and not hasattr(signal, "at_node"):
+        raise ValidationError(f"cannot read a time-indexed signal from {type(signal)!r}")
+    if n is None:
+        raise ValidationError("node index needed for time-indexed signals")
     if isinstance(signal, (list, tuple)):
         return signal[n]
-    if hasattr(signal, "at_node"):
-        return signal.at_node(n)
-    raise ValidationError(f"cannot read a time-indexed signal from {type(signal)!r}")
+    return signal.at_node(n)
 
 
 def step_average(signal, n: int):
@@ -162,18 +166,93 @@ def step_average(signal, n: int):
     )
 
 
+def _applied_force(control, forcing, n: int, grid: TorusGrid):
+    """Components (f_x, f_y) of the control plus forcing acting over step
+    n, each time-averaged, or (None, None) when neither is given."""
+    total = None
+    for f in (step_average(control, n), step_average(forcing, n)):
+        if f is None:
+            continue
+        if f.grid != grid:
+            raise ValidationError("force field grid does not match params grid")
+        total = f if total is None else total + f
+    if total is None:
+        return None, None
+    return total.u_x, total.u_y
+
+
+def spectral(u: VectorField, phi: ScalarField):
+    """Half-spectrum transforms (u_x, u_y, phi) of a velocity and a scalar."""
+    g = phi.grid
+    return g.fft2(u.u_x), g.fft2(u.u_y), g.fft2(phi.values)
+
+
+def physical(grid: TorusGrid, ux_h, uy_h, ph):
+    """The velocity and scalar fields whose transforms ``spectral`` gives;
+    the field constructors raise NumericError on non-finite values."""
+    return (
+        VectorField(grid, grid.ifft2(ux_h), grid.ifft2(uy_h)),
+        ScalarField(grid, grid.ifft2(ph)),
+    )
+
+
+class Frame:
+    """Dealiased physical fields of one spectral state (u, phi).
+
+    u, grad u, phi and grad phi are formed on construction; J*phi and
+    J*grad(phi) on first use, since the adjoint needs only the second and
+    the forward and tangent steps only the first.  The tangent and
+    adjoint sweeps build frames of their own (w, psi) and (p, eta) too,
+    with the same layout.
+    """
+
+    def __init__(self, st: "Stepper", ux_h, uy_h, ph):
+        g = st.grid
+        m = st.mask
+        self._st = st
+        self.ph = ph
+        self.ux = g.ifft2(ux_h * m)
+        self.uy = g.ifft2(uy_h * m)
+        self.dux = self._gradient(ux_h)
+        self.duy = self._gradient(uy_h)
+        self.phi = g.ifft2(ph * m)
+        self.dphi = self._gradient(ph)
+
+    def _gradient(self, fh):
+        st = self._st
+        m = st.mask
+        return st.grid.ifft2(1j * st.kx * fh * m), st.grid.ifft2(1j * st.ky * fh * m)
+
+    @cached_property
+    def conv(self):
+        """J*phi."""
+        st = self._st
+        return st.grid.ifft2(st.J_hat * self.ph * st.mask)
+
+    @cached_property
+    def conv_grad(self):
+        """J*grad(phi)."""
+        st = self._st
+        g = st.grid
+        m = st.mask
+        return (
+            g.ifft2(st.J_hat * 1j * st.kx * self.ph * m),
+            g.ifft2(st.J_hat * 1j * st.ky * self.ph * m),
+        )
+
+
 class Stepper:
     """Precomputed spectral machinery for one (params, config) pair.
 
-    Holds the implicit denominators, dealias mask, and kernel transform;
-    exposes the spectral one-step update used by the forward, tangent,
-    and adjoint sweeps.
+    Holds the implicit denominators, dealias mask, and kernel transform
+    that the forward, tangent and adjoint sweeps share, and the scheme's
+    explicit right-hand side, which forward_step_hat steps with and
+    control.hamiltonian evaluates.
     """
 
     def __init__(self, params: ModelParams, config: SolverConfig):
         g = params.grid
         self.params = params
-        self.config = config
         self.grid = g
         dt = config.dt
         self.dt = dt
@@ -200,15 +279,35 @@ class Stepper:
         py = fy_h - self.ky * div_h * g.inv_ksq_d
         return px, py
 
-    def masked_gradients(self, fh):
+    def explicit_rhs(self, fr: Frame, force_x, force_y):
+        """Explicit part of the scheme's right-hand side at one state.
+
+        Returns the transforms of the projected momentum terms
+        -(u.grad)u - (J*phi)grad(phi) + force and of the concentration
+        terms -Lap(mu_expl) - u.grad(phi), each product dealiased; the
+        implicit -nu*Lap(u) and -S*Lap(phi) are left to the caller.
+        force_x/force_y are physical components, or None.
+        """
         m = self.mask
         g = self.grid
-        return g.ifft2(1j * self.kx * fh * m), g.ifft2(1j * self.ky * fh * m)
+        fx = -(fr.ux * fr.dux[0] + fr.uy * fr.dux[1]) - fr.conv * fr.dphi[0]
+        fy = -(fr.ux * fr.duy[0] + fr.uy * fr.duy[1]) - fr.conv * fr.dphi[1]
+        fx_h = g.fft2(fx) * m
+        fy_h = g.fft2(fy) * m
+        if force_x is not None:
+            fx_h = fx_h + g.fft2(force_x)
+            fy_h = fy_h + g.fft2(force_y)
+        fx_h, fy_h = self.project(fx_h, fy_h)
 
-    def advect(self, vx, vy, fh):
-        """Dealiased transform of v . grad(f) with f given spectrally."""
-        fx, fy = self.masked_gradients(fh)
-        return self.grid.fft2(vx * fx + vy * fy) * self.mask
+        ph = fr.ph
+        fprime_h = g.fft2(self.params.potential.df(fr.phi)) * m
+        mu_expl_h = fprime_h - self.J_hat * ph
+        if self.a != self.S:
+            mu_expl_h = mu_expl_h + (self.a - self.S) * ph
+        advect_h = g.fft2(fr.ux * fr.dphi[0] + fr.uy * fr.dphi[1]) * m
+        rhs = -self.ksq * mu_expl_h - advect_h
+        rhs[0, 0] = 0.0  # exact mass conservation
+        return fx_h, fy_h, rhs
 
     # -- one forward step, spectral in / spectral out -------------------
 
@@ -218,34 +317,11 @@ class Stepper:
         extra_x/extra_y are the physical control-plus-forcing components
         for this step (already time-averaged), or None.
         """
-        m = self.mask
-        g = self.grid
-        ux = g.ifft2(ux_h * m)
-        uy = g.ifft2(uy_h * m)
-        dux_dx, dux_dy = self.masked_gradients(ux_h)
-        duy_dx, duy_dy = self.masked_gradients(uy_h)
-        dp_dx, dp_dy = self.masked_gradients(ph)
-        conv = g.ifft2(self.J_hat * ph * m)
-
-        fx = -(ux * dux_dx + uy * dux_dy) - conv * dp_dx
-        fy = -(ux * duy_dx + uy * duy_dy) - conv * dp_dy
-        fx_h = g.fft2(fx) * m
-        fy_h = g.fft2(fy) * m
-        if extra_x is not None:
-            fx_h = fx_h + g.fft2(extra_x)
-            fy_h = fy_h + g.fft2(extra_y)
-        fx_h, fy_h = self.project(fx_h, fy_h)
+        fx_h, fy_h, rhs = self.explicit_rhs(
+            Frame(self, ux_h, uy_h, ph), extra_x, extra_y
+        )
         new_ux_h = (ux_h + self.dt * fx_h) / self.visc_den
         new_uy_h = (uy_h + self.dt * fy_h) / self.visc_den
-
-        phim = g.ifft2(ph * m)
-        fprime_h = g.fft2(self.params.potential.df(phim)) * m
-        mu_expl_h = fprime_h - self.J_hat * ph
-        if self.a != self.S:
-            mu_expl_h = mu_expl_h + (self.a - self.S) * ph
-        advect_h = g.fft2(ux * dp_dx + uy * dp_dy) * m
-        rhs = -self.ksq * mu_expl_h - advect_h
-        rhs[0, 0] = 0.0  # exact mass conservation
         new_ph = (ph + self.dt * rhs) / self.ch_den
         return new_ux_h, new_uy_h, new_ph
 
@@ -277,39 +353,11 @@ def step(
         raise ValidationError("state grid does not match params grid")
     st = Stepper(params, config)
     st.check_cfl(state.u.u_x, state.u.u_y)
-    extra_x, extra_y = _combine_force(control_value, forcing, g)
+    extra_x, extra_y = _applied_force(control_value, forcing, 0, g)
     ux_h, uy_h, ph = st.forward_step_hat(
-        g.fft2(state.u.u_x),
-        g.fft2(state.u.u_y),
-        g.fft2(state.phi.values),
-        extra_x,
-        extra_y,
+        *spectral(state.u, state.phi), extra_x, extra_y
     )
-    return _materialize(g, ux_h, uy_h, ph, state.t + config.dt)
-
-
-def _combine_force(control_value, forcing, grid):
-    total = None
-    for f in (control_value, forcing):
-        if f is None:
-            continue
-        if f.grid != grid:
-            raise ValidationError("force field grid does not match params grid")
-        total = f if total is None else total + f
-    if total is None:
-        return None, None
-    return total.u_x, total.u_y
-
-
-def _materialize(grid, ux_h, uy_h, ph, t) -> FlowState:
-    ux = grid.ifft2(ux_h)
-    uy = grid.ifft2(uy_h)
-    phi = grid.ifft2(ph)
-    if not (np.all(np.isfinite(ux)) and np.all(np.isfinite(uy)) and np.all(np.isfinite(phi))):
-        raise NumericError("solver produced non-finite fields")
-    return FlowState(
-        VectorField(grid, ux, uy, divergence_free=True), ScalarField(grid, phi), t
-    )
+    return FlowState(*physical(g, ux_h, uy_h, ph), state.t + config.dt)
 
 
 def energy(state: FlowState, kernel: Kernel, potential: Potential) -> float:
@@ -366,22 +414,12 @@ def _energy_residual(traj, energies, forcing, control, params, config):
         nxt = traj.states[n + 1]
         mu = chemical_potential(nxt.phi, params.kernel, params.potential)
         diss = config.nu * grad_norm(nxt.u) ** 2 + grad_norm(mu) ** 2
-        applied = _sum_applied(
-            step_average(control, n), step_average(forcing, n)
-        )
+        fx, fy = _applied_force(control, forcing, n, g)
         work = 0.0
-        if applied is not None:
-            work = g.inner(applied.u_x, nxt.u.u_x) + g.inner(applied.u_y, nxt.u.u_y)
+        if fx is not None:
+            work = g.inner(fx, nxt.u.u_x) + g.inner(fy, nxt.u.u_y)
         out[n] = (energies[n + 1] - energies[n]) / dt + diss - work
     return out
-
-
-def _sum_applied(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
 
 
 def simulate(
@@ -405,18 +443,13 @@ def simulate(
 
     states = [initial.copy()]
     states[0].t = 0.0
-    ux_h = g.fft2(initial.u.u_x)
-    uy_h = g.fft2(initial.u.u_y)
-    ph = g.fft2(initial.phi.values)
+    ux_h, uy_h, ph = spectral(initial.u, initial.phi)
 
     for n in range(n_steps):
         st.check_cfl(states[n].u.u_x, states[n].u.u_y)
-        applied = _sum_applied(step_average(control, n), step_average(forcing, n))
-        ex, ey = (None, None) if applied is None else (applied.u_x, applied.u_y)
-        if applied is not None and applied.grid != g:
-            raise ValidationError("force field grid does not match params grid")
+        ex, ey = _applied_force(control, forcing, n, g)
         ux_h, uy_h, ph = st.forward_step_hat(ux_h, uy_h, ph, ex, ey)
-        states.append(_materialize(g, ux_h, uy_h, ph, (n + 1) * config.dt))
+        states.append(FlowState(*physical(g, ux_h, uy_h, ph), (n + 1) * config.dt))
 
     traj = Trajectory(states=states, dt=config.dt)
     if with_diagnostics:

@@ -223,17 +223,11 @@ class ScalarField:
 
 @dataclass
 class VectorField:
-    """Real two-component field sampled on a :class:`TorusGrid`.
-
-    ``divergence_free`` marks fields produced by (or verified against)
-    the Leray projection; arithmetic preserves the flag only when both
-    operands carry it.
-    """
+    """Real two-component field sampled on a :class:`TorusGrid`."""
 
     grid: TorusGrid
     u_x: np.ndarray
     u_y: np.ndarray
-    divergence_free: bool = False
 
     def __post_init__(self):
         self.u_x = _as_grid_array(self.grid, self.u_x, "vector field (x)")
@@ -241,12 +235,10 @@ class VectorField:
 
     @classmethod
     def zeros(cls, grid: TorusGrid) -> "VectorField":
-        return cls(grid, np.zeros(grid.shape), np.zeros(grid.shape), True)
+        return cls(grid, np.zeros(grid.shape), np.zeros(grid.shape))
 
     def copy(self) -> "VectorField":
-        return VectorField(
-            self.grid, self.u_x.copy(), self.u_y.copy(), self.divergence_free
-        )
+        return VectorField(self.grid, self.u_x.copy(), self.u_y.copy())
 
     def norm(self) -> float:
         total = np.sum(self.u_x**2) + np.sum(self.u_y**2)
@@ -271,37 +263,24 @@ class VectorField:
             g,
             g.ifft2(g.fft2(self.u_x) * m),
             g.ifft2(g.fft2(self.u_y) * m),
-            self.divergence_free,
         )
 
     def __add__(self, other: "VectorField") -> "VectorField":
         require_same_grid(self, other)
-        return VectorField(
-            self.grid,
-            self.u_x + other.u_x,
-            self.u_y + other.u_y,
-            self.divergence_free and other.divergence_free,
-        )
+        return VectorField(self.grid, self.u_x + other.u_x, self.u_y + other.u_y)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         require_same_grid(self, other)
-        return VectorField(
-            self.grid,
-            self.u_x - other.u_x,
-            self.u_y - other.u_y,
-            self.divergence_free and other.divergence_free,
-        )
+        return VectorField(self.grid, self.u_x - other.u_x, self.u_y - other.u_y)
 
     def __mul__(self, scale: float) -> "VectorField":
         s = float(scale)
-        return VectorField(
-            self.grid, self.u_x * s, self.u_y * s, self.divergence_free
-        )
+        return VectorField(self.grid, self.u_x * s, self.u_y * s)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "VectorField":
-        return VectorField(self.grid, -self.u_x, -self.u_y, self.divergence_free)
+        return VectorField(self.grid, -self.u_x, -self.u_y)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +326,6 @@ def leray_project(v: VectorField) -> VectorField:
         g,
         g.ifft2(uxh - g.kxg_d * k_dot_u),
         g.ifft2(uyh - g.kyg_d * k_dot_u),
-        divergence_free=True,
     )
 
 

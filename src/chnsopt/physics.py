@@ -61,8 +61,12 @@ class Kernel:
                 f"unknown kernel family {self.family!r}, "
                 f"expected one of {KERNEL_FAMILIES}"
             )
-        if self.family != "discrete-delta" and not self.epsilon > 0.0:
-            raise ValidationError("kernel epsilon must be positive")
+        # the Gaussian divides by 2*epsilon**2, which must stay a finite,
+        # nonzero float
+        if self.family != "discrete-delta" and not 1e-150 <= self.epsilon <= 1e150:
+            raise ValidationError(
+                f"kernel epsilon must lie in [1e-150, 1e150], got {self.epsilon!r}"
+            )
         if not np.isfinite(self.mass):
             raise ValidationError("kernel mass must be finite")
 

@@ -18,7 +18,7 @@ def taylor_green(grid: TorusGrid, amplitude: float = 1.0) -> VectorField:
     ky = 2.0 * np.pi / grid.l_y
     ux = amplitude * np.sin(kx * grid.X) * np.cos(ky * grid.Y)
     uy = -amplitude * (kx / ky) * np.cos(kx * grid.X) * np.sin(ky * grid.Y)
-    return VectorField(grid, ux, uy, divergence_free=True)
+    return VectorField(grid, ux, uy)
 
 
 def single_mode_velocity(
@@ -80,9 +80,7 @@ def random_divfree_velocity(
     n = v.norm()
     if n == 0.0 or amplitude == 0.0:
         return VectorField.zeros(grid)
-    return VectorField(
-        grid, v.u_x * (amplitude / n), v.u_y * (amplitude / n), divergence_free=True
-    )
+    return VectorField(grid, v.u_x * (amplitude / n), v.u_y * (amplitude / n))
 
 
 def random_scalar(

@@ -91,6 +91,58 @@ MALFORMED_MODES = [
 ]
 
 
+def _set(*keys, value):
+    """Config edit that sets cfg[k1][k2]... = value."""
+
+    def edit(cfg):
+        d = cfg
+        for k in keys[:-1]:
+            d = d.setdefault(k, {})
+        d[keys[-1]] = value
+
+    return edit
+
+
+MALFORMED_CONFIGS = [
+    pytest.param(_set("seed", value=-1), "config.seed", id="negative-seed"),
+    pytest.param(
+        _set("initial", "u", value={"type": [1]}), "initial.u.type", id="unhashable-vector-type"
+    ),
+    pytest.param(
+        _set("initial", "phi", value={"type": [1]}),
+        "initial.phi.type",
+        id="unhashable-scalar-type",
+    ),
+    pytest.param(
+        _set("initial", "u", value={"type": "file", "path": "missing"}),
+        "initial.u.path",
+        id="missing-vector-file",
+    ),
+    pytest.param(
+        _set("initial", "phi", value={"type": "file", "path": "missing"}),
+        "initial.phi.path",
+        id="missing-scalar-file",
+    ),
+    pytest.param(_set("kernel", "epsilon", value=1e308), "kernel epsilon", id="huge-epsilon"),
+]
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("edit, key", MALFORMED_CONFIGS)
+    def test_fails_closed_naming_the_key(self, tmp_path, capsys, edit, key):
+        cfg = base_config(tmp_path / "out")
+        edit(cfg)
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg), "--seed", "-3"])
+        assert rc == 2
+        assert "config.seed" in capsys.readouterr().err
+
+
 class TestMalformedMode:
     @pytest.mark.parametrize("mode", MALFORMED_MODES)
     def test_single_mode_velocity(self, tmp_path, capsys, mode):
@@ -290,14 +342,20 @@ class TestAssimilateCommand:
 
 class TestCheckCommand:
     def test_all_checks_pass_on_a_sound_config(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        cfg = base_config(out, problem="check")
-        cfg["grid"] = {"n": 32}
-        cfg["solver"] = {"nu": 0.1, "dt": 1e-3, "T": 0.01}
-        rc = main(["check", "--config", write_config(tmp_path, cfg)])
-        text = capsys.readouterr().out
-        assert rc == 0, text
-        assert "FAIL" not in text
-        assert text.count("PASS") == 14
-        report = (out / "report.txt").read_text(encoding="utf-8")
-        assert report.count("PASS") == 14
+        # the second box has sides that are not multiples of 2 pi
+        grids = [
+            {"n": 32},
+            {"n_x": 32, "n_y": 48, "l_x": 2.0 * np.pi, "l_y": 3.0 * np.pi},
+        ]
+        for i, grid in enumerate(grids):
+            out = tmp_path / f"out{i}"
+            cfg = base_config(out, problem="check")
+            cfg["grid"] = grid
+            cfg["solver"] = {"nu": 0.1, "dt": 1e-3, "T": 0.01}
+            rc = main(["check", "--config", write_config(tmp_path, cfg)])
+            text = capsys.readouterr().out
+            assert rc == 0, (grid, text)
+            assert "FAIL" not in text
+            assert text.count("PASS") == 14
+            report = (out / "report.txt").read_text(encoding="utf-8")
+            assert report.count("PASS") == 14

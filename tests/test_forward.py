@@ -69,6 +69,16 @@ class TestSignals:
         assert signal_node([f, f * 2.0], 1).norm() == pytest.approx(2.0 * f.norm())
         sig = ControlSignal.constant(f, 4, 1e-3)
         assert np.array_equal(signal_node(sig, 2).u_x, f.u_x)
+        c = ScalarField.constant(g16, 0.3)
+        assert signal_node(c, 3) is c
+        assert signal_node([c, c * 2.0], 1).mean() == pytest.approx(0.6)
+        with pytest.raises(ValidationError, match="cannot read a time-indexed signal"):
+            signal_node(0.3, 0)
+        # a node-indexed signal read without a node (a hamiltonian call
+        # with node=None) is an input error, not an index error
+        for indexed in ([f, f], sig):
+            with pytest.raises(ValidationError, match="node index needed"):
+                signal_node(indexed, None)
 
     def test_step_average_is_nodal_midpoint(self, g16):
         a = synth.taylor_green(g16, 1.0)

@@ -7,8 +7,12 @@ from chnsopt import (
     CostTargets,
     CostWeights,
     FlowState,
+    Kernel,
+    ModelParams,
+    Potential,
     ScalarField,
     SolverConfig,
+    TorusGrid,
     ValidationError,
     VectorField,
     adjoint_solve,
@@ -267,5 +271,18 @@ class TestDualityGap:
     def test_gap_in_assimilation_mode(self, params16, smooth_state16):
         g1 = self._gap(params16, smooth_state16, 1e-3, AdjointMode.ASSIMILATION)
         gh = self._gap(params16, smooth_state16, 5e-4, AdjointMode.ASSIMILATION)
+        assert g1 <= 5e-3
+        assert 1.5 <= g1 / gh <= 2.5
+
+    def test_gap_on_anisotropic_grid(self):
+        # 32 x 48 on (2 pi, 3 pi): the base flow and the perturbation share
+        # the |k|^2 = 1 + 4/9 shell
+        g = TorusGrid(32, 48, 2.0 * np.pi, 3.0 * np.pi)
+        params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), Potential.double_well())
+        initial = FlowState(
+            synth.taylor_green(g, 0.5), synth.sine_scalar(g, (1, 1), 0.1, mean=0.2), 0.0
+        )
+        g1 = self._gap(params, initial, 1e-3, AdjointMode.DISTRIBUTED)
+        gh = self._gap(params, initial, 5e-4, AdjointMode.DISTRIBUTED)
         assert g1 <= 5e-3
         assert 1.5 <= g1 / gh <= 2.5
