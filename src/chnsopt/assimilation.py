@@ -10,7 +10,7 @@ how well optimization recovers it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from .control import (
     optimize,
 )
 from .errors import ValidationError
-from .forward import FlowState, ModelParams, SolverConfig, Trajectory, signal_node, simulate
+from .forward import FlowState, ModelParams, SolverConfig, Trajectory, simulate
 from .grid import ScalarField, VectorField, leray_project
-from .tangent_adjoint import AdjointMode, AdjointTrajectory, adjoint_solve
+from .tangent_adjoint import AdjointMode, _trapz_weights, adjoint_solve, mismatch
 
 
 @dataclass
@@ -52,21 +52,14 @@ def cost_da(traj: Trajectory, U: VectorField, problem: AssimilationProblem) -> f
     m = problem.measurements
     w = m.weights
     g = traj.grid
-    from .tangent_adjoint import _trapz_weights
-
     tw = _trapz_weights(len(traj), traj.dt)
     total = 0.5 * w.control * U.dot(U)
     for n, s in enumerate(traj.states):
-        u_ref = signal_node(m.u_M, n)
-        du = s.u if u_ref is None else s.u - u_ref
-        phi_ref = signal_node(m.phi_M, n)
-        dphi = s.phi.values - (0.0 if phi_ref is None else phi_ref.values)
+        du, dphi = mismatch(AdjointMode.ASSIMILATION, m, s, n)
         total += tw[n] * 0.5 * (
             w.track_u * du.dot(du) + w.track_phi * g.inner(dphi, dphi)
         )
-    last = traj.final
-    du_f = last.u - m.u_M_f
-    dphi_f = last.phi.values - m.phi_M_f.values
+    du_f, dphi_f = mismatch(AdjointMode.ASSIMILATION, m, traj.final)
     total += 0.5 * w.final_u * du_f.dot(du_f)
     total += 0.5 * w.final_phi * g.inner(dphi_f, dphi_f)
     return float(total)
@@ -74,7 +67,7 @@ def cost_da(traj: Trajectory, U: VectorField, problem: AssimilationProblem) -> f
 
 def reduced_gradient_da(
     U: VectorField,
-    adjoint_traj: AdjointTrajectory,
+    adjoint_traj: Trajectory,
     weights: CostWeights | None = None,
 ) -> VectorField:
     """w_c*U + p(0), projected divergence-free."""

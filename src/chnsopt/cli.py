@@ -82,8 +82,9 @@ def _num(d: dict, key: str, path: str, required=True, default=None):
             raise ValidationError(f"missing config key {path}.{key}")
         return default
     v = d[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ValidationError(f"config key {path}.{key} must be a number")
+    # NaN fails the comparison too; an int beyond float range fails it exactly
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ValidationError(f"config key {path}.{key} must be a finite number")
     return float(v)
 
 
@@ -367,7 +368,12 @@ class RunContext:
         return _vector_field(self._forcing_cfg, self.grid, self.rng, "forcing")
 
     def ensure_outdir(self) -> str:
-        os.makedirs(self.outdir, exist_ok=True)
+        try:
+            os.makedirs(self.outdir, exist_ok=True)
+        except OSError as e:
+            raise ValidationError(
+                f"config key output.directory (or --output) is not a usable directory: {e}"
+            ) from e
         return self.outdir
 
 

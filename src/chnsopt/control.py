@@ -26,7 +26,6 @@ from .forward import (
     Stepper,
     Trajectory,
     physical,
-    signal_node,
     simulate,
     spectral,
 )
@@ -41,8 +40,8 @@ from .grid import (
 )
 from .tangent_adjoint import (
     AdjointMode,
-    AdjointTrajectory,
     adjoint_solve,
+    mismatch,
     tangent_solve,
     tracking_pairing,
     _trapz_weights,
@@ -255,12 +254,8 @@ def cost_ocp(
     total = 0.0
     for n, s in enumerate(traj.states):
         total += tw[n] * _running_cost(s, control.at_node(n), targets, n, enstrophy_form)
-    last = traj.final
-    du_f = last.u if targets.u_f is None else last.u + targets.u_f * (-1.0)
+    du_f, dphi_f = mismatch(AdjointMode.DISTRIBUTED, targets, traj.final)
     total += 0.5 * w.final_u * du_f.dot(du_f)
-    dphi_f = last.phi.values - (
-        0.0 if targets.phi_f is None else targets.phi_f.values
-    )
     total += 0.5 * w.final_phi * g.inner(dphi_f, dphi_f)
     return float(total)
 
@@ -269,21 +264,18 @@ def _running_cost(state: FlowState, U: VectorField, targets, node, enstrophy_for
     """Integrand of the tracking cost at one node, the Lagrangian of the
     Hamiltonian."""
     w = targets.weights
-    u_ref = signal_node(targets.u_d, node)
-    phi_ref = signal_node(targets.phi_d, node)
-    du = state.u if u_ref is None else state.u + u_ref * (-1.0)
+    du, dphi = mismatch(AdjointMode.DISTRIBUTED, targets, state, node)
     if enstrophy_form == "grad":
         track_u = grad_norm(du) ** 2
     else:
         track_u = curl2d(du).norm() ** 2
-    dphi = state.phi.values - (0.0 if phi_ref is None else phi_ref.values)
     track_phi = state.grid.inner(dphi, dphi)
     return 0.5 * (w.track_u * track_u + w.track_phi * track_phi + w.control * U.dot(U))
 
 
 def reduced_gradient_ocp(
     control: ControlSignal,
-    adjoint_traj: AdjointTrajectory,
+    adjoint_traj: Trajectory,
     weights: CostWeights | None = None,
 ) -> ControlSignal:
     """Nodewise gradient w_c*U + p of the reduced cost."""
@@ -297,7 +289,7 @@ def reduced_gradient_ocp(
     return control._with(data)
 
 
-def _stacked_momenta(adjoint_traj: AdjointTrajectory) -> np.ndarray:
+def _stacked_momenta(adjoint_traj: Trajectory) -> np.ndarray:
     """Adjoint momenta p of every node, stacked like ControlSignal.data."""
     return np.array([(s.p.u_x, s.p.u_y) for s in adjoint_traj.states])
 
@@ -506,10 +498,12 @@ def hamiltonian(
     forward step uses (Stepper.explicit_rhs, default stabilization and
     dealiasing) plus the implicit viscous and stabilization terms.  As a
     function of U_value this is (w_c/2)|U|^2 + <p, U> + const, so its
-    minimizer over all fields is -p/w_c.
+    minimizer over all fields is -p/w_c.  node picks the tracking
+    references; None reads them at node 0, which is every node for
+    references constant in time.
     """
     g = params.grid
-    lagr = _running_cost(state, U_value, targets, node)
+    lagr = _running_cost(state, U_value, targets, 0 if node is None else node)
 
     # dt does not enter the right-hand side
     st = Stepper(params, SolverConfig(dt=1.0, T=1.0, nu=nu))
@@ -525,7 +519,7 @@ def hamiltonian(
 
 def build_trial_controls(
     control: ControlSignal,
-    adjoint_traj: AdjointTrajectory,
+    adjoint_traj: Trajectory,
     rng: np.random.Generator,
     n_random_pairs: int = 7,
     weights: CostWeights | None = None,
@@ -560,7 +554,7 @@ def build_trial_controls(
 
 def minimum_principle_residual(
     control: ControlSignal,
-    adjoint_traj: AdjointTrajectory,
+    adjoint_traj: Trajectory,
     trial_controls,
     weights: CostWeights | None = None,
 ) -> np.ndarray:

@@ -98,19 +98,25 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    """Dense record of a forward run: one FlowState per time node.
+    """Dense record of one sweep: a state per time node start_node..N.
 
-    diagnostics holds per-node series (t, energy, kinetic, enstrophy,
-    mass) and the per-step energy-identity residual (length N, entry n
-    belonging to the step from node n to n+1).
+    Forward runs hold FlowState, tangent sweeps TangentState and adjoint
+    sweeps AdjointState; only a forward record has a grid.  diagnostics
+    holds per-node series (t, energy, kinetic, enstrophy, mass) and the
+    per-step energy-identity residual (length N, entry n belonging to
+    the step from node n to n+1).
     """
 
     states: list
     dt: float
+    start_node: int = 0
     diagnostics: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.states)
+
+    def at_node(self, n: int):
+        return self.states[n - self.start_node]
 
     @property
     def n_steps(self) -> int:
@@ -121,7 +127,11 @@ class Trajectory:
         return np.array([s.t for s in self.states])
 
     @property
-    def final(self) -> FlowState:
+    def initial(self):
+        return self.states[0]
+
+    @property
+    def final(self):
         return self.states[-1]
 
     @property

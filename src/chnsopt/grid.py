@@ -250,9 +250,6 @@ class VectorField:
             self.u_y, other.u_y
         )
 
-    def max_speed(self) -> float:
-        return float(np.sqrt(np.max(self.u_x**2 + self.u_y**2)))
-
     def mean(self) -> tuple[float, float]:
         return float(self.u_x.mean()), float(self.u_y.mean())
 

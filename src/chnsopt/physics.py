@@ -19,7 +19,7 @@ enough for well-posedness; the validator rejects pairs that violate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P

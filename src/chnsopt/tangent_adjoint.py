@@ -25,7 +25,7 @@ parts against the tangent system, and duality_gap checks it at O(dt).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,44 +63,6 @@ class AdjointState:
     t: float
 
 
-@dataclass
-class TangentTrajectory:
-    """Tangent states at nodes start_node..N of the base trajectory."""
-
-    states: list
-    dt: float
-    start_node: int = 0
-
-    def __len__(self):
-        return len(self.states)
-
-    @property
-    def final(self) -> TangentState:
-        return self.states[-1]
-
-    def at_node(self, n: int) -> TangentState:
-        return self.states[n - self.start_node]
-
-
-@dataclass
-class AdjointTrajectory:
-    """Adjoint states indexed by forward time node (0..N)."""
-
-    states: list
-    dt: float
-    mode: AdjointMode = AdjointMode.DISTRIBUTED
-
-    def __len__(self):
-        return len(self.states)
-
-    def at_node(self, n: int) -> AdjointState:
-        return self.states[n]
-
-    @property
-    def initial(self) -> AdjointState:
-        return self.states[0]
-
-
 def tangent_solve(
     base: Trajectory,
     delta_control,
@@ -109,7 +71,7 @@ def tangent_solve(
     params: ModelParams,
     config: SolverConfig,
     start_node: int = 0,
-) -> TangentTrajectory:
+) -> Trajectory:
     """Integrate the linearized system along the base trajectory.
 
     delta_control follows the forward signal conventions.  start_node
@@ -165,43 +127,46 @@ def tangent_solve(
         psh = (psh + dt * rhs) / st.ch_den
 
         states.append(TangentState(*physical(g, wx_h, wy_h, psh), base.states[n + 1].t))
-    return TangentTrajectory(states=states, dt=config.dt, start_node=start_node)
+    return Trajectory(states=states, dt=config.dt, start_node=start_node)
+
+
+def mismatch(mode: AdjointMode, targets, state, node: int | None = None):
+    """State minus the reference the mode tracks: (velocity, phi values).
+
+    The distributed mode tracks u_d/phi_d at a node and u_f/phi_f at the
+    end, the assimilation mode u_M/phi_M and u_M_f/phi_M_f; node=None
+    selects the terminal pair.  A missing reference reads as zero.
+    """
+    if mode is AdjointMode.DISTRIBUTED:
+        refs = (targets.u_f, targets.phi_f) if node is None else (targets.u_d, targets.phi_d)
+    else:
+        refs = (targets.u_M_f, targets.phi_M_f) if node is None else (targets.u_M, targets.phi_M)
+    u_ref, phi_ref = (signal_node(r, node) for r in refs)
+    du = state.u if u_ref is None else state.u - u_ref
+    dphi = state.phi.values if phi_ref is None else state.phi.values - phi_ref.values
+    return du, dphi
 
 
 def _tracking_sources(mode: AdjointMode, targets, state, node: int, st: Stepper):
     """Physical-space source pair (S_p, S_eta) at one node."""
     w = targets.weights
     g = st.grid
-    distributed = mode is AdjointMode.DISTRIBUTED
-    u_ref = signal_node(targets.u_d if distributed else targets.u_M, node)
-    phi_ref = signal_node(targets.phi_d if distributed else targets.phi_M, node)
-    dux = state.u.u_x - (u_ref.u_x if u_ref is not None else 0.0)
-    duy = state.u.u_y - (u_ref.u_y if u_ref is not None else 0.0)
-    if distributed:
+    du, dphi = mismatch(mode, targets, state, node)
+    dux, duy = du.u_x, du.u_y
+    if mode is AdjointMode.DISTRIBUTED:
         # enstrophy tracking pairs through -Lap(u - u_d)
         dux = g.ifft2(st.ksq * g.fft2(dux))
         duy = g.ifft2(st.ksq * g.fft2(duy))
-    spx = w.track_u * dux
-    spy = w.track_u * duy
-    dphi = state.phi.values - (phi_ref.values if phi_ref is not None else 0.0)
-    seta = w.track_phi * dphi
-    return spx, spy, seta
+    return w.track_u * dux, w.track_u * duy, w.track_phi * dphi
 
 
 def terminal_adjoint_data(base: Trajectory, mode: AdjointMode, targets):
     """Terminal pair (p(T), eta(T)) prescribed by the cost."""
     w = targets.weights
     g = base.grid
-    last = base.final
-    if mode is AdjointMode.DISTRIBUTED:
-        u_ref, phi_ref = targets.u_f, targets.phi_f
-    else:
-        u_ref, phi_ref = targets.u_M_f, targets.phi_M_f
-    pux = last.u.u_x - (u_ref.u_x if u_ref is not None else 0.0)
-    puy = last.u.u_y - (u_ref.u_y if u_ref is not None else 0.0)
-    ev = last.phi.values - (phi_ref.values if phi_ref is not None else 0.0)
-    p_T = leray_project(VectorField(g, w.final_u * pux, w.final_u * puy))
-    eta_T = ScalarField(g, w.final_phi * ev)
+    du, dphi = mismatch(mode, targets, base.final)
+    p_T = leray_project(VectorField(g, w.final_u * du.u_x, w.final_u * du.u_y))
+    eta_T = ScalarField(g, w.final_phi * dphi)
     return p_T, eta_T
 
 
@@ -211,7 +176,7 @@ def adjoint_solve(
     targets,
     params: ModelParams,
     config: SolverConfig,
-) -> AdjointTrajectory:
+) -> Trajectory:
     """Integrate the adjoint pair (p, eta) backward from t = T to 0.
 
     targets supplies the tracking references, terminal references, and
@@ -265,7 +230,7 @@ def adjoint_solve(
         eh = (eh + dt * r_h) / st.ch_den
 
         states[n] = AdjointState(*physical(g, px_h, py_h, eh), base.states[n].t)
-    return AdjointTrajectory(states=states, dt=config.dt, mode=mode)
+    return Trajectory(states=states, dt=config.dt)
 
 
 def _trapz_weights(n_nodes: int, dt: float) -> np.ndarray:
@@ -275,7 +240,7 @@ def _trapz_weights(n_nodes: int, dt: float) -> np.ndarray:
     return w
 
 
-def tracking_pairing(base: Trajectory, tang: TangentTrajectory, mode, targets, st: Stepper):
+def tracking_pairing(base: Trajectory, tang: Trajectory, mode, targets, st: Stepper):
     """Derivative of the cost's tracking and terminal terms along a tangent
     solution started at node 0: the cost sources paired with the tangent
     states (trapezoidal in time) plus the terminal pairings."""

@@ -21,7 +21,7 @@ from chnsopt import (
     twin_experiment,
 )
 from chnsopt import synth
-from chnsopt.tangent_adjoint import AdjointState, AdjointTrajectory
+from chnsopt.tangent_adjoint import AdjointState, Trajectory
 
 
 def _measured_problem(params, phi0, cfg, U_true, weights, forcing=None):
@@ -158,7 +158,7 @@ class TestCostAndGradient:
 
     def test_gradient_assembly_projects(self, g16, rng):
         p = synth.random_divfree_velocity(g16, rng, amplitude=0.3, k_cut=3.0)
-        adj = AdjointTrajectory(
+        adj = Trajectory(
             states=[AdjointState(p, ScalarField.zeros(g16), 0.0)], dt=1e-3
         )
         gradient_part = grad(ScalarField(g16, np.sin(g16.X)))

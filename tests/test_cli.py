@@ -124,6 +124,17 @@ MALFORMED_CONFIGS = [
         id="missing-scalar-file",
     ),
     pytest.param(_set("kernel", "epsilon", value=1e308), "kernel epsilon", id="huge-epsilon"),
+    pytest.param(_set("solver", "T", value=float("inf")), "solver.T", id="infinite-T"),
+    pytest.param(
+        lambda cfg: cfg["solver"].update(dt=float("inf"), T=float("inf")),
+        "solver.dt",
+        id="infinite-dt-and-T",
+    ),
+    pytest.param(_set("kernel", "mass", value=float("nan")), "kernel.mass", id="nan-mass"),
+    pytest.param(
+        _set("optimizer", "radius", value=float("inf")), "optimizer.radius", id="infinite-radius"
+    ),
+    pytest.param(_set("grid", "l", value=10**400), "grid.l", id="int-beyond-float"),
 ]
 
 
@@ -135,6 +146,17 @@ class TestMalformedConfig:
         rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+    def test_output_directory_naming_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        rc = main(["simulate", "--config", write_config(tmp_path, base_config(taken))])
+        assert rc == 2
+        assert "output.directory" in capsys.readouterr().err
+        cfg = write_config(tmp_path, base_config(tmp_path / "out"))
+        rc = main(["simulate", "--config", cfg, "--output", str(taken)])
+        assert rc == 2
+        assert "--output" in capsys.readouterr().err
 
     def test_negative_seed_override(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out")

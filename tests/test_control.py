@@ -4,7 +4,7 @@ import pytest
 from chnsopt import (
     AdjointMode,
     AdjointState,
-    AdjointTrajectory,
+    Trajectory,
     ControlSignal,
     CostTargets,
     CostWeights,
@@ -174,7 +174,7 @@ class TestReducedGradient:
         n = 4
         U = _const_signal(g16, n, dt, amp=0.5, mode=(1, 0))
         p = synth.single_mode_velocity(g16, (0, 1), 0.3)
-        adj = AdjointTrajectory(
+        adj = Trajectory(
             states=[
                 AdjointState(p * float(k), ScalarField.zeros(g16), k * dt)
                 for k in range(n)
@@ -188,7 +188,7 @@ class TestReducedGradient:
 
     def test_time_grid_mismatch_rejected(self, g16):
         U = _const_signal(g16, 4, 1e-3)
-        adj = AdjointTrajectory(
+        adj = Trajectory(
             states=[
                 AdjointState(VectorField.zeros(g16), ScalarField.zeros(g16), 0.0)
             ]
@@ -373,7 +373,7 @@ class TestHamiltonian:
 
 class TestMinimumPrinciple:
     def _adjoint_of(self, p, n_nodes, dt):
-        return AdjointTrajectory(
+        return Trajectory(
             states=[
                 AdjointState(p.copy(), ScalarField.zeros(p.grid), k * dt)
                 for k in range(n_nodes)

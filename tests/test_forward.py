@@ -13,16 +13,19 @@ from chnsopt import (
     TorusGrid,
     ValidationError,
     VectorField,
+    convolve,
     curl2d,
     energy,
     energy_identity_residual,
+    grad,
     relative_divergence,
     simulate,
     step,
     sup_state_difference,
+    tangent_solve,
 )
 from chnsopt import synth
-from chnsopt.forward import signal_node, step_average
+from chnsopt.forward import Frame, Stepper, signal_node, spectral, step_average
 
 TWO_PI = 2.0 * np.pi
 
@@ -174,6 +177,33 @@ class TestConservation:
         mass = traj.diagnostics["mass"]
         assert np.max(np.abs(mass - mass[0])) <= 1e-12
         assert max(relative_divergence(s.u) for s in traj.states) <= 1e-12
+
+    def test_frozen_mean_under_compressible_velocity(self, double_well):
+        # a compressible u makes the k = 0 mode of u.grad(phi) nonzero, so
+        # only the frozen mean keeps mass (and the tangent's mean) fixed
+        g = TorusGrid(32, 48, TWO_PI, 3.0 * np.pi)
+        params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), double_well)
+        x, y = TWO_PI * g.X / g.l_x, TWO_PI * g.Y / g.l_y
+        u0 = VectorField(g, np.cos(x), 0.3 * np.cos(y))
+        phi0 = ScalarField(g, 0.2 + 0.3 * np.sin(x) + 0.2 * np.cos(y) + 0.1 * np.sin(x + y))
+        cfg = SolverConfig(dt=1e-3, T=5e-3, nu=0.1)
+        traj = simulate(FlowState(u0, phi0, 0.0), None, None, params, cfg, with_diagnostics=False)
+        assert max(abs(s.phi.mean() - phi0.mean()) for s in traj.states) <= 1e-12
+        tang = tangent_solve(traj, None, None, phi0, params, cfg)
+        assert max(abs(s.psi.mean() - phi0.mean()) for s in tang.states) <= 1e-12
+
+
+class TestFrame:
+    def test_conv_grad_per_component(self, double_well):
+        g = TorusGrid(32, 48, TWO_PI, 3.0 * np.pi)
+        params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), double_well)
+        st = Stepper(params, SolverConfig(dt=1e-3, T=1e-3, nu=0.1))
+        x, y = TWO_PI * g.X / g.l_x, TWO_PI * g.Y / g.l_y
+        phi = ScalarField(g, np.sin(x) + 0.5 * np.cos(2.0 * y) + 0.3 * np.sin(x + y))
+        got = Frame(st, *spectral(VectorField.zeros(g), phi)).conv_grad
+        want = grad(convolve(params.kernel.hat, phi)).dealiased()
+        for a, b in zip(got, (want.u_x, want.u_y)):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 class TestEnergy:

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -365,6 +366,35 @@ class TestSingleTransformLayer:
             for lineno, line in enumerate(text.splitlines(), 1):
                 if pattern.search(line):
                     offenders.append(f"{name}:{lineno}")
+        assert offenders == []
+
+
+class TestNoUnusedImports:
+    def test_every_imported_name_is_used(self):
+        """No module of the package imports a name it never reads; the
+        package __init__ imports to re-export, so it is exempt."""
+        import chnsopt
+
+        root = Path(chnsopt.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for a in node.names:
+                        imported[a.asname or a.name.split(".")[0]] = node.lineno
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    for a in node.names:
+                        imported[a.asname or a.name] = node.lineno
+            used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            offenders += [
+                f"{path.relative_to(root).as_posix()}:{line} {name}"
+                for name, line in imported.items()
+                if name not in used
+            ]
         assert offenders == []
 
 

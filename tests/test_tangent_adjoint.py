@@ -9,6 +9,7 @@ from chnsopt import (
     FlowState,
     Kernel,
     ModelParams,
+    NumericError,
     Potential,
     ScalarField,
     SolverConfig,
@@ -129,6 +130,13 @@ class TestTangent:
                 base, None, VectorField.zeros(g32), None, params16, cfg
             )
 
+    def test_overflow_raises_numeric_error(self, params16, smooth_state16):
+        cfg = SolverConfig(dt=1e-3, T=5e-3, nu=0.1)
+        base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+        w0 = synth.taylor_green(params16.grid, 1e306)
+        with pytest.raises(NumericError), np.errstate(all="ignore"):
+            tangent_solve(base, None, w0, None, params16, cfg)
+
 
 class TestAdjoint:
     def test_terminal_pair_is_projected_and_weighted(self, params16, smooth_state16):
@@ -241,7 +249,13 @@ class TestAdjoint:
         assert len(adj) == 6
         assert adj.initial is adj.states[0]
         assert adj.at_node(3).t == pytest.approx(3e-3)
-        assert adj.mode is AdjointMode.DISTRIBUTED
+
+    def test_overflow_raises_numeric_error(self, params16, smooth_state16):
+        cfg = SolverConfig(dt=1e-3, T=5e-3, nu=0.1)
+        base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+        targets = CostTargets(weights=CostWeights(track_u=1e307))
+        with pytest.raises(NumericError), np.errstate(all="ignore"):
+            adjoint_solve(base, AdjointMode.DISTRIBUTED, targets, params16, cfg)
 
 
 class TestDualityGap:
