@@ -218,6 +218,14 @@ def _read_field(read, d: dict, grid: TorusGrid, path: str):
         raise ValidationError(f"config key {path}.path: cannot read field file: {e}") from e
 
 
+def _k_cut(d: dict, path: str) -> float:
+    """Low-pass wavenumber of a random field; zero would filter out every mode."""
+    k_cut = _num(d, "k_cut", path, False, 4.0)
+    if not k_cut > 0.0:
+        raise ValidationError(f"config key {path}.k_cut must be positive, got {k_cut!r}")
+    return k_cut
+
+
 def _vector_field(desc, grid: TorusGrid, rng, path: str) -> VectorField:
     if desc is None:
         return VectorField.zeros(grid)
@@ -240,7 +248,7 @@ def _vector_field(desc, grid: TorusGrid, rng, path: str) -> VectorField:
             grid,
             rng,
             _num(d, "amplitude", path, False, 1.0),
-            _num(d, "k_cut", path, False, 4.0),
+            _k_cut(d, path),
         )
     return _read_field(read_vector_snapshot, d, grid, path)
 
@@ -270,7 +278,7 @@ def _scalar_field(desc, grid: TorusGrid, rng, path: str) -> ScalarField:
             grid,
             rng,
             _num(d, "amplitude", path, False, 1.0),
-            _num(d, "k_cut", path, False, 4.0),
+            _k_cut(d, path),
             _num(d, "mean", path, False, 0.0),
         )
     return _read_field(read_snapshot, d, grid, path)

@@ -23,16 +23,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import StabilityError, ValidationError
+from .errors import NumericError, StabilityError, ValidationError
 from .grid import (
     ScalarField,
     TorusGrid,
     VectorField,
-    grad_norm,
     h_minus_one_norm,
     require_same_grid,
 )
-from .physics import Kernel, Potential, chemical_potential
+from .physics import Kernel, Potential
 
 
 @dataclass(frozen=True)
@@ -370,23 +369,49 @@ def step(
     return FlowState(*physical(g, ux_h, uy_h, ph), state.t + config.dt)
 
 
-def energy(state: FlowState, kernel: Kernel, potential: Potential) -> float:
-    """Total free energy: kinetic + nonlocal interaction + potential.
+def node_terms(
+    kernel: Kernel, potential: Potential, hats, state: FlowState, nu=0.0, force=(None, None)
+):
+    """(t, energy, kinetic, enstrophy, mass, dissipation, work) at one node.
 
-    The interaction term is evaluated as (a<phi,phi> - <J*phi,phi>)/2,
-    identical to the quarter double-integral of J(x-y)(phi(x)-phi(y))^2.
+    hats are the transforms (u_x, u_y, phi) of state.  Every term but the
+    bulk sum of F(phi), the mass and the work is a Parseval sum, and the
+    dissipation nu|grad u|^2 + |grad mu|^2 costs the one transform of
+    F'(phi).  The interaction energy (a<phi,phi> - <J*phi,phi>)/2 equals
+    the quarter double-integral of J(x-y)(phi(x)-phi(y))^2.  The work
+    pairs force, the (f_x, f_y) of the step ending at the node, with its
+    velocity.  Raises NumericError on a non-finite chemical potential.
     """
-    g = state.grid
+    g = kernel.grid
+    c = g.cell_area / g.n_points
+    ux_h, uy_h, ph = hats
     phi = state.phi.values
-    conv = g.ifft2(kernel.hat * g.fft2(phi))
-    kinetic = 0.5 * g.cell_area * float(
-        np.sum(state.u.u_x**2 + state.u.u_y**2)
-    )
-    interaction = 0.5 * g.cell_area * float(
-        np.sum(kernel.mass * phi * phi - conv * phi)
-    )
-    bulk = g.cell_area * float(np.sum(potential.f(phi)))
-    return kinetic + interaction + bulk
+    u_sq = np.abs(ux_h) ** 2 + np.abs(uy_h) ** 2
+    kinetic = 0.5 * c * g.parseval_sum(u_sq)
+    enstrophy = 0.5 * c * g.parseval_sum(np.abs(g.kxg_d * uy_h - g.kyg_d * ux_h) ** 2)
+    gap = kernel.mass - kernel.hat
+    interaction = 0.5 * c * g.parseval_sum(gap.real * np.abs(ph) ** 2)
+    energy = kinetic + interaction + g.cell_area * float(np.sum(potential.f(phi)))
+    mu_h = g.fft2(potential.df(phi)) + gap * ph
+    if not np.all(np.isfinite(mu_h)):
+        raise NumericError("chemical potential is non-finite")
+    grad_mu_sq = g.parseval_sum(g.ksq_d * np.abs(mu_h) ** 2)
+    diss = c * (nu * g.parseval_sum(g.ksq_d * u_sq) + grad_mu_sq)
+    fx, fy = force
+    work = 0.0 if fx is None else g.inner(fx, state.u.u_x) + g.inner(fy, state.u.u_y)
+    return state.t, energy, kinetic, enstrophy, state.phi.mean(), diss, work
+
+
+def energy(state: FlowState, kernel: Kernel, potential: Potential) -> float:
+    """Total free energy: kinetic + nonlocal interaction + potential."""
+    return node_terms(kernel, potential, spectral(state.u, state.phi), state)[1]
+
+
+def _diagnostic_series(rows, dt: float) -> dict:
+    """Per-node series and the per-step energy-identity residual."""
+    t, en, kin, ens, mass, diss, work = (np.array(col) for col in zip(*rows))
+    return dict(t=t, energy=en, kinetic=kin, enstrophy=ens, mass=mass,
+                residual=np.diff(en) / dt + diss[1:] - work[1:])
 
 
 def energy_identity_residual(
@@ -403,33 +428,12 @@ def energy_identity_residual(
     and the force at the step's time-averaged value.  First-order
     accurate, so r_n = O(dt) on smooth runs.
     """
-    return _energy_residual(
-        traj, _energy_series(traj, params), forcing, control, params, config
-    )
-
-
-def _energy_series(traj: Trajectory, params: ModelParams) -> np.ndarray:
-    """Free energy at every node of the trajectory."""
-    return np.array(
-        [energy(s, params.kernel, params.potential) for s in traj.states]
-    )
-
-
-def _energy_residual(traj, energies, forcing, control, params, config):
-    """energy_identity_residual with the node energies already computed."""
-    g = traj.grid
-    dt = traj.dt
-    out = np.empty(traj.n_steps)
-    for n in range(traj.n_steps):
-        nxt = traj.states[n + 1]
-        mu = chemical_potential(nxt.phi, params.kernel, params.potential)
-        diss = config.nu * grad_norm(nxt.u) ** 2 + grad_norm(mu) ** 2
-        fx, fy = _applied_force(control, forcing, n, g)
-        work = 0.0
-        if fx is not None:
-            work = g.inner(fx, nxt.u.u_x) + g.inner(fy, nxt.u.u_y)
-        out[n] = (energies[n + 1] - energies[n]) / dt + diss - work
-    return out
+    rows = [
+        node_terms(params.kernel, params.potential, spectral(s.u, s.phi), s, config.nu,
+                   _applied_force(control, forcing, n - 1, traj.grid) if n else (None, None))
+        for n, s in enumerate(traj.states)
+    ]
+    return _diagnostic_series(rows, traj.dt)["residual"]
 
 
 def simulate(
@@ -443,50 +447,34 @@ def simulate(
     """Run the IMEX scheme from t = 0 to T and record every node.
 
     control/forcing follow the signal_node conventions (None, constant
-    VectorField, node-indexed list, or an object with at_node).
+    VectorField, node-indexed list, or an object with at_node);
+    with_diagnostics fills traj.diagnostics inside the time loop from the
+    transforms the step holds, at one extra transform per node (for the
+    chemical potential); the stored states do not depend on it.
     """
     g = params.grid
     if initial.grid != g:
         raise ValidationError("initial state grid does not match params grid")
-    n_steps = config.n_steps
     st = Stepper(params, config)
 
     states = [initial.copy()]
     states[0].t = 0.0
     ux_h, uy_h, ph = spectral(initial.u, initial.phi)
+    terms = (params.kernel, params.potential)
+    rows = [node_terms(*terms, (ux_h, uy_h, ph), states[0], config.nu)] if with_diagnostics else []
 
-    for n in range(n_steps):
+    for n in range(config.n_steps):
         st.check_cfl(states[n].u.u_x, states[n].u.u_y)
         ex, ey = _applied_force(control, forcing, n, g)
         ux_h, uy_h, ph = st.forward_step_hat(ux_h, uy_h, ph, ex, ey)
         states.append(FlowState(*physical(g, ux_h, uy_h, ph), (n + 1) * config.dt))
+        if with_diagnostics:
+            rows.append(node_terms(*terms, (ux_h, uy_h, ph), states[-1], config.nu, (ex, ey)))
 
     traj = Trajectory(states=states, dt=config.dt)
     if with_diagnostics:
-        traj.diagnostics = _collect_diagnostics(traj, forcing, control, params, config)
+        traj.diagnostics = _diagnostic_series(rows, config.dt)
     return traj
-
-
-def _collect_diagnostics(traj, forcing, control, params, config):
-    from .grid import curl2d
-
-    n_nodes = len(traj)
-    en = _energy_series(traj, params)
-    kin = np.empty(n_nodes)
-    ens = np.empty(n_nodes)
-    mass = np.empty(n_nodes)
-    for i, s in enumerate(traj.states):
-        kin[i] = 0.5 * s.u.norm() ** 2
-        ens[i] = 0.5 * curl2d(s.u).norm() ** 2
-        mass[i] = s.phi.mean()
-    return {
-        "t": traj.times,
-        "energy": en,
-        "kinetic": kin,
-        "enstrophy": ens,
-        "mass": mass,
-        "residual": _energy_residual(traj, en, forcing, control, params, config),
-    }
 
 
 def sup_state_difference(a: Trajectory, b: Trajectory) -> float:

@@ -55,7 +55,9 @@ def sine_scalar(
 
 
 def _lowpass(grid: TorusGrid, k_cut: float) -> np.ndarray:
-    return np.exp(-(grid.ksq / max(k_cut, 1e-12) ** 2)) * grid.dealias_mask
+    if not k_cut > 0.0:
+        raise ValidationError(f"k_cut must be positive, got {k_cut!r}")
+    return np.exp(-(grid.ksq / k_cut**2)) * grid.dealias_mask
 
 
 def random_divfree_velocity(

@@ -8,8 +8,12 @@ from chnsopt import (
     Potential,
     SolverConfig,
     TorusGrid,
+    chemical_potential,
+    curl2d,
+    grad_norm,
 )
 from chnsopt import synth
+from chnsopt.forward import step_average
 
 TWO_PI = 2.0 * np.pi
 
@@ -70,3 +74,54 @@ def smooth_state16(g16):
 
 def short_config(dt=1e-3, T=0.01, nu=0.1, **kw):
     return SolverConfig(dt=dt, T=T, nu=nu, **kw)
+
+
+def reference_diagnostics(traj, forcing, control, params, config):
+    """The diagnostic series of a forward trajectory from physical-space
+    formulas: the energy as sums over grid points, the enstrophy through
+    curl2d, and the residual through chemical_potential and grad_norm."""
+    g = params.grid
+    kernel, potential = params.kernel, params.potential
+
+    def energy(s):
+        phi = s.phi.values
+        conv = g.ifft2(kernel.hat * g.fft2(phi))
+        kinetic = 0.5 * g.cell_area * float(np.sum(s.u.u_x**2 + s.u.u_y**2))
+        interaction = 0.5 * g.cell_area * float(np.sum(kernel.mass * phi * phi - conv * phi))
+        return kinetic + interaction + g.cell_area * float(np.sum(potential.f(phi)))
+
+    en = np.array([energy(s) for s in traj.states])
+    residual = np.empty(traj.n_steps)
+    for n in range(traj.n_steps):
+        nxt = traj.states[n + 1]
+        mu = chemical_potential(nxt.phi, kernel, potential)
+        diss = config.nu * grad_norm(nxt.u) ** 2 + grad_norm(mu) ** 2
+        forces = (step_average(control, n), step_average(forcing, n))
+        work = sum(f.dot(nxt.u) for f in forces if f is not None)
+        residual[n] = (en[n + 1] - en[n]) / config.dt + diss - work
+    return {
+        "energy": en,
+        "kinetic": np.array([0.5 * s.u.norm() ** 2 for s in traj.states]),
+        "enstrophy": np.array([0.5 * curl2d(s.u).norm() ** 2 for s in traj.states]),
+        "mass": np.array([s.phi.mean() for s in traj.states]),
+        "residual": residual,
+    }
+
+
+def assert_diagnostics_match_reference(traj, forcing, control, params, config):
+    """simulate's series agree with reference_diagnostics: energy, kinetic
+    and enstrophy to 1e-13 relative per node, mass bit for bit, and the
+    residual to 1e-13 max|E|/dt."""
+    d = traj.diagnostics
+    ref = reference_diagnostics(traj, forcing, control, params, config)
+    for key in ("energy", "kinetic", "enstrophy"):
+        assert np.all(np.abs(d[key] - ref[key]) <= 1e-13 * np.abs(ref[key])), key
+    assert np.array_equal(d["mass"], ref["mass"])
+    scale = np.max(np.abs(ref["energy"])) / config.dt
+    assert np.max(np.abs(d["residual"] - ref["residual"])) <= 1e-13 * scale
+
+
+@pytest.fixture(scope="session")
+def diagnostics_reference():
+    """assert_diagnostics_match_reference, for tests in other modules."""
+    return assert_diagnostics_match_reference

@@ -135,6 +135,26 @@ MALFORMED_CONFIGS = [
         _set("optimizer", "radius", value=float("inf")), "optimizer.radius", id="infinite-radius"
     ),
     pytest.param(_set("grid", "l", value=10**400), "grid.l", id="int-beyond-float"),
+    pytest.param(
+        _set("initial", "u", value={"type": "random-divfree", "k_cut": -1}),
+        "initial.u.k_cut",
+        id="negative-vector-k-cut",
+    ),
+    pytest.param(
+        _set("initial", "u", value={"type": "random-divfree", "k_cut": 0}),
+        "initial.u.k_cut",
+        id="zero-vector-k-cut",
+    ),
+    pytest.param(
+        _set("initial", "phi", value={"type": "random", "k_cut": -1}),
+        "initial.phi.k_cut",
+        id="negative-scalar-k-cut",
+    ),
+    pytest.param(
+        _set("initial", "phi", value={"type": "random", "k_cut": 0.0}),
+        "initial.phi.k_cut",
+        id="zero-scalar-k-cut",
+    ),
 ]
 
 

@@ -338,6 +338,83 @@ class TestTrajectory:
         )
 
 
+DIAGNOSTIC_GRIDS = [
+    pytest.param((64, 64, TWO_PI, TWO_PI), id="64x64"),
+    pytest.param((32, 48, TWO_PI, 3.0 * np.pi), id="32x48-anisotropic"),
+]
+
+
+def _forced_controlled_inputs(shape, double_well):
+    """(initial, control, forcing, params, config) for 20 steps from random
+    fields under a constant forcing and a node-indexed control, so the
+    work term sees step averages."""
+    g = TorusGrid(*shape)
+    params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), double_well)
+    r = np.random.default_rng(64)
+    initial = FlowState(
+        synth.random_divfree_velocity(g, r, amplitude=0.5, k_cut=3.0),
+        synth.random_scalar(g, r, amplitude=0.3, k_cut=3.0, mean=0.1),
+        0.0,
+    )
+    control = [synth.single_mode_velocity(g, (1, 1), 0.05 * (1 + n)) for n in range(21)]
+    forcing = synth.single_mode_velocity(g, (1, 0), 0.1)
+    return initial, control, forcing, params, SolverConfig(dt=1e-3, T=0.02, nu=0.1)
+
+
+class TestDiagnosticsReference:
+    @pytest.mark.parametrize("shape", DIAGNOSTIC_GRIDS)
+    def test_series_match_physical_formulas(self, shape, double_well, diagnostics_reference):
+        initial, control, forcing, params, cfg = _forced_controlled_inputs(shape, double_well)
+        traj = simulate(initial, control, forcing, params, cfg)
+        diagnostics_reference(traj, forcing, control, params, cfg)
+
+    @pytest.mark.parametrize("shape", DIAGNOSTIC_GRIDS)
+    def test_stored_state_entry_points_agree(self, shape, double_well):
+        # energy and energy_identity_residual transform the stored states;
+        # the loop uses the step's own transforms
+        initial, control, forcing, params, cfg = _forced_controlled_inputs(shape, double_well)
+        traj = simulate(initial, control, forcing, params, cfg)
+        d = traj.diagnostics
+        en = np.array([energy(s, params.kernel, params.potential) for s in traj.states])
+        assert np.all(np.abs(en - d["energy"]) <= 1e-13 * np.abs(en))
+        res = energy_identity_residual(traj, forcing, control, params, cfg)
+        assert np.max(np.abs(res - d["residual"])) <= 1e-13 * np.max(np.abs(en)) / cfg.dt
+
+    def test_non_finite_chemical_potential_raises(self, params16):
+        # F'(phi) overflows while phi itself is finite
+        g = params16.grid
+        cfg = SolverConfig(dt=1e-3, T=1e-3, nu=0.1)
+        state = FlowState(VectorField.zeros(g), ScalarField.constant(g, 1e120), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="chemical potential"):
+                simulate(state, None, None, params16, cfg)
+
+
+class TestTransformBudget:
+    def test_diagnostics_add_at_most_one_transform_per_node(self, double_well, monkeypatch):
+        calls = {"n": 0}
+
+        def counted(method):
+            def wrapper(self, array):
+                calls["n"] += 1
+                return method(self, array)
+
+            return wrapper
+
+        monkeypatch.setattr(TorusGrid, "fft2", counted(TorusGrid.fft2))
+        monkeypatch.setattr(TorusGrid, "ifft2", counted(TorusGrid.ifft2))
+        initial, control, forcing, params, cfg = _forced_controlled_inputs(
+            (32, 48, TWO_PI, 3.0 * np.pi), double_well
+        )
+        used = {}
+        for with_diagnostics in (False, True):
+            calls["n"] = 0
+            traj = simulate(initial, control, forcing, params, cfg, with_diagnostics)
+            used[with_diagnostics] = calls["n"]
+        assert used[False] > 0
+        assert used[True] - used[False] <= len(traj)
+
+
 class TestSupDifference:
     def test_identical_trajectories_have_zero_gap(self, params16, smooth_state16):
         cfg = SolverConfig(dt=1e-3, T=0.003, nu=0.1)

@@ -110,6 +110,13 @@ class TestFields:
         d = a - b
         assert np.allclose(d.u_x, -a.u_x)
 
+    @pytest.mark.parametrize("k_cut", [0.0, -1.0])
+    def test_random_fields_reject_nonpositive_k_cut(self, g16, rng, k_cut):
+        with pytest.raises(ValidationError, match="k_cut"):
+            synth.random_scalar(g16, rng, k_cut=k_cut)
+        with pytest.raises(ValidationError, match="k_cut"):
+            synth.random_divfree_velocity(g16, rng, k_cut=k_cut)
+
     def test_dealiased_is_idempotent(self, g16, rng):
         f = ScalarField(g16, rng.standard_normal(g16.shape))
         once = f.dealiased()
