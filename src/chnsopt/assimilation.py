@@ -24,7 +24,13 @@ from .control import (
 from .errors import ValidationError
 from .forward import FlowState, ModelParams, SolverConfig, Trajectory, simulate
 from .grid import ScalarField, VectorField, leray_project
-from .tangent_adjoint import AdjointMode, _trapz_weights, adjoint_solve, mismatch
+from .tangent_adjoint import (
+    AdjointMode,
+    _trapz_weights,
+    adjoint_solve,
+    mismatch,
+    reference_transforms,
+)
 
 
 @dataclass
@@ -79,12 +85,16 @@ def reduced_gradient_da(
 
 
 class InitialVelocityProblem:
-    """Reduced-cost oracle over the initial velocity for optimize()."""
+    """Reduced-cost oracle over the initial velocity for optimize(); the
+    measurement records are transformed once, here, for every adjoint solve."""
 
     mode = AdjointMode.ASSIMILATION
 
     def __init__(self, problem: AssimilationProblem):
         self.problem = problem
+        self.ref_hats = reference_transforms(
+            self.mode, problem.measurements, problem.params.grid, problem.config.n_steps + 1
+        )
 
     def cost(self, control: ControlSignal):
         if control.kind != ControlSignal.INITIAL:
@@ -106,6 +116,7 @@ class InitialVelocityProblem:
             self.problem.measurements,
             self.problem.params,
             self.problem.config,
+            self.ref_hats,
         )
         g = reduced_gradient_da(
             control.initial, adj, self.problem.measurements.weights

@@ -226,6 +226,17 @@ def _k_cut(d: dict, path: str) -> float:
     return k_cut
 
 
+def _random_field(make, grid: TorusGrid, rng, d: dict, path: str, **defaults):
+    """make(grid, rng, amplitude, k_cut, then the keys of defaults), all read
+    from d, naming {path}.k_cut when the filter leaves nothing of the field."""
+    args = [_num(d, "amplitude", path, False, 1.0), _k_cut(d, path)]
+    args += [_num(d, key, path, False, value) for key, value in defaults.items()]
+    try:
+        return make(grid, rng, *args)
+    except ValidationError as e:
+        raise ValidationError(f"config key {path}.k_cut: {e}") from e
+
+
 def _vector_field(desc, grid: TorusGrid, rng, path: str) -> VectorField:
     if desc is None:
         return VectorField.zeros(grid)
@@ -244,12 +255,7 @@ def _vector_field(desc, grid: TorusGrid, rng, path: str) -> VectorField:
         )
     if kind == "random-divfree":
         _check_keys(d, {"type", "amplitude", "k_cut"}, set(), path)
-        return synth.random_divfree_velocity(
-            grid,
-            rng,
-            _num(d, "amplitude", path, False, 1.0),
-            _k_cut(d, path),
-        )
+        return _random_field(synth.random_divfree_velocity, grid, rng, d, path)
     return _read_field(read_vector_snapshot, d, grid, path)
 
 
@@ -274,13 +280,7 @@ def _scalar_field(desc, grid: TorusGrid, rng, path: str) -> ScalarField:
         )
     if kind == "random":
         _check_keys(d, {"type", "amplitude", "k_cut", "mean"}, set(), path)
-        return synth.random_scalar(
-            grid,
-            rng,
-            _num(d, "amplitude", path, False, 1.0),
-            _k_cut(d, path),
-            _num(d, "mean", path, False, 0.0),
-        )
+        return _random_field(synth.random_scalar, grid, rng, d, path, mean=0.0)
     return _read_field(read_snapshot, d, grid, path)
 
 

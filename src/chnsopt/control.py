@@ -42,6 +42,7 @@ from .tangent_adjoint import (
     AdjointMode,
     adjoint_solve,
     mismatch,
+    reference_transforms,
     tangent_solve,
     tracking_pairing,
     _trapz_weights,
@@ -285,13 +286,10 @@ def reduced_gradient_ocp(
     if control.n_nodes != len(adjoint_traj):
         raise ValidationError("control and adjoint time grids differ")
     data = w_c * control.data
-    data += _stacked_momenta(adjoint_traj)
+    for n, s in enumerate(adjoint_traj.states):
+        data[n, 0] += s.p.u_x
+        data[n, 1] += s.p.u_y
     return control._with(data)
-
-
-def _stacked_momenta(adjoint_traj: Trajectory) -> np.ndarray:
-    """Adjoint momenta p of every node, stacked like ControlSignal.data."""
-    return np.array([(s.p.u_x, s.p.u_y) for s in adjoint_traj.states])
 
 
 class DistributedControlProblem:
@@ -299,7 +297,8 @@ class DistributedControlProblem:
 
     cost(U) simulates forward; gradient(U, traj) solves the adjoint and
     assembles w_c*U + p; project is the identity (whole-space admissible
-    set; the optimizer applies the optional norm ball separately).
+    set; the optimizer applies the optional norm ball separately).  The
+    tracking references are transformed once, here, for every adjoint solve.
     """
 
     mode = AdjointMode.DISTRIBUTED
@@ -310,6 +309,7 @@ class DistributedControlProblem:
         self.forcing = forcing
         self.params = params
         self.config = config
+        self.ref_hats = reference_transforms(self.mode, targets, params.grid, config.n_steps + 1)
 
     def cost(self, control: ControlSignal):
         traj = simulate(
@@ -319,7 +319,7 @@ class DistributedControlProblem:
         return cost_ocp(traj, control, self.targets), traj
 
     def gradient(self, control: ControlSignal, traj: Trajectory) -> ControlSignal:
-        adj = adjoint_solve(traj, self.mode, self.targets, self.params, self.config)
+        adj = adjoint_solve(traj, self.mode, self.targets, self.params, self.config, self.ref_hats)
         return reduced_gradient_ocp(control, adj, self.targets.weights)
 
     def project(self, control: ControlSignal) -> ControlSignal:
@@ -356,6 +356,7 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
     step = opt_config.step0
     for it in range(opt_config.max_iters):
         G = problem.gradient(U, aux)
+        aux = None  # the line search needs only U, J and G
         gn = G.norm()
         history[-1]["grad_norm"] = gn
         if gn / max(1.0, U.norm()) <= opt_config.grad_tol:
@@ -570,7 +571,7 @@ def minimum_principle_residual(
     if len(adjoint_traj) != n_nodes:
         raise ValidationError("control and adjoint time grids differ")
     U = control.data
-    P = _stacked_momenta(adjoint_traj)
+    P = np.array([(s.p.u_x, s.p.u_y) for s in adjoint_traj.states])
     base = control.grid.cell_area * np.sum(U * (0.5 * w_c * U + P), axis=(1, 2, 3))
 
     def lowest(n):

@@ -229,8 +229,7 @@ class Frame:
 
     def _gradient(self, fh):
         st = self._st
-        m = st.mask
-        return st.grid.ifft2(1j * st.kx * fh * m), st.grid.ifft2(1j * st.ky * fh * m)
+        return st.grid.ifft2(st.dkx * fh), st.grid.ifft2(st.dky * fh)
 
     @cached_property
     def conv(self):
@@ -253,10 +252,10 @@ class Frame:
 class Stepper:
     """Precomputed spectral machinery for one (params, config) pair.
 
-    Holds the implicit denominators, dealias mask, and kernel transform
-    that the forward, tangent and adjoint sweeps share, and the scheme's
-    explicit right-hand side, which forward_step_hat steps with and
-    control.hamiltonian evaluates.
+    Holds the implicit denominators, dealias mask, masked derivative
+    multipliers and kernel transform that the forward, tangent and
+    adjoint sweeps share, and the scheme's explicit right-hand side,
+    which forward_step_hat steps with and control.hamiltonian evaluates.
     """
 
     def __init__(self, params: ModelParams, config: SolverConfig):
@@ -271,6 +270,9 @@ class Stepper:
         self.mask = (
             g.dealias_mask if config.dealias else np.ones(g.spectral_shape, dtype=bool)
         )
+        # masked derivative multipliers i*k*mask of Frame's gradients
+        self.dkx = 1j * self.kx * self.mask
+        self.dky = 1j * self.ky * self.mask
         self.visc_den = 1.0 + config.nu * dt * g.ksq
         self.S = config.stabilization_value(params.kernel)
         self.ch_den = 1.0 + self.S * dt * g.ksq

@@ -11,10 +11,11 @@ exact for resolved modes.
 Conventions used throughout the package:
 
 * a scalar field is an (n_x, n_y) float64 array of point samples,
-* every field is real, so :meth:`TorusGrid.fft2` is the real-to-complex
-  ``numpy.fft.rfft2`` and keeps only the half spectrum, an
-  (n_x, n_y // 2 + 1) complex array (``TorusGrid.spectral_shape``); the
-  dropped modes are the complex conjugates of the kept ones,
+* every field is real, so :meth:`TorusGrid.fft2` gives the bits of
+  ``numpy.fft.rfft2``, by the 1-D transforms rfft2 is built from, and
+  keeps only the half spectrum, an (n_x, n_y // 2 + 1) complex array
+  (``TorusGrid.spectral_shape``); the dropped modes are the complex
+  conjugates of the kept ones,
 * wavenumbers are integer multiples of 2*pi/l per axis: ``kx`` in
   ``numpy.fft.fftfreq`` order (all n_x modes), ``ky`` in
   ``numpy.fft.rfftfreq`` order (the n_y // 2 + 1 nonnegative modes, the
@@ -128,12 +129,12 @@ class TorusGrid:
         return min((2.0 * np.pi / self.l_x) ** 2, (2.0 * np.pi / self.l_y) ** 2)
 
     def fft2(self, values: np.ndarray) -> np.ndarray:
-        """Half-spectrum transform of a real field."""
-        return np.fft.rfft2(values)
+        """Half-spectrum transform of a real field, as rfft2."""
+        return np.fft.fft(np.fft.rfft(values, axis=1), axis=0)
 
     def ifft2(self, hat: np.ndarray) -> np.ndarray:
-        """Real field whose half-spectrum transform is ``hat``."""
-        return np.fft.irfft2(hat, s=self.shape)
+        """Real field whose half-spectrum transform is ``hat``, as irfft2."""
+        return np.fft.irfft(np.fft.ifft(hat, axis=0), n=self.n_y, axis=1)
 
     def parseval_sum(self, density: np.ndarray) -> float:
         """Sum over the full spectrum of a density given on the half

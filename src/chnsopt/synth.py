@@ -60,6 +60,15 @@ def _lowpass(grid: TorusGrid, k_cut: float) -> np.ndarray:
     return np.exp(-(grid.ksq / k_cut**2)) * grid.dealias_mask
 
 
+def _scale(norm: float, amplitude: float, k_cut: float) -> float:
+    """amplitude / norm, the factor taking a filtered field to the amplitude."""
+    if amplitude == 0.0:
+        return 0.0
+    if norm == 0.0:
+        raise ValidationError(f"k_cut {k_cut!r} filters the random field to zero")
+    return amplitude / norm
+
+
 def random_divfree_velocity(
     grid: TorusGrid,
     rng: np.random.Generator,
@@ -69,7 +78,8 @@ def random_divfree_velocity(
     """Smooth random divergence-free field scaled to the requested L2 norm.
 
     White noise is low-pass filtered at wavenumber k_cut, projected, and
-    rescaled; amplitude 0 returns the zero field.
+    rescaled; amplitude 0 returns the zero field, and a k_cut so small that
+    the filtered field is zero raises ValidationError.
     """
     ux = rng.standard_normal(grid.shape)
     uy = rng.standard_normal(grid.shape)
@@ -79,10 +89,10 @@ def random_divfree_velocity(
     ux_h[0, 0] = 0.0
     uy_h[0, 0] = 0.0
     v = leray_project(VectorField(grid, grid.ifft2(ux_h), grid.ifft2(uy_h)))
-    n = v.norm()
-    if n == 0.0 or amplitude == 0.0:
+    s = _scale(v.norm(), amplitude, k_cut)
+    if s == 0.0:
         return VectorField.zeros(grid)
-    return VectorField(grid, v.u_x * (amplitude / n), v.u_y * (amplitude / n))
+    return VectorField(grid, v.u_x * s, v.u_y * s)
 
 
 def random_scalar(
@@ -92,15 +102,11 @@ def random_scalar(
     k_cut: float = 4.0,
     mean: float = 0.0,
 ) -> ScalarField:
-    """Smooth random scalar with prescribed mean and fluctuation L2 norm."""
+    """Smooth random scalar with prescribed mean and fluctuation L2 norm;
+    k_cut as for random_divfree_velocity."""
     f = rng.standard_normal(grid.shape)
     fh = grid.fft2(f) * _lowpass(grid, k_cut)
     fh[0, 0] = 0.0
     vals = grid.ifft2(fh)
-    sf = ScalarField(grid, vals)
-    n = sf.norm()
-    if n > 0.0 and amplitude != 0.0:
-        vals = vals * (amplitude / n)
-    else:
-        vals = np.zeros(grid.shape)
-    return ScalarField(grid, vals + mean)
+    s = _scale(ScalarField(grid, vals).norm(), amplitude, k_cut)
+    return ScalarField(grid, vals * s + mean)  # s = 0 gives mean: -0.0 + 0.0 is +0.0

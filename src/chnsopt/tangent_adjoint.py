@@ -130,6 +130,13 @@ def tangent_solve(
     return Trajectory(states=states, dt=config.dt, start_node=start_node)
 
 
+def _references(mode: AdjointMode, targets, terminal: bool):
+    """The (velocity, phi) reference signals mismatch describes."""
+    if mode is AdjointMode.DISTRIBUTED:
+        return (targets.u_f, targets.phi_f) if terminal else (targets.u_d, targets.phi_d)
+    return (targets.u_M_f, targets.phi_M_f) if terminal else (targets.u_M, targets.phi_M)
+
+
 def mismatch(mode: AdjointMode, targets, state, node: int | None = None):
     """State minus the reference the mode tracks: (velocity, phi values).
 
@@ -137,27 +144,34 @@ def mismatch(mode: AdjointMode, targets, state, node: int | None = None):
     end, the assimilation mode u_M/phi_M and u_M_f/phi_M_f; node=None
     selects the terminal pair.  A missing reference reads as zero.
     """
-    if mode is AdjointMode.DISTRIBUTED:
-        refs = (targets.u_f, targets.phi_f) if node is None else (targets.u_d, targets.phi_d)
-    else:
-        refs = (targets.u_M_f, targets.phi_M_f) if node is None else (targets.u_M, targets.phi_M)
+    refs = _references(mode, targets, node is None)
     u_ref, phi_ref = (signal_node(r, node) for r in refs)
     du = state.u if u_ref is None else state.u - u_ref
     dphi = state.phi.values if phi_ref is None else state.phi.values - phi_ref.values
     return du, dphi
 
 
-def _tracking_sources(mode: AdjointMode, targets, state, node: int, st: Stepper):
-    """Physical-space source pair (S_p, S_eta) at one node."""
-    w = targets.weights
-    g = st.grid
-    du, dphi = mismatch(mode, targets, state, node)
-    dux, duy = du.u_x, du.u_y
-    if mode is AdjointMode.DISTRIBUTED:
-        # enstrophy tracking pairs through -Lap(u - u_d)
-        dux = g.ifft2(st.ksq * g.fft2(dux))
-        duy = g.ifft2(st.ksq * g.fft2(duy))
-    return w.track_u * dux, w.track_u * duy, w.track_phi * dphi
+def reference_transforms(mode: AdjointMode, targets, grid, n_nodes: int) -> list:
+    """Entry n is the transforms (u_x, u_y, phi) of the tracking references at
+    node n, None where missing; a reference constant in time is transformed once."""
+
+    def series(signal, part):
+        if signal is None or isinstance(signal, (VectorField, ScalarField)):
+            return [None if signal is None else grid.fft2(getattr(signal, part))] * n_nodes
+        return [grid.fft2(getattr(signal_node(signal, n), part)) for n in range(n_nodes)]
+
+    u_sig, phi_sig = _references(mode, targets, False)
+    return list(zip(series(u_sig, "u_x"), series(u_sig, "u_y"), series(phi_sig, "values")))
+
+
+def tracking_sources(mode: AdjointMode, weights, st: Stepper, hats, ref):
+    """Transforms (S_p_x, S_p_y, S_eta) of the tracking sources at one node,
+    from the base state's transforms hats and the node's reference_transforms
+    entry ref.  The distributed mode pairs the velocity mismatch through -Lap
+    (enstrophy tracking), the assimilation mode in L2."""
+    ux_h, uy_h, ph = (h if r is None else h - r for h, r in zip(hats, ref))
+    scale = weights.track_u * st.ksq if mode is AdjointMode.DISTRIBUTED else weights.track_u
+    return scale * ux_h, scale * uy_h, weights.track_phi * ph
 
 
 def terminal_adjoint_data(base: Trajectory, mode: AdjointMode, targets):
@@ -176,13 +190,16 @@ def adjoint_solve(
     targets,
     params: ModelParams,
     config: SolverConfig,
+    ref_hats: list | None = None,
 ) -> Trajectory:
     """Integrate the adjoint pair (p, eta) backward from t = T to 0.
 
     targets supplies the tracking references, terminal references, and
-    optional cost weights; the distributed mode pairs the velocity
-    mismatch through -Lap (enstrophy tracking) while the assimilation
-    mode pairs it in L2.
+    optional cost weights.  Each step forms the tracking sources in
+    transform space (tracking_sources) from the base-state transforms it
+    takes anyway and ref_hats, the reference_transforms of targets: a
+    caller solving repeatedly against the same targets passes them in,
+    None computes them here.
     """
     g = params.grid
     if abs(base.dt - config.dt) > 1e-14 * max(1.0, config.dt):
@@ -192,6 +209,8 @@ def adjoint_solve(
     m = st.mask
     dt = st.dt
 
+    if ref_hats is None:
+        ref_hats = reference_transforms(mode, targets, g, n_total + 1)
     p_T, eta_T = terminal_adjoint_data(base, mode, targets)
     px_h, py_h, eh = spectral(p_T, eta_T)
 
@@ -201,17 +220,18 @@ def adjoint_solve(
     for n in range(n_total - 1, -1, -1):
         node = n + 1  # explicit terms live at the later time level
         # c: the base state; d: the adjoint state (p, eta)
-        c = Frame(st, *spectral(base.states[node].u, base.states[node].phi))
+        hats = spectral(base.states[node].u, base.states[node].phi)
+        c = Frame(st, *hats)
         d = Frame(st, px_h, py_h, eh)
-        spx, spy, seta = _tracking_sources(mode, targets, base.states[node], node, st)
+        sx_h, sy_h, seta_h = tracking_sources(mode, targets.weights, st, hats, ref_hats[node])
         px, py = d.ux, d.uy
 
         fx = (c.ux * d.dux[0] + c.uy * d.dux[1]) - (px * c.dux[0] + py * c.duy[0])
         fy = (c.ux * d.duy[0] + c.uy * d.duy[1]) - (px * c.dux[1] + py * c.duy[1])
         fx = fx - d.phi * c.dphi[0]
         fy = fy - d.phi * c.dphi[1]
-        fx_h = g.fft2(fx) * m + g.fft2(spx)
-        fy_h = g.fft2(fy) * m + g.fft2(spy)
+        fx_h = g.fft2(fx) * m + sx_h
+        fy_h = g.fft2(fy) * m + sy_h
         fx_h, fy_h = st.project(fx_h, fy_h)
         px_h = (px_h + dt * fx_h) / st.visc_den
         py_h = (py_h + dt * fy_h) / st.visc_den
@@ -226,7 +246,7 @@ def adjoint_solve(
         pg_h = g.fft2(px * c.dphi[0] + py * c.dphi[1]) * m
         r_h = r_h - st.J_hat * pg_h
         r_h = r_h + g.fft2(c.conv_grad[0] * px + c.conv_grad[1] * py) * m
-        r_h = r_h + g.fft2(seta)
+        r_h = r_h + seta_h
         eh = (eh + dt * r_h) / st.ch_den
 
         states[n] = AdjointState(*physical(g, px_h, py_h, eh), base.states[n].t)
@@ -246,12 +266,13 @@ def tracking_pairing(base: Trajectory, tang: Trajectory, mode, targets, st: Step
     states (trapezoidal in time) plus the terminal pairings."""
     g = st.grid
     tw = _trapz_weights(len(base), st.dt)
+    refs = reference_transforms(mode, targets, g, len(base))
     val = 0.0
-    for n in range(len(base)):
-        spx, spy, seta = _tracking_sources(mode, targets, base.states[n], n, st)
+    for n, s in enumerate(base.states):
+        src = tracking_sources(mode, targets.weights, st, spectral(s.u, s.phi), refs[n])
         ts = tang.at_node(n)
-        val += tw[n] * (
-            g.inner(spx, ts.w.u_x) + g.inner(spy, ts.w.u_y) + g.inner(seta, ts.psi.values)
+        val += tw[n] * sum(
+            g.inner(g.ifft2(h), v) for h, v in zip(src, (ts.w.u_x, ts.w.u_y, ts.psi.values))
         )
     p_T, eta_T = terminal_adjoint_data(base, mode, targets)
     val += p_T.dot(tang.final.w) + eta_T.inner(tang.final.psi)

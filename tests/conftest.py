@@ -12,7 +12,7 @@ from chnsopt import (
     curl2d,
     grad_norm,
 )
-from chnsopt import synth
+from chnsopt import AdjointMode, synth
 from chnsopt.forward import step_average
 
 TWO_PI = 2.0 * np.pi
@@ -125,3 +125,33 @@ def assert_diagnostics_match_reference(traj, forcing, control, params, config):
 def diagnostics_reference():
     """assert_diagnostics_match_reference, for tests in other modules."""
     return assert_diagnostics_match_reference
+
+
+def reference_tracking_sources(mode, targets, state, node):
+    """The adjoint's tracking sources (S_p_x, S_p_y, S_eta) at one node as
+    physical fields: the state minus the node's reference (u_d/phi_d in
+    the distributed mode, u_M/phi_M in the assimilation mode; a missing
+    reference reads as zero, a list is indexed by node), weighted by
+    track_u/track_phi, with the distributed velocity mismatch paired
+    through -Lap as ifft2(k^2 fft2(u - u_d))."""
+    g = state.grid
+    w = targets.weights
+    if mode is AdjointMode.DISTRIBUTED:
+        u_ref, phi_ref = targets.u_d, targets.phi_d
+    else:
+        u_ref, phi_ref = targets.u_M, targets.phi_M
+    u_ref, phi_ref = (r[node] if isinstance(r, list) else r for r in (u_ref, phi_ref))
+    dux, duy = state.u.u_x, state.u.u_y
+    if u_ref is not None:
+        dux, duy = dux - u_ref.u_x, duy - u_ref.u_y
+    dphi = state.phi.values if phi_ref is None else state.phi.values - phi_ref.values
+    if mode is AdjointMode.DISTRIBUTED:
+        dux = g.ifft2(g.ksq * g.fft2(dux))
+        duy = g.ifft2(g.ksq * g.fft2(duy))
+    return w.track_u * dux, w.track_u * duy, w.track_phi * dphi
+
+
+@pytest.fixture(scope="session")
+def tracking_sources_reference():
+    """reference_tracking_sources, for tests in other modules."""
+    return reference_tracking_sources

@@ -155,6 +155,17 @@ MALFORMED_CONFIGS = [
         "initial.phi.k_cut",
         id="zero-scalar-k-cut",
     ),
+    # positive, but the filter leaves nothing of the field on the 16^2, 2 pi box
+    pytest.param(
+        _set("initial", "u", value={"type": "random-divfree", "amplitude": 0.5, "k_cut": 0.05}),
+        "initial.u.k_cut",
+        id="vector-k-cut-filters-everything",
+    ),
+    pytest.param(
+        _set("initial", "phi", value={"type": "random", "amplitude": 0.3, "k_cut": 0.05}),
+        "initial.phi.k_cut",
+        id="scalar-k-cut-filters-everything",
+    ),
 ]
 
 

@@ -117,6 +117,27 @@ class TestFields:
         with pytest.raises(ValidationError, match="k_cut"):
             synth.random_divfree_velocity(g16, rng, k_cut=k_cut)
 
+    @pytest.mark.parametrize(
+        "make, amplitude",
+        [(synth.random_scalar, 0.3), (synth.random_divfree_velocity, 0.5)],
+        ids=["scalar", "velocity"],
+    )
+    def test_random_fields_reject_a_k_cut_that_filters_everything(
+        self, g16, rng, make, amplitude
+    ):
+        # on the 2 pi box the lowest nonzero mode is damped by exp(-1/0.05^2)
+        with pytest.raises(ValidationError, match="k_cut"):
+            make(g16, rng, amplitude, k_cut=0.05)
+        kept = make(g16, np.random.default_rng(1), amplitude, k_cut=0.1)
+        assert kept.norm() == pytest.approx(amplitude, rel=1e-14)
+
+    def test_zero_amplitude_random_fields_stay_zero_at_any_k_cut(self, g16, rng):
+        f = synth.random_scalar(g16, rng, amplitude=0.0, k_cut=0.05, mean=0.2)
+        assert np.array_equal(f.values, np.full(g16.shape, 0.2))
+        v = synth.random_divfree_velocity(g16, rng, amplitude=0.0, k_cut=0.05)
+        assert np.array_equal(v.u_x, np.zeros(g16.shape))
+        assert np.array_equal(v.u_y, np.zeros(g16.shape))
+
     def test_dealiased_is_idempotent(self, g16, rng):
         f = ScalarField(g16, rng.standard_normal(g16.shape))
         once = f.dealiased()
@@ -354,6 +375,24 @@ class TestHalfSpectrum:
         ]
         for got, want in checks:
             assert got == pytest.approx(want, rel=1e-13)
+
+
+class TestComposedTransforms:
+    @pytest.mark.parametrize(
+        "args",
+        HALF_SPECTRUM_GRIDS
+        + [
+            pytest.param((64, 64, TWO_PI, TWO_PI), id="64x64"),
+            pytest.param((256, 256, TWO_PI, TWO_PI), id="256x256"),
+        ],
+    )
+    def test_bit_identical_to_numpy_rfft2(self, args):
+        """fft2/ifft2 compose 1-D transforms in rfft2/irfft2's own order."""
+        g = TorusGrid(*args)
+        values = np.random.default_rng(g.n_x + g.n_y).standard_normal(g.shape)
+        hat = np.fft.rfft2(values)
+        assert np.array_equal(g.fft2(values), hat)
+        assert np.array_equal(g.ifft2(hat), np.fft.irfft2(hat, s=g.shape))
 
 
 class TestSingleTransformLayer:

@@ -3,10 +3,13 @@ import pytest
 
 from chnsopt import (
     AdjointMode,
+    AssimilationProblem,
     ControlSignal,
     CostTargets,
     CostWeights,
+    DistributedControlProblem,
     FlowState,
+    InitialVelocityProblem,
     Kernel,
     ModelParams,
     NumericError,
@@ -24,6 +27,10 @@ from chnsopt import (
     terminal_adjoint_data,
 )
 from chnsopt import synth
+from chnsopt.forward import Stepper, spectral
+from chnsopt.tangent_adjoint import reference_transforms, tracking_sources
+
+TWO_PI = 2.0 * np.pi
 
 
 def _rest_trajectory(params, cfg):
@@ -256,6 +263,108 @@ class TestAdjoint:
         targets = CostTargets(weights=CostWeights(track_u=1e307))
         with pytest.raises(NumericError), np.errstate(all="ignore"):
             adjoint_solve(base, AdjointMode.DISTRIBUTED, targets, params16, cfg)
+
+
+SOURCE_GRIDS = [
+    pytest.param((64, 64, TWO_PI, TWO_PI), id="64x64"),
+    pytest.param((32, 48, TWO_PI, 3.0 * np.pi), id="32x48-aniso"),
+]
+
+
+def _tracked_run(args, refs, T=3e-3):
+    """A short forward run with non-unit tracking weights and references of
+    one kind ("absent", "constant" or "node-indexed") set for both modes."""
+    g = TorusGrid(*args)
+    params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), Potential.double_well())
+    cfg = SolverConfig(dt=1e-3, T=T, nu=0.1)
+    rng = np.random.default_rng(g.n_x * 100 + g.n_y)
+    initial = FlowState(
+        synth.random_divfree_velocity(g, rng, 0.5, 4.0),
+        synth.random_scalar(g, rng, 0.1, 4.0, mean=0.2),
+        0.0,
+    )
+    base = simulate(initial, None, None, params, cfg, with_diagnostics=False)
+    targets = CostTargets(
+        u_M_f=VectorField.zeros(g),
+        phi_M_f=ScalarField.zeros(g),
+        weights=CostWeights(track_u=2.0, track_phi=0.5),
+    )
+    if refs == "constant":
+        targets.u_d = targets.u_M = synth.random_divfree_velocity(g, rng, 0.4, 4.0)
+        targets.phi_d = targets.phi_M = synth.random_scalar(g, rng, 0.1, 4.0, mean=0.1)
+    elif refs == "node-indexed":
+        targets.u_d = targets.u_M = [
+            synth.random_divfree_velocity(g, rng, 0.4, 4.0) for _ in base.states
+        ]
+        targets.phi_d = targets.phi_M = [
+            synth.random_scalar(g, rng, 0.1, 4.0, mean=0.1) for _ in base.states
+        ]
+    return base, targets, params, cfg
+
+
+class TestTrackingSources:
+    @pytest.mark.parametrize("args", SOURCE_GRIDS)
+    @pytest.mark.parametrize("mode", list(AdjointMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("refs", ["absent", "constant", "node-indexed"])
+    def test_transforms_of_the_physical_sources(
+        self, args, mode, refs, tracking_sources_reference
+    ):
+        base, targets, params, cfg = _tracked_run(args, refs)
+        g = params.grid
+        st = Stepper(params, cfg)
+        ref_hats = reference_transforms(mode, targets, g, len(base))
+        for n, s in enumerate(base.states):
+            got = tracking_sources(mode, targets.weights, st, spectral(s.u, s.phi), ref_hats[n])
+            want = tracking_sources_reference(mode, targets, s, n)
+            for a, b in zip(got, want):
+                bh = g.fft2(b)
+                assert np.max(np.abs(a - bh)) <= 1e-13 * np.max(np.abs(bh)), n
+
+    def test_problems_precomputed_transforms_are_bit_identical(self):
+        base, targets, params, cfg = _tracked_run(
+            (32, 48, TWO_PI, 3.0 * np.pi), "node-indexed"
+        )
+        problems = [
+            DistributedControlProblem(base.initial, targets, None, params, cfg),
+            InitialVelocityProblem(
+                AssimilationProblem(targets, base.initial.phi, None, params, cfg)
+            ),
+        ]
+        for problem in problems:
+            given = adjoint_solve(base, problem.mode, targets, params, cfg, problem.ref_hats)
+            own = adjoint_solve(base, problem.mode, targets, params, cfg)
+            for a, b in zip(given.states, own.states):
+                assert np.array_equal(a.p.u_x, b.p.u_x)
+                assert np.array_equal(a.p.u_y, b.p.u_y)
+                assert np.array_equal(a.eta.values, b.eta.values)
+
+
+class TestAdjointTransformBudget:
+    @pytest.mark.parametrize("mode", list(AdjointMode), ids=lambda m: m.value)
+    def test_at_most_33_transforms_per_step(self, mode, monkeypatch):
+        """With the reference transforms given, a step transforms nothing
+        it already holds (40 per distributed and 36 per assimilation step
+        when the sources went through physical space)."""
+        calls = {"n": 0}
+
+        def counted(method):
+            def wrapper(self, array):
+                calls["n"] += 1
+                return method(self, array)
+
+            return wrapper
+
+        used = {}
+        for T in (3e-3, 5e-3):
+            base, targets, params, cfg = _tracked_run((64, 64, TWO_PI, TWO_PI), "node-indexed", T)
+            ref_hats = reference_transforms(mode, targets, params.grid, len(base))
+            with monkeypatch.context() as patch:
+                patch.setattr(TorusGrid, "fft2", counted(TorusGrid.fft2))
+                patch.setattr(TorusGrid, "ifft2", counted(TorusGrid.ifft2))
+                calls["n"] = 0
+                adjoint_solve(base, mode, targets, params, cfg, ref_hats)
+            used[base.n_steps] = calls["n"]
+        assert (used[5] - used[3]) / 2 <= 33
 
 
 class TestDualityGap:
