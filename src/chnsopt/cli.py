@@ -57,6 +57,22 @@ from .physics import (
 
 TWO_PI = 2.0 * np.pi
 
+# Upper bound on the dense trajectories a subcommand keeps, estimated
+# before the grid is built as (N + 1) x 3 x n_x x n_y x 8 bytes each.
+TRAJECTORY_BYTES_LIMIT = 4 * 2**30
+
+# Dense trajectories a subcommand keeps at once: the optimizing ones hold
+# the targets or measurements, the current and the trial forward sweep and
+# the adjoint sweep.  check steps at most _CHECK_STEPS times.
+_DENSE_TRAJECTORIES = {
+    "simulate": 1,
+    "check": 1,
+    "optimize": 4,
+    "assimilate": 4,
+    "gradient-test": 4,
+}
+_CHECK_STEPS = 30
+
 
 # -- config parsing -------------------------------------------------------
 
@@ -76,14 +92,19 @@ def _check_keys(d: dict, allowed: set, required: set, path: str):
             raise ValidationError(f"missing config key {path}.{k}")
 
 
+def _finite(v) -> bool:
+    """A number other than a bool that a float holds finitely."""
+    # NaN fails the comparison too; an int beyond float range fails it exactly
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
 def _num(d: dict, key: str, path: str, required=True, default=None):
     if key not in d or d[key] is None:
         if required:
             raise ValidationError(f"missing config key {path}.{key}")
         return default
     v = d[key]
-    # NaN fails the comparison too; an int beyond float range fails it exactly
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+    if not _finite(v):
         raise ValidationError(f"config key {path}.{key} must be a finite number")
     return float(v)
 
@@ -99,7 +120,8 @@ def _int(d: dict, key: str, path: str, required=True, default=None):
     return int(v)
 
 
-def _build_grid(cfg: dict) -> TorusGrid:
+def _grid_args(cfg: dict) -> tuple:
+    """(n_x, n_y, l_x, l_y) of the grid section, not yet checked as a grid."""
     d = _as_mapping(cfg.get("grid", {}), "grid")
     _check_keys(d, {"n", "l", "n_x", "n_y", "l_x", "l_y"}, set(), "grid")
     n = _int(d, "n", "grid", required=False, default=64)
@@ -108,7 +130,28 @@ def _build_grid(cfg: dict) -> TorusGrid:
     n_y = _int(d, "n_y", "grid", required=False, default=n)
     l_x = _num(d, "l_x", "grid", required=False, default=l)
     l_y = _num(d, "l_y", "grid", required=False, default=l)
-    return TorusGrid(n_x, n_y, l_x, l_y)
+    return n_x, n_y, l_x, l_y
+
+
+def _check_trajectory_memory(command: str, n_x: int, n_y: int, solver: SolverConfig):
+    """Fail closed on dense trajectories beyond TRAJECTORY_BYTES_LIMIT,
+    naming grid when not even one step fits and solver.T/solver.dt
+    otherwise."""
+    per_node = _DENSE_TRAJECTORIES[command] * 3 * n_x * n_y * 8
+    limit = f"the limit of {TRAJECTORY_BYTES_LIMIT / 2**30:g} GiB"
+    if 2 * per_node > TRAJECTORY_BYTES_LIMIT:
+        raise ValidationError(
+            f"config key grid: {n_x} x {n_y} points need {2 * per_node / 2**30:.3g} GiB "
+            f"of trajectories for a single step, above {limit}"
+        )
+    steps = solver.T / solver.dt
+    if command == "check":
+        steps = min(steps, _CHECK_STEPS)
+    if (steps + 1) * per_node > TRAJECTORY_BYTES_LIMIT:
+        raise ValidationError(
+            f"config keys solver.T/solver.dt: {steps:.6g} steps need "
+            f"{(steps + 1) * per_node / 2**30:.3g} GiB of trajectories, above {limit}"
+        )
 
 
 def _build_solver(cfg: dict) -> SolverConfig:
@@ -150,10 +193,8 @@ def _build_potential(cfg: dict) -> Potential:
         return Potential.double_well()
     if coeffs is None:
         raise ValidationError("missing config key potential.coefficients")
-    if not isinstance(coeffs, list) or not all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs
-    ):
-        raise ValidationError("potential.coefficients must be a list of numbers")
+    if not isinstance(coeffs, list) or not all(_finite(c) for c in coeffs):
+        raise ValidationError("potential.coefficients must be a list of finite numbers")
     return Potential(family, tuple(float(c) for c in coeffs))
 
 
@@ -319,8 +360,10 @@ class RunContext:
             raise ValidationError(
                 f"config.problem is {problem!r} but the subcommand expects {expected!r}"
             )
-        self.grid = _build_grid(cfg)
+        grid_args = _grid_args(cfg)
         self.solver = _build_solver(cfg)
+        _check_trajectory_memory(command, grid_args[0], grid_args[1], self.solver)
+        self.grid = TorusGrid(*grid_args)
         kernel = _build_kernel(cfg, self.grid)
         potential = _build_potential(cfg)
         self.report = validate_assumptions(kernel, potential)
@@ -662,7 +705,7 @@ def _run_check(ctx: RunContext) -> int:
 
     short = SolverConfig(
         dt=ctx.solver.dt,
-        T=min(ctx.solver.T, 30 * ctx.solver.dt),
+        T=min(ctx.solver.T, _CHECK_STEPS * ctx.solver.dt),
         nu=ctx.solver.nu,
         stabilization=ctx.solver.stabilization,
         dealias=ctx.solver.dealias,

@@ -510,7 +510,7 @@ def hamiltonian(
     st = Stepper(params, SolverConfig(dt=1.0, T=1.0, nu=nu))
     ux_h, uy_h, ph = spectral(state.u, state.phi)
     fx_h, fy_h, rhs = st.explicit_rhs(
-        Frame(st, ux_h, uy_h, ph), U_value.u_x, U_value.u_y
+        Frame(st, ux_h, uy_h, ph, ("conv",)), U_value.u_x, U_value.u_y
     )
     n1, n2 = physical(
         g, fx_h - nu * g.ksq * ux_h, fy_h - nu * g.ksq * uy_h, rhs - st.S * g.ksq * ph

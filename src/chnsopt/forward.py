@@ -18,8 +18,8 @@ the mean of the applied force.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -190,63 +190,54 @@ def _applied_force(control, forcing, n: int, grid: TorusGrid):
     return total.u_x, total.u_y
 
 
-def spectral(u: VectorField, phi: ScalarField):
-    """Half-spectrum transforms (u_x, u_y, phi) of a velocity and a scalar."""
+def spectral(u: VectorField, phi: ScalarField, work: np.ndarray | None = None):
+    """Half-spectrum transforms (u_x, u_y, phi) of a velocity and a scalar,
+    in one call; work is a real (3, n_x, n_y) stack to gather the fields
+    in, such as ``Stepper.stack(3, float)``, or None for a fresh one."""
     g = phi.grid
-    return g.fft2(u.u_x), g.fft2(u.u_y), g.fft2(phi.values)
+    return tuple(g.fft2(np.stack((u.u_x, u.u_y, phi.values), out=work)))
 
 
-def physical(grid: TorusGrid, ux_h, uy_h, ph):
-    """The velocity and scalar fields whose transforms ``spectral`` gives;
-    the field constructors raise NumericError on non-finite values."""
-    return (
-        VectorField(grid, grid.ifft2(ux_h), grid.ifft2(uy_h)),
-        ScalarField(grid, grid.ifft2(ph)),
-    )
+def physical(grid: TorusGrid, ux_h, uy_h, ph, work: np.ndarray | None = None):
+    """The velocity and scalar fields whose transforms ``spectral`` gives,
+    in one call; work is a complex (3, n_x, n_y // 2 + 1) stack to gather
+    the transforms in, or None for a fresh one.  The field constructors
+    raise NumericError on non-finite values."""
+    ux, uy, phi = grid.ifft2(np.stack((ux_h, uy_h, ph), out=work), overwrite=True)
+    return VectorField(grid, ux, uy), ScalarField(grid, phi)
 
 
 class Frame:
     """Dealiased physical fields of one spectral state (u, phi).
 
-    u, grad u, phi and grad phi are formed on construction; J*phi and
-    J*grad(phi) on first use, since the adjoint needs only the second and
-    the forward and tangent steps only the first.  The tangent and
-    adjoint sweeps build frames of their own (w, psi) and (p, eta) too,
-    with the same layout.
+    ux, uy, dux, duy, phi and dphi (the gradients as (x, y) pairs) come
+    out of one inverse transform, together with the extras the caller
+    names up front from ``Stepper.frame_extras``: "conv" (J*phi, for the
+    forward step, the tangent and control.hamiltonian), "conv_grad"
+    (J*grad(phi), a pair) and "lap" (Lap(phi)), both for the adjoint.
+    The tangent and adjoint sweeps build frames of their own (w, psi)
+    and (p, eta) too, with the same layout.  Every field is a slice of
+    one fresh array, so a frame never aliases the Stepper's work stack.
     """
 
-    def __init__(self, st: "Stepper", ux_h, uy_h, ph):
-        g = st.grid
+    def __init__(self, st: "Stepper", ux_h, uy_h, ph, extras: tuple = ()):
         m = st.mask
-        self._st = st
+        ks = [k for name in extras for k in st.frame_extras[name]]
+        w = st.stack(9 + len(ks), complex)
+        for i, h in enumerate((ux_h, uy_h, ph)):
+            np.multiply(h, m, out=w[i])
+            np.multiply(st.dkx, h, out=w[3 + 2 * i])
+            np.multiply(st.dky, h, out=w[4 + 2 * i])
+        for k, row in zip(ks, w[9:]):
+            np.multiply(np.multiply(k, ph, out=row), m, out=row)
+        f = st.grid.ifft2(w, overwrite=True)
         self.ph = ph
-        self.ux = g.ifft2(ux_h * m)
-        self.uy = g.ifft2(uy_h * m)
-        self.dux = self._gradient(ux_h)
-        self.duy = self._gradient(uy_h)
-        self.phi = g.ifft2(ph * m)
-        self.dphi = self._gradient(ph)
-
-    def _gradient(self, fh):
-        st = self._st
-        return st.grid.ifft2(st.dkx * fh), st.grid.ifft2(st.dky * fh)
-
-    @cached_property
-    def conv(self):
-        """J*phi."""
-        st = self._st
-        return st.grid.ifft2(st.J_hat * self.ph * st.mask)
-
-    @cached_property
-    def conv_grad(self):
-        """J*grad(phi)."""
-        st = self._st
-        g = st.grid
-        m = st.mask
-        return (
-            g.ifft2(st.J_hat * 1j * st.kx * self.ph * m),
-            g.ifft2(st.J_hat * 1j * st.ky * self.ph * m),
-        )
+        self.ux, self.uy, self.phi = f[0], f[1], f[2]
+        self.dux, self.duy, self.dphi = (f[3], f[4]), (f[5], f[6]), (f[7], f[8])
+        rest = iter(f[9:])
+        for name in extras:
+            parts = tuple(next(rest) for _ in st.frame_extras[name])
+            setattr(self, name, parts[0] if len(parts) == 1 else parts)
 
 
 class Stepper:
@@ -256,6 +247,14 @@ class Stepper:
     multipliers and kernel transform that the forward, tangent and
     adjoint sweeps share, and the scheme's explicit right-hand side,
     which forward_step_hat steps with and control.hamiltonian evaluates.
+
+    It also owns the work stack that a sweep gathers each group of fields
+    in before the one call that transforms the group (``stack``), as real
+    fields or as half spectra.  It holds transform inputs only: each group
+    overwrites the last, and every transform output is a fresh array.  It
+    grows on first need to the largest group a step transforms, so it is
+    allocated once per sweep; real and complex groups share its memory,
+    since no two groups are gathered at once.
     """
 
     def __init__(self, params: ModelParams, config: SolverConfig):
@@ -279,6 +278,24 @@ class Stepper:
         self.a = params.kernel.mass
         self.J_hat = params.kernel.hat
         self.cfl_length = min(g.dx, g.dy)
+        # Frame extras: the multipliers of phi's transform, each product
+        # masked after, in the operation order of J*phi, J*grad(phi), Lap(phi)
+        self.frame_extras = {
+            "conv": (self.J_hat,),
+            "conv_grad": (self.J_hat * 1j * self.kx, self.J_hat * 1j * self.ky),
+            "lap": (-self.ksq,),
+        }
+        self._work = np.empty(0, complex)
+
+    def stack(self, k: int, dtype) -> np.ndarray:
+        """The first k fields of the work stack, as real fields (dtype
+        float) or half spectra (complex); see the class docstring."""
+        real = np.dtype(dtype).kind == "f"
+        shape = (k, *(self.grid.shape if real else self.grid.spectral_shape))
+        n = math.prod(shape) // (2 if real else 1)  # in complex entries
+        if self._work.size < n:
+            self._work = np.empty(n, complex)
+        return self._work[:n].view(dtype).reshape(shape)
 
     # -- spectral helpers ----------------------------------------------
 
@@ -297,26 +314,32 @@ class Stepper:
         -(u.grad)u - (J*phi)grad(phi) + force and of the concentration
         terms -Lap(mu_expl) - u.grad(phi), each product dealiased; the
         implicit -nu*Lap(u) and -S*Lap(phi) are left to the caller.
-        force_x/force_y are physical components, or None.
+        fr must carry the "conv" extra; force_x/force_y are physical
+        components, or None.  The products (and the force) go through
+        in one call.
         """
         m = self.mask
-        g = self.grid
-        fx = -(fr.ux * fr.dux[0] + fr.uy * fr.dux[1]) - fr.conv * fr.dphi[0]
-        fy = -(fr.ux * fr.duy[0] + fr.uy * fr.duy[1]) - fr.conv * fr.dphi[1]
-        fx_h = g.fft2(fx) * m
-        fy_h = g.fft2(fy) * m
+        w = self.stack(4 if force_x is None else 6, float)
+        np.subtract(-(fr.ux * fr.dux[0] + fr.uy * fr.dux[1]), fr.conv * fr.dphi[0], out=w[0])
+        np.subtract(-(fr.ux * fr.duy[0] + fr.uy * fr.duy[1]), fr.conv * fr.dphi[1], out=w[1])
+        w[2] = self.params.potential.df(fr.phi)
+        np.add(fr.ux * fr.dphi[0], fr.uy * fr.dphi[1], out=w[3])
         if force_x is not None:
-            fx_h = fx_h + g.fft2(force_x)
-            fy_h = fy_h + g.fft2(force_y)
+            w[4] = force_x
+            w[5] = force_y
+        h = self.grid.fft2(w)
+        fx_h = h[0] * m
+        fy_h = h[1] * m
+        if force_x is not None:
+            fx_h = fx_h + h[4]
+            fy_h = fy_h + h[5]
         fx_h, fy_h = self.project(fx_h, fy_h)
 
         ph = fr.ph
-        fprime_h = g.fft2(self.params.potential.df(fr.phi)) * m
-        mu_expl_h = fprime_h - self.J_hat * ph
+        mu_expl_h = h[2] * m - self.J_hat * ph
         if self.a != self.S:
             mu_expl_h = mu_expl_h + (self.a - self.S) * ph
-        advect_h = g.fft2(fr.ux * fr.dphi[0] + fr.uy * fr.dphi[1]) * m
-        rhs = -self.ksq * mu_expl_h - advect_h
+        rhs = -self.ksq * mu_expl_h - h[3] * m
         rhs[0, 0] = 0.0  # exact mass conservation
         return fx_h, fy_h, rhs
 
@@ -329,7 +352,7 @@ class Stepper:
         for this step (already time-averaged), or None.
         """
         fx_h, fy_h, rhs = self.explicit_rhs(
-            Frame(self, ux_h, uy_h, ph), extra_x, extra_y
+            Frame(self, ux_h, uy_h, ph, ("conv",)), extra_x, extra_y
         )
         new_ux_h = (ux_h + self.dt * fx_h) / self.visc_den
         new_uy_h = (uy_h + self.dt * fy_h) / self.visc_den
@@ -469,7 +492,9 @@ def simulate(
         st.check_cfl(states[n].u.u_x, states[n].u.u_y)
         ex, ey = _applied_force(control, forcing, n, g)
         ux_h, uy_h, ph = st.forward_step_hat(ux_h, uy_h, ph, ex, ey)
-        states.append(FlowState(*physical(g, ux_h, uy_h, ph), (n + 1) * config.dt))
+        states.append(
+            FlowState(*physical(g, ux_h, uy_h, ph, st.stack(3, complex)), (n + 1) * config.dt)
+        )
         if with_diagnostics:
             rows.append(node_terms(*terms, (ux_h, uy_h, ph), states[-1], config.nu, (ex, ey)))
 

@@ -16,6 +16,10 @@ Conventions used throughout the package:
   keeps only the half spectrum, an (n_x, n_y // 2 + 1) complex array
   (``TorusGrid.spectral_shape``); the dropped modes are the complex
   conjugates of the kept ones,
+* ``fft2``/``ifft2`` act on the last two axes, so a stack of k fields,
+  (k, n_x, n_y) <-> (k, n_x, n_y // 2 + 1), goes through in one call,
+  each slice with the bits of its own transform; the step kernel
+  transforms each group of fields it forms together that way,
 * wavenumbers are integer multiples of 2*pi/l per axis: ``kx`` in
   ``numpy.fft.fftfreq`` order (all n_x modes), ``ky`` in
   ``numpy.fft.rfftfreq`` order (the n_y // 2 + 1 nonnegative modes, the
@@ -129,12 +133,17 @@ class TorusGrid:
         return min((2.0 * np.pi / self.l_x) ** 2, (2.0 * np.pi / self.l_y) ** 2)
 
     def fft2(self, values: np.ndarray) -> np.ndarray:
-        """Half-spectrum transform of a real field, as rfft2."""
-        return np.fft.fft(np.fft.rfft(values, axis=1), axis=0)
+        """Half-spectrum transform of a real field, or of a stack of them
+        along the leading axes, as rfft2 over the last two axes."""
+        hat = np.fft.rfft(values, axis=-1)
+        return np.fft.fft(hat, axis=-2, out=hat)
 
-    def ifft2(self, hat: np.ndarray) -> np.ndarray:
-        """Real field whose half-spectrum transform is ``hat``, as irfft2."""
-        return np.fft.irfft(np.fft.ifft(hat, axis=0), n=self.n_y, axis=1)
+    def ifft2(self, hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Real field, or stack of fields, whose half-spectrum transform is
+        ``hat``, as irfft2 over the last two axes.  overwrite: ``hat`` is
+        scratch, and the first 1-D stage runs in place in it."""
+        h = np.fft.ifft(hat, axis=-2, out=hat if overwrite else None)
+        return np.fft.irfft(h, n=self.n_y, axis=-1)
 
     def parseval_sum(self, density: np.ndarray) -> float:
         """Sum over the full spectrum of a density given on the half

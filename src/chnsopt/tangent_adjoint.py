@@ -100,33 +100,41 @@ def tangent_solve(
     dt = st.dt
     for n in range(start_node, n_total):
         # c: the base state; d: the tangent state (w, psi)
-        c = Frame(st, *spectral(base.states[n].u, base.states[n].phi))
-        d = Frame(st, wx_h, wy_h, psh)
+        hats = spectral(base.states[n].u, base.states[n].phi, st.stack(3, float))
+        c = Frame(st, *hats, ("conv",))
+        d = Frame(st, wx_h, wy_h, psh, ("conv",))
 
+        du = step_average(delta_control, n)
+        w = st.stack(4 if du is None else 6, float)
         fx = -(d.ux * c.dux[0] + d.uy * c.dux[1]) - (c.ux * d.dux[0] + c.uy * d.dux[1])
         fy = -(d.ux * c.duy[0] + d.uy * c.duy[1]) - (c.ux * d.duy[0] + c.uy * d.duy[1])
-        fx = fx - d.conv * c.dphi[0] - c.conv * d.dphi[0]
-        fy = fy - d.conv * c.dphi[1] - c.conv * d.dphi[1]
-        fx_h = g.fft2(fx) * m
-        fy_h = g.fft2(fy) * m
-        du = step_average(delta_control, n)
+        np.subtract(fx - d.conv * c.dphi[0], c.conv * d.dphi[0], out=w[0])
+        np.subtract(fy - d.conv * c.dphi[1], c.conv * d.dphi[1], out=w[1])
+        np.multiply(params.potential.d2f(c.phi), d.phi, out=w[2])
+        np.add(c.ux * d.dphi[0] + c.uy * d.dphi[1] + d.ux * c.dphi[0], d.uy * c.dphi[1], out=w[3])
         if du is not None:
-            fx_h = fx_h + g.fft2(du.u_x)
-            fy_h = fy_h + g.fft2(du.u_y)
+            w[4] = du.u_x
+            w[5] = du.u_y
+        h = g.fft2(w)
+
+        fx_h = h[0] * m
+        fy_h = h[1] * m
+        if du is not None:
+            fx_h = fx_h + h[4]
+            fy_h = fy_h + h[5]
         fx_h, fy_h = st.project(fx_h, fy_h)
         wx_h = (wx_h + dt * fx_h) / st.visc_den
         wy_h = (wy_h + dt * fy_h) / st.visc_den
 
-        d2f = params.potential.d2f(c.phi)
-        mu_lin_h = g.fft2(d2f * d.phi) * m - st.J_hat * psh
+        mu_lin_h = h[2] * m - st.J_hat * psh
         if st.a != st.S:
             mu_lin_h = mu_lin_h + (st.a - st.S) * psh
-        adv_h = g.fft2(c.ux * d.dphi[0] + c.uy * d.dphi[1] + d.ux * c.dphi[0] + d.uy * c.dphi[1]) * m
-        rhs = -st.ksq * mu_lin_h - adv_h
+        rhs = -st.ksq * mu_lin_h - h[3] * m
         rhs[0, 0] = 0.0  # mean psi frozen, matching the forward update
         psh = (psh + dt * rhs) / st.ch_den
 
-        states.append(TangentState(*physical(g, wx_h, wy_h, psh), base.states[n + 1].t))
+        new = physical(g, wx_h, wy_h, psh, st.stack(3, complex))
+        states.append(TangentState(*new, base.states[n + 1].t))
     return Trajectory(states=states, dt=config.dt, start_node=start_node)
 
 
@@ -220,36 +228,41 @@ def adjoint_solve(
     for n in range(n_total - 1, -1, -1):
         node = n + 1  # explicit terms live at the later time level
         # c: the base state; d: the adjoint state (p, eta)
-        hats = spectral(base.states[node].u, base.states[node].phi)
-        c = Frame(st, *hats)
-        d = Frame(st, px_h, py_h, eh)
+        hats = spectral(base.states[node].u, base.states[node].phi, st.stack(3, float))
+        c = Frame(st, *hats, ("conv_grad",))
+        d = Frame(st, px_h, py_h, eh, ("lap",))
         sx_h, sy_h, seta_h = tracking_sources(mode, targets.weights, st, hats, ref_hats[node])
         px, py = d.ux, d.uy
 
+        w = st.stack(6, float)
         fx = (c.ux * d.dux[0] + c.uy * d.dux[1]) - (px * c.dux[0] + py * c.duy[0])
         fy = (c.ux * d.duy[0] + c.uy * d.duy[1]) - (px * c.dux[1] + py * c.duy[1])
-        fx = fx - d.phi * c.dphi[0]
-        fy = fy - d.phi * c.dphi[1]
-        fx_h = g.fft2(fx) * m + sx_h
-        fy_h = g.fft2(fy) * m + sy_h
+        np.subtract(fx, d.phi * c.dphi[0], out=w[0])
+        np.subtract(fy, d.phi * c.dphi[1], out=w[1])
+        np.multiply(params.potential.d2f(c.phi), d.lap, out=w[2])
+        np.add(c.ux * d.dphi[0], c.uy * d.dphi[1], out=w[3])
+        np.add(px * c.dphi[0], py * c.dphi[1], out=w[4])
+        np.add(c.conv_grad[0] * px, c.conv_grad[1] * py, out=w[5])
+        h = g.fft2(w)
+
+        fx_h = h[0] * m + sx_h
+        fy_h = h[1] * m + sy_h
         fx_h, fy_h = st.project(fx_h, fy_h)
         px_h = (px_h + dt * fx_h) / st.visc_den
         py_h = (py_h + dt * fy_h) / st.visc_den
 
-        lap_eta = g.ifft2(-st.ksq * eh * m)
-        d2f = params.potential.d2f(c.phi)
-        r_h = g.fft2(d2f * lap_eta) * m
+        r_h = h[2] * m
         r_h = r_h + st.ksq * st.J_hat * eh
         if st.a != st.S:
             r_h = r_h - st.ksq * (st.a - st.S) * eh
-        r_h = r_h + g.fft2(c.ux * d.dphi[0] + c.uy * d.dphi[1]) * m
-        pg_h = g.fft2(px * c.dphi[0] + py * c.dphi[1]) * m
-        r_h = r_h - st.J_hat * pg_h
-        r_h = r_h + g.fft2(c.conv_grad[0] * px + c.conv_grad[1] * py) * m
+        r_h = r_h + h[3] * m
+        r_h = r_h - st.J_hat * (h[4] * m)
+        r_h = r_h + h[5] * m
         r_h = r_h + seta_h
         eh = (eh + dt * r_h) / st.ch_den
 
-        states[n] = AdjointState(*physical(g, px_h, py_h, eh), base.states[n].t)
+        new = physical(g, px_h, py_h, eh, st.stack(3, complex))
+        states[n] = AdjointState(*new, base.states[n].t)
     return Trajectory(states=states, dt=config.dt)
 
 

@@ -72,6 +72,26 @@ def smooth_state16(g16):
     return FlowState(u, phi, 0.0)
 
 
+@pytest.fixture()
+def transform_counter(monkeypatch):
+    """Counts of TorusGrid.fft2/ifft2 while the test runs: "calls", and
+    "fields", the product of each input's leading axes, so a call on a
+    stack of k fields counts k.  A test resets them by assigning 0."""
+    counts = {"calls": 0, "fields": 0}
+
+    def counted(method):
+        def wrapper(self, array, *args, **kwargs):
+            counts["calls"] += 1
+            counts["fields"] += int(np.prod(np.shape(array)[:-2]))
+            return method(self, array, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(TorusGrid, "fft2", counted(TorusGrid.fft2))
+    monkeypatch.setattr(TorusGrid, "ifft2", counted(TorusGrid.ifft2))
+    return counts
+
+
 def short_config(dt=1e-3, T=0.01, nu=0.1, **kw):
     return SolverConfig(dt=dt, T=T, nu=nu, **kw)
 

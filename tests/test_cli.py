@@ -136,6 +136,21 @@ MALFORMED_CONFIGS = [
     ),
     pytest.param(_set("grid", "l", value=10**400), "grid.l", id="int-beyond-float"),
     pytest.param(
+        _set("potential", value={"family": "user-polynomial", "coefficients": [0, 10**400, 1]}),
+        "potential.coefficients",
+        id="coefficient-beyond-float",
+    ),
+    # 8 TiB of trajectory for one step; numpy would fail allocating the grid
+    pytest.param(_set("grid", "n", value=2**40), "grid", id="trajectory-beyond-memory-grid"),
+    pytest.param(
+        _set("solver", "T", value=1e6), "solver.T/solver.dt", id="trajectory-beyond-memory-steps"
+    ),
+    pytest.param(
+        lambda cfg: cfg["solver"].update(dt=1e-10, T=1e300),
+        "solver.T/solver.dt",
+        id="step-count-beyond-float",
+    ),
+    pytest.param(
         _set("initial", "u", value={"type": "random-divfree", "k_cut": -1}),
         "initial.u.k_cut",
         id="negative-vector-k-cut",

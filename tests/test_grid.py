@@ -377,15 +377,14 @@ class TestHalfSpectrum:
             assert got == pytest.approx(want, rel=1e-13)
 
 
+COMPOSED_GRIDS = HALF_SPECTRUM_GRIDS + [
+    pytest.param((64, 64, TWO_PI, TWO_PI), id="64x64"),
+    pytest.param((256, 256, TWO_PI, TWO_PI), id="256x256"),
+]
+
+
 class TestComposedTransforms:
-    @pytest.mark.parametrize(
-        "args",
-        HALF_SPECTRUM_GRIDS
-        + [
-            pytest.param((64, 64, TWO_PI, TWO_PI), id="64x64"),
-            pytest.param((256, 256, TWO_PI, TWO_PI), id="256x256"),
-        ],
-    )
+    @pytest.mark.parametrize("args", COMPOSED_GRIDS)
     def test_bit_identical_to_numpy_rfft2(self, args):
         """fft2/ifft2 compose 1-D transforms in rfft2/irfft2's own order."""
         g = TorusGrid(*args)
@@ -393,6 +392,22 @@ class TestComposedTransforms:
         hat = np.fft.rfft2(values)
         assert np.array_equal(g.fft2(values), hat)
         assert np.array_equal(g.ifft2(hat), np.fft.irfft2(hat, s=g.shape))
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 21])
+    @pytest.mark.parametrize("args", COMPOSED_GRIDS)
+    def test_stack_bit_identical_per_slice(self, args, k):
+        """A stack of k fields goes through in one call, each slice with the
+        bits of its own rfft2/irfft2, the in-place inverse included."""
+        g = TorusGrid(*args)
+        values = np.random.default_rng(g.n_x * k + g.n_y).standard_normal((k, *g.shape))
+        hat = g.fft2(values)
+        back = g.ifft2(hat)
+        in_place = g.ifft2(hat.copy(), overwrite=True)
+        for i in range(k):
+            assert np.array_equal(hat[i], np.fft.rfft2(values[i]))
+            want = np.fft.irfft2(hat[i], s=g.shape)
+            assert np.array_equal(back[i], want)
+            assert np.array_equal(in_place[i], want)
 
 
 class TestSingleTransformLayer:
