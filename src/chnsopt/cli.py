@@ -1,19 +1,21 @@
 """Experiment runner: JSON config in, CSV/snapshot/report artifacts out.
 
 Subcommands: simulate, optimize, assimilate, check, gradient-test.
-Configs are validated fail-closed (unknown keys are errors, missing
-required keys are named in the diagnostic).  Exit codes: 0 success,
-2 validation failure, 3 numeric failure.  All numeric CSV output uses
-17 significant digits, so reruns with the same config and seed are
-bit-identical (the wall_seconds timing column excepted).
+Configs are checked fail-closed against one schema before anything is
+written, naming the key at fault.  Exit codes: 0 success, 2 validation
+failure, 3 numeric failure.  All numeric CSV output uses 17 significant
+digits, so reruns with the same config and seed are bit-identical (the
+wall_seconds timing column excepted).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,6 +49,8 @@ from .grid import (
     write_vector_snapshot,
 )
 from .physics import (
+    KERNEL_FAMILIES,
+    POTENTIAL_FAMILIES,
     Kernel,
     Potential,
     chemical_potential,
@@ -60,36 +64,52 @@ TWO_PI = 2.0 * np.pi
 # Upper bound on the dense trajectories a subcommand keeps, estimated
 # before the grid is built as (N + 1) x 3 x n_x x n_y x 8 bytes each.
 TRAJECTORY_BYTES_LIMIT = 4 * 2**30
-
-# Dense trajectories a subcommand keeps at once: the optimizing ones hold
-# the targets or measurements, the current and the trial forward sweep and
-# the adjoint sweep.  check steps at most _CHECK_STEPS times.
-_DENSE_TRAJECTORIES = {
-    "simulate": 1,
-    "check": 1,
-    "optimize": 4,
-    "assimilate": 4,
-    "gradient-test": 4,
-}
 _CHECK_STEPS = 30
 
 
-# -- config parsing -------------------------------------------------------
+# -- config schema --------------------------------------------------------
+#
+# A section is a table of keys.  _walk checks a section against its table
+# and returns it parsed, naming the dotted key of the first fault.  The
+# parser of a section or a field description walks it in turn, so one
+# walk checks the whole config before anything is built or written.
+
+_ABSENT = object()
 
 
-def _as_mapping(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
+class _Key(NamedTuple):
+    parse: Callable  # (value, dotted key) -> parsed value; raises ValidationError
+    default: object = None  # what an absent key reads as, parsed; None stays None
+    required: bool = False
+    bound: tuple | None = None  # (test of the parsed value, what the value must be)
+    null: object = _ABSENT  # what a null reads as; None hands the null to parse
+
+
+def _walk(d, table: dict, path: str) -> dict:
+    """The mapping d parsed key by key by table, refusing unknown keys."""
+    if not isinstance(d, dict):
         raise ValidationError(f"config section {path} must be a mapping")
-    return obj
-
-
-def _check_keys(d: dict, allowed: set, required: set, path: str):
     for k in d:
-        if k not in allowed:
+        if k not in table:
             raise ValidationError(f"unknown config key {path}.{k}")
-    for k in required:
-        if k not in d:
-            raise ValidationError(f"missing config key {path}.{k}")
+    out = {}
+    for k, key in table.items():
+        name = k if path == "config" else f"{path}.{k}"  # sections go by their own name
+        v = d.get(k, _ABSENT)
+        if v is None:
+            v = key.null
+        if v is _ABSENT:
+            if key.required:
+                raise ValidationError(f"missing config key {name}")
+            v = key.default
+            if v is None:
+                out[k] = None
+                continue
+        v = key.parse(v, name)
+        if key.bound is not None and not key.bound[0](v):
+            raise ValidationError(f"config key {name} must be {key.bound[1]}, got {v!r:.80}")
+        out[k] = v
+    return out
 
 
 def _finite(v) -> bool:
@@ -98,53 +118,181 @@ def _finite(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
 
 
-def _num(d: dict, key: str, path: str, required=True, default=None):
-    if key not in d or d[key] is None:
-        if required:
-            raise ValidationError(f"missing config key {path}.{key}")
-        return default
-    v = d[key]
-    if not _finite(v):
-        raise ValidationError(f"config key {path}.{key} must be a finite number")
-    return float(v)
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _int(d: dict, key: str, path: str, required=True, default=None):
-    if key not in d or d[key] is None:
-        if required:
-            raise ValidationError(f"missing config key {path}.{key}")
-        return default
-    v = d[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValidationError(f"config key {path}.{key} must be an integer")
-    return int(v)
+def _typed(test, what: str, convert=None) -> Callable:
+    """Parser refusing values that fail test, converting the others."""
+
+    def parse(v, name: str):
+        if not test(v):
+            raise ValidationError(f"config key {name} must be {what}, got {v!r:.80}")
+        return v if convert is None else convert(v)
+
+    return parse
 
 
-def _grid_args(cfg: dict) -> tuple:
-    """(n_x, n_y, l_x, l_y) of the grid section, not yet checked as a grid."""
-    d = _as_mapping(cfg.get("grid", {}), "grid")
-    _check_keys(d, {"n", "l", "n_x", "n_y", "l_x", "l_y"}, set(), "grid")
-    n = _int(d, "n", "grid", required=False, default=64)
-    l = _num(d, "l", "grid", required=False, default=TWO_PI)
-    n_x = _int(d, "n_x", "grid", required=False, default=n)
-    n_y = _int(d, "n_y", "grid", required=False, default=n)
-    l_x = _num(d, "l_x", "grid", required=False, default=l)
-    l_y = _num(d, "l_y", "grid", required=False, default=l)
-    return n_x, n_y, l_x, l_y
+def _one_of(*choices: str) -> Callable:
+    return _typed(lambda v: isinstance(v, str) and v in choices, f"one of {sorted(choices)}")
 
 
-def _check_trajectory_memory(command: str, n_x: int, n_y: int, solver: SolverConfig):
+_number = _typed(_finite, "a finite number", float)
+_integer = _typed(_is_int, "an integer")
+_boolean = _typed(lambda v: isinstance(v, bool), "a boolean")
+_path = _typed(lambda v: isinstance(v, str) and v != "", "a path")
+# the Fourier mode of a field description
+_mode = _typed(
+    lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+    "a list of two integers",
+    tuple,
+)
+_coefficients = _typed(
+    lambda v: isinstance(v, list) and all(map(_finite, v)),
+    "a list of finite numbers",
+    lambda v: tuple(map(float, v)),
+)
+
+
+def _section(table: dict) -> _Key:
+    """A section: absent reads as empty, null is refused."""
+    return _Key(lambda v, name: _walk(v, table, name), {}, null=None)
+
+
+def _field(kinds: dict) -> Callable:
+    """Parser of a field description.  Its type picks a row (maker, table)
+    of kinds, and its other keys must fit the table.  It parses to
+    (maker, keyword arguments, dotted key); RunContext.field makes it."""
+    type_of = _one_of(*kinds)
+
+    def parse(d, name: str) -> tuple:
+        if not isinstance(d, dict):
+            raise ValidationError(f"config section {name} must be a mapping")
+        make, table = kinds[type_of(d.get("type"), f"{name}.type")]
+        return make, _walk({k: v for k, v in d.items() if k != "type"}, table, name), name
+
+    return parse
+
+
+_POSITIVE = (lambda v: v > 0.0, "positive")
+_NONNEGATIVE = (lambda v: v >= 0.0, "nonnegative")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_EVEN_8 = (lambda n: n >= 8 and n % 2 == 0, "an even integer >= 8")
+
+_AMPLITUDE = _Key(_number, 1.0)
+_MEAN = _Key(_number, 0.0)
+_K_CUT = _Key(_number, 4.0, bound=_POSITIVE)  # zero would filter out every mode
+_FILE = {"path": _Key(_path, required=True, null=None)}
+_NONZERO_MODE = _Key(_mode, [1, 0], bound=(lambda m: m != (0, 0), "nonzero"))
+
+# Field types: the maker takes the grid, the run's rng when it is one of
+# _RANDOM_MAKERS, and the keys of the table by name; a file maker takes
+# the path and the grid.
+_VECTOR_FIELDS = {
+    "zero": (VectorField.zeros, {}),
+    "taylor-green": (synth.taylor_green, {"amplitude": _AMPLITUDE}),
+    "single-mode": (synth.single_mode_velocity, {"mode": _NONZERO_MODE, "amplitude": _AMPLITUDE}),
+    "random-divfree": (synth.random_divfree_velocity, {"amplitude": _AMPLITUDE, "k_cut": _K_CUT}),
+    "file": (read_vector_snapshot, _FILE),
+}
+_SCALAR_FIELDS = {
+    "zero": (ScalarField.zeros, {}),
+    "constant": (ScalarField.constant, {"value": _Key(_number, required=True)}),
+    "sine": (
+        synth.sine_scalar,
+        {"mode": _Key(_mode, [1, 1]), "amplitude": _AMPLITUDE, "mean": _MEAN},
+    ),
+    "random": (synth.random_scalar, {"amplitude": _AMPLITUDE, "k_cut": _K_CUT, "mean": _MEAN}),
+    "file": (read_snapshot, _FILE),
+}
+_RANDOM_MAKERS = (synth.random_divfree_velocity, synth.random_scalar)
+_FILE_MAKERS = (read_vector_snapshot, read_snapshot)
+
+_ZERO = {"type": "zero"}
+_VECTOR = _field(_VECTOR_FIELDS)
+_SCALAR = _field(_SCALAR_FIELDS)
+
+_GRID = {
+    "n": _Key(_integer, 64, bound=_EVEN_8),
+    "l": _Key(_number, TWO_PI, bound=_POSITIVE),
+    "n_x": _Key(_integer, bound=_EVEN_8),  # n when absent, and so on
+    "n_y": _Key(_integer, bound=_EVEN_8),
+    "l_x": _Key(_number, bound=_POSITIVE),
+    "l_y": _Key(_number, bound=_POSITIVE),
+}
+_SOLVER = {
+    "nu": _Key(_number, required=True, bound=_POSITIVE),
+    "dt": _Key(_number, 1e-3, bound=_POSITIVE),
+    "T": _Key(_number, 0.5, bound=_POSITIVE),
+    "stabilization": _Key(_number, bound=_NONNEGATIVE),  # the kernel mass when absent
+    "dealias": _Key(_boolean, True, null=None),
+}
+_KERNEL = {
+    "family": _Key(_one_of(*KERNEL_FAMILIES), "gaussian", null=None),
+    "epsilon": _Key(_number, 0.5),  # Kernel bounds it, naming the kernel epsilon
+    "mass": _Key(_number, 5.0),
+}
+_POTENTIAL = {
+    "family": _Key(_one_of(*POTENTIAL_FAMILIES), "double-well", null=None),
+    "coefficients": _Key(_coefficients, bound=(lambda c: len(c) >= 3, "of degree >= 2")),
+}
+_INITIAL = {
+    "u": _Key(_VECTOR, {"type": "taylor-green", "amplitude": 0.5}, null=_ZERO),
+    "phi": _Key(_SCALAR, {"type": "sine", "mode": [1, 1], "amplitude": 0.1}, null=_ZERO),
+}
+_COST = {
+    k: _Key(_number, 1.0, bound=_NONNEGATIVE)
+    for k in ("track_u", "track_phi", "final_u", "final_phi", "control")
+}
+_OPTIMIZER = {
+    "max_iters": _Key(_integer, 100, bound=_NONNEGATIVE),
+    "step0": _Key(_number, 1.0, bound=_POSITIVE),
+    "armijo_c": _Key(_number, 1e-4, bound=_OPEN_UNIT),
+    "armijo_shrink": _Key(_number, 0.5, bound=_OPEN_UNIT),
+    "grad_tol": _Key(_number, 1e-6, bound=_POSITIVE),
+    "radius": _Key(_number, bound=_POSITIVE),  # unbounded when absent
+}
+_OUTPUT = {
+    "directory": _Key(_path, "out", null=None),
+    "dump_every": _Key(_integer, 0, bound=_NONNEGATIVE),
+}
+# The config but for problem and targets, which the subcommand's row gives.
+_CONFIG = {
+    "seed": _Key(_integer, 0),
+    "grid": _section(_GRID),
+    "solver": _section(_SOLVER),
+    "kernel": _section(_KERNEL),
+    "potential": _section(_POTENTIAL),
+    "initial": _section(_INITIAL),
+    "forcing": _Key(_VECTOR),
+    "cost": _section(_COST),
+    "optimizer": _section(_OPTIMIZER),
+    "output": _section(_OUTPUT),
+}
+
+# targets of optimize and gradient-test: a twin control, or zero targets
+_TWIN_TARGETS = {
+    "mode": _Key(_one_of("twin", "zero"), "twin", null=None),
+    "control": _Key(_VECTOR, {"type": "single-mode", "mode": [1, 0], "amplitude": 0.2}, null=_ZERO),
+}
+# targets of assimilate: the hidden initial velocity, relative measurement noise
+_TRUTH_TARGETS = {
+    "truth": _Key(_VECTOR, {"type": "taylor-green", "amplitude": 0.4}, null=_ZERO),
+    "noise": _Key(_number, 0.0, bound=_NONNEGATIVE),
+}
+
+
+def _check_trajectory_memory(command: str, n_x: int, n_y: int, steps: float):
     """Fail closed on dense trajectories beyond TRAJECTORY_BYTES_LIMIT,
     naming grid when not even one step fits and solver.T/solver.dt
     otherwise."""
-    per_node = _DENSE_TRAJECTORIES[command] * 3 * n_x * n_y * 8
+    per_node = _COMMANDS[command].dense * 3 * n_x * n_y * 8
     limit = f"the limit of {TRAJECTORY_BYTES_LIMIT / 2**30:g} GiB"
     if 2 * per_node > TRAJECTORY_BYTES_LIMIT:
         raise ValidationError(
             f"config key grid: {n_x} x {n_y} points need {2 * per_node / 2**30:.3g} GiB "
             f"of trajectories for a single step, above {limit}"
         )
-    steps = solver.T / solver.dt
     if command == "check":
         steps = min(steps, _CHECK_STEPS)
     if (steps + 1) * per_node > TRAJECTORY_BYTES_LIMIT:
@@ -154,269 +302,73 @@ def _check_trajectory_memory(command: str, n_x: int, n_y: int, solver: SolverCon
         )
 
 
-def _build_solver(cfg: dict) -> SolverConfig:
-    if "solver" not in cfg:
-        raise ValidationError("missing config section solver (need solver.nu)")
-    d = _as_mapping(cfg["solver"], "solver")
-    _check_keys(d, {"nu", "dt", "T", "stabilization", "dealias"}, {"nu"}, "solver")
-    dealias = d.get("dealias", True)
-    if not isinstance(dealias, bool):
-        raise ValidationError("config key solver.dealias must be a boolean")
-    return SolverConfig(
-        dt=_num(d, "dt", "solver", required=False, default=1e-3),
-        T=_num(d, "T", "solver", required=False, default=0.5),
-        nu=_num(d, "nu", "solver"),
-        stabilization=_num(d, "stabilization", "solver", required=False),
-        dealias=dealias,
-    )
-
-
-def _build_kernel(cfg: dict, grid: TorusGrid) -> Kernel:
-    d = _as_mapping(cfg.get("kernel", {}), "kernel")
-    _check_keys(d, {"family", "epsilon", "mass"}, set(), "kernel")
-    family = d.get("family", "gaussian")
-    eps = _num(d, "epsilon", "kernel", required=False, default=0.5)
-    mass = _num(d, "mass", "kernel", required=False, default=5.0)
-    return Kernel(family, eps, mass, grid)
-
-
-def _build_potential(cfg: dict) -> Potential:
-    d = _as_mapping(cfg.get("potential", {}), "potential")
-    _check_keys(d, {"family", "coefficients"}, set(), "potential")
-    family = d.get("family", "double-well")
-    coeffs = d.get("coefficients")
-    if family == "double-well":
-        if coeffs is not None:
-            raise ValidationError(
-                "potential.coefficients only applies to user-polynomial"
-            )
-        return Potential.double_well()
-    if coeffs is None:
-        raise ValidationError("missing config key potential.coefficients")
-    if not isinstance(coeffs, list) or not all(_finite(c) for c in coeffs):
-        raise ValidationError("potential.coefficients must be a list of finite numbers")
-    return Potential(family, tuple(float(c) for c in coeffs))
-
-
-def _build_weights(cfg: dict) -> CostWeights:
-    d = _as_mapping(cfg.get("cost", {}), "cost")
-    allowed = {"track_u", "track_phi", "final_u", "final_phi", "control"}
-    _check_keys(d, allowed, set(), "cost")
-    kw = {k: _num(d, k, "cost", required=False, default=1.0) for k in allowed}
-    return CostWeights(**kw)
-
-
-def _build_optimizer(cfg: dict) -> OptimizerConfig:
-    d = _as_mapping(cfg.get("optimizer", {}), "optimizer")
-    allowed = {"max_iters", "step0", "armijo_c", "armijo_shrink", "grad_tol", "radius"}
-    _check_keys(d, allowed, set(), "optimizer")
-    radius = _num(d, "radius", "optimizer", required=False)
-    return OptimizerConfig(
-        max_iters=_int(d, "max_iters", "optimizer", required=False, default=100),
-        step0=_num(d, "step0", "optimizer", required=False, default=1.0),
-        armijo_c=_num(d, "armijo_c", "optimizer", required=False, default=1e-4),
-        armijo_shrink=_num(
-            d, "armijo_shrink", "optimizer", required=False, default=0.5
-        ),
-        grad_tol=_num(d, "grad_tol", "optimizer", required=False, default=1e-6),
-        radius=np.inf if radius is None else radius,
-    )
-
-
-def _mode(d: dict, path: str, default: tuple[int, int]) -> tuple[int, int]:
-    """The Fourier mode of a field description: a list of two integers."""
-    if d.get("mode") is None:
-        return default
-    v = d["mode"]
-    if not (
-        isinstance(v, list)
-        and len(v) == 2
-        and all(isinstance(m, int) and not isinstance(m, bool) for m in v)
-    ):
-        raise ValidationError(
-            f"config key {path}.mode must be a list of two integers, got {v!r}"
-        )
-    return int(v[0]), int(v[1])
-
-
-_VECTOR_TYPES = {"zero", "taylor-green", "single-mode", "random-divfree", "file"}
-_SCALAR_TYPES = {"zero", "constant", "sine", "random", "file"}
-
-
-def _field_kind(d: dict, path: str, types: set) -> str:
-    kind = d.get("type")
-    if not isinstance(kind, str) or kind not in types:
-        raise ValidationError(f"config key {path}.type must be one of {sorted(types)}")
-    return kind
-
-
-def _read_field(read, d: dict, grid: TorusGrid, path: str):
-    """A field of type "file", read by ``read`` (a snapshot reader)."""
-    _check_keys(d, {"type", "path"}, {"path"}, path)
-    try:
-        return read(str(d["path"]), grid=grid)
-    except OSError as e:
-        raise ValidationError(f"config key {path}.path: cannot read field file: {e}") from e
-
-
-def _k_cut(d: dict, path: str) -> float:
-    """Low-pass wavenumber of a random field; zero would filter out every mode."""
-    k_cut = _num(d, "k_cut", path, False, 4.0)
-    if not k_cut > 0.0:
-        raise ValidationError(f"config key {path}.k_cut must be positive, got {k_cut!r}")
-    return k_cut
-
-
-def _random_field(make, grid: TorusGrid, rng, d: dict, path: str, **defaults):
-    """make(grid, rng, amplitude, k_cut, then the keys of defaults), all read
-    from d, naming {path}.k_cut when the filter leaves nothing of the field."""
-    args = [_num(d, "amplitude", path, False, 1.0), _k_cut(d, path)]
-    args += [_num(d, key, path, False, value) for key, value in defaults.items()]
-    try:
-        return make(grid, rng, *args)
-    except ValidationError as e:
-        raise ValidationError(f"config key {path}.k_cut: {e}") from e
-
-
-def _vector_field(desc, grid: TorusGrid, rng, path: str) -> VectorField:
-    if desc is None:
-        return VectorField.zeros(grid)
-    d = _as_mapping(desc, path)
-    kind = _field_kind(d, path, _VECTOR_TYPES)
-    if kind == "zero":
-        _check_keys(d, {"type"}, set(), path)
-        return VectorField.zeros(grid)
-    if kind == "taylor-green":
-        _check_keys(d, {"type", "amplitude"}, set(), path)
-        return synth.taylor_green(grid, _num(d, "amplitude", path, False, 1.0))
-    if kind == "single-mode":
-        _check_keys(d, {"type", "mode", "amplitude"}, set(), path)
-        return synth.single_mode_velocity(
-            grid, _mode(d, path, (1, 0)), _num(d, "amplitude", path, False, 1.0)
-        )
-    if kind == "random-divfree":
-        _check_keys(d, {"type", "amplitude", "k_cut"}, set(), path)
-        return _random_field(synth.random_divfree_velocity, grid, rng, d, path)
-    return _read_field(read_vector_snapshot, d, grid, path)
-
-
-def _scalar_field(desc, grid: TorusGrid, rng, path: str) -> ScalarField:
-    if desc is None:
-        return ScalarField.zeros(grid)
-    d = _as_mapping(desc, path)
-    kind = _field_kind(d, path, _SCALAR_TYPES)
-    if kind == "zero":
-        _check_keys(d, {"type"}, set(), path)
-        return ScalarField.zeros(grid)
-    if kind == "constant":
-        _check_keys(d, {"type", "value"}, {"value"}, path)
-        return ScalarField.constant(grid, _num(d, "value", path))
-    if kind == "sine":
-        _check_keys(d, {"type", "mode", "amplitude", "mean"}, set(), path)
-        return synth.sine_scalar(
-            grid,
-            _mode(d, path, (1, 1)),
-            _num(d, "amplitude", path, False, 1.0),
-            _num(d, "mean", path, False, 0.0),
-        )
-    if kind == "random":
-        _check_keys(d, {"type", "amplitude", "k_cut", "mean"}, set(), path)
-        return _random_field(synth.random_scalar, grid, rng, d, path, mean=0.0)
-    return _read_field(read_snapshot, d, grid, path)
-
-
-_TOP_KEYS = {
-    "problem",
-    "seed",
-    "grid",
-    "solver",
-    "kernel",
-    "potential",
-    "initial",
-    "forcing",
-    "cost",
-    "targets",
-    "optimizer",
-    "output",
-}
-
-_PROBLEM_OF_COMMAND = {
-    "simulate": "simulate",
-    "optimize": "ocp",
-    "assimilate": "da",
-    "check": "check",
-    "gradient-test": "gradient-test",
-}
-
-
 class RunContext:
-    """Everything a subcommand needs, built and validated from a config."""
+    """Everything a subcommand needs, built and validated from a config.
+    Fields are made, and the rng drawn from, only when a runner asks."""
 
     def __init__(self, cfg: dict, command: str, seed_override, outdir_override):
-        _check_keys(_as_mapping(cfg, "config"), _TOP_KEYS, set(), "config")
-        problem = cfg.get("problem")
-        expected = _PROBLEM_OF_COMMAND[command]
-        if problem is not None and problem != expected:
+        row = _COMMANDS[command]
+        table = {**_CONFIG, "problem": _Key(_one_of(row.problem))}
+        table["targets"] = _section(row.targets)._replace(null=_ABSENT)  # null reads as {}
+        c = self.config = _walk(cfg, table, "config")
+
+        self.seed = c["seed"] if seed_override is None else seed_override
+        if self.seed < 0:
             raise ValidationError(
-                f"config.problem is {problem!r} but the subcommand expects {expected!r}"
+                f"config key config.seed (or --seed) must be nonnegative, got {self.seed}"
             )
-        grid_args = _grid_args(cfg)
-        self.solver = _build_solver(cfg)
-        _check_trajectory_memory(command, grid_args[0], grid_args[1], self.solver)
-        self.grid = TorusGrid(*grid_args)
-        kernel = _build_kernel(cfg, self.grid)
-        potential = _build_potential(cfg)
+        self.rng = np.random.default_rng(self.seed)
+        self.outdir = outdir_override or c["output"]["directory"]
+        self.dump_every = c["output"]["dump_every"]
+
+        g, s = c["grid"], c["solver"]
+        n_x, n_y = (g["n"] if g[k] is None else g[k] for k in ("n_x", "n_y"))
+        l_x, l_y = (g["l"] if g[k] is None else g[k] for k in ("l_x", "l_y"))
+        _check_trajectory_memory(command, n_x, n_y, s["T"] / s["dt"])
+        try:
+            self.solver = SolverConfig(**s)
+            self.solver.n_steps  # raises unless T is a whole number of steps
+        except (ValidationError, OverflowError) as e:
+            raise ValidationError(f"config keys solver.T/solver.dt: {e}") from e
+        self.grid = TorusGrid(n_x, n_y, l_x, l_y)
+
+        p = c["potential"]
+        if (p["family"] == "user-polynomial") != (p["coefficients"] is not None):
+            raise ValidationError(
+                "config key potential.coefficients is required by user-polynomial "
+                "and refused by double-well"
+            )
+        potential = Potential.double_well() if p["coefficients"] is None else Potential(**p)
+        kernel = Kernel(grid=self.grid, **c["kernel"])
         self.report = validate_assumptions(kernel, potential)
         self.params = ModelParams(self.grid, kernel, potential)
-        self.weights = _build_weights(cfg)
-        self.optimizer = _build_optimizer(cfg)
+        self.weights = CostWeights(**c["cost"])
+        o = c["optimizer"]
+        self.optimizer = OptimizerConfig(**{**o, "radius": o["radius"] or np.inf})
 
-        seed = _int(cfg, "seed", "config", required=False, default=0)
-        if seed_override is not None:
-            seed = seed_override
-        if seed < 0:
-            raise ValidationError(
-                f"config key config.seed (or --seed) must be nonnegative, got {seed}"
-            )
-        self.seed = seed
-        self.rng = np.random.default_rng(seed)
-
-        out = _as_mapping(cfg.get("output", {}), "output")
-        _check_keys(out, {"directory", "dump_every"}, set(), "output")
-        self.outdir = outdir_override or out.get("directory", "out")
-        if not isinstance(self.outdir, str) or not self.outdir:
-            raise ValidationError("config key output.directory must be a path")
-        self.dump_every = _int(out, "dump_every", "output", required=False, default=0)
-        if self.dump_every < 0:
-            raise ValidationError("output.dump_every must be nonnegative")
-
-        init = _as_mapping(cfg.get("initial", {}), "initial")
-        _check_keys(init, {"u", "phi"}, set(), "initial")
-        self._init_cfg = init
-        self._forcing_cfg = cfg.get("forcing")
-        self._targets_cfg = cfg.get("targets")
+    def field(self, parsed):
+        """The field of a parsed description, or None for none."""
+        if parsed is None:
+            return None
+        make, args, name = parsed
+        if make in _FILE_MAKERS:
+            try:
+                return make(args["path"], grid=self.grid)
+            except OSError as e:
+                raise ValidationError(f"config key {name}.path: cannot read field file: {e}") from e
+        if make in _RANDOM_MAKERS:
+            try:
+                return make(self.grid, self.rng, **args)
+            except ValidationError as e:  # the filter left nothing of the field
+                raise ValidationError(f"config key {name}.k_cut: {e}") from e
+        return make(self.grid, **args)
 
     def initial_state(self) -> FlowState:
-        u = _vector_field(
-            self._init_cfg.get("u", {"type": "taylor-green", "amplitude": 0.5}),
-            self.grid,
-            self.rng,
-            "initial.u",
-        )
-        phi = _scalar_field(
-            self._init_cfg.get(
-                "phi", {"type": "sine", "mode": [1, 1], "amplitude": 0.1}
-            ),
-            self.grid,
-            self.rng,
-            "initial.phi",
-        )
-        return FlowState(leray_project(u), phi, 0.0)
+        u = self.field(self.config["initial"]["u"])
+        return FlowState(leray_project(u), self.field(self.config["initial"]["phi"]), 0.0)
 
     def forcing(self):
-        if self._forcing_cfg is None:
-            return None
-        return _vector_field(self._forcing_cfg, self.grid, self.rng, "forcing")
+        return self.field(self.config["forcing"])
 
     def ensure_outdir(self) -> str:
         try:
@@ -477,7 +429,7 @@ def _run_simulate(ctx: RunContext) -> int:
         os.path.join(out, "diagnostics.csv"),
         ["t", "energy", "kinetic", "enstrophy", "mass", "residual"],
         (
-            [d["t"][n], d["energy"][n], d["kinetic"][n], d["enstrophy"][n], d["mass"][n], residual[n]]
+            [d[k][n] for k in ("t", "energy", "kinetic", "enstrophy", "mass")] + [residual[n]]
             for n in range(len(traj))
         ),
     )
@@ -493,24 +445,14 @@ def _run_simulate(ctx: RunContext) -> int:
 
 def _twin_targets(ctx: RunContext, initial: FlowState, forcing):
     """OCP targets generated by simulating a known true control."""
-    d = _as_mapping(ctx._targets_cfg or {"mode": "twin"}, "targets")
-    _check_keys(d, {"mode", "control"}, set(), "targets")
-    mode = d.get("mode", "twin")
-    if mode not in ("twin", "zero"):
-        raise ValidationError("targets.mode must be 'twin' or 'zero'")
+    t = ctx.config["targets"]
     n_nodes = ctx.solver.n_steps + 1
-    if mode == "zero":
+    if t["mode"] == "zero":
         return (
             CostTargets(weights=ctx.weights),
             ControlSignal.zeros_distributed(ctx.grid, n_nodes, ctx.solver.dt),
         )
-    field = _vector_field(
-        d.get("control", {"type": "single-mode", "mode": [1, 0], "amplitude": 0.2}),
-        ctx.grid,
-        ctx.rng,
-        "targets.control",
-    )
-    U_true = ControlSignal.constant(field, n_nodes, ctx.solver.dt)
+    U_true = ControlSignal.constant(ctx.field(t["control"]), n_nodes, ctx.solver.dt)
     traj = simulate(initial, U_true, forcing, ctx.params, ctx.solver, with_diagnostics=False)
     targets = CostTargets(
         u_d=[s.u for s in traj.states],
@@ -555,15 +497,8 @@ def _run_optimize(ctx: RunContext) -> int:
 
 def _run_assimilate(ctx: RunContext) -> int:
     out = ctx.ensure_outdir()
-    d = _as_mapping(ctx._targets_cfg or {}, "targets")
-    _check_keys(d, {"truth", "noise"}, set(), "targets")
-    noise = _num(d, "noise", "targets", required=False, default=0.0)
-    U_true = _vector_field(
-        d.get("truth", {"type": "taylor-green", "amplitude": 0.4}),
-        ctx.grid,
-        ctx.rng,
-        "targets.truth",
-    )
+    noise = ctx.config["targets"]["noise"]
+    U_true = ctx.field(ctx.config["targets"]["truth"])
     initial = ctx.initial_state()
     placeholder = CostTargets(
         u_M_f=VectorField.zeros(ctx.grid),
@@ -703,13 +638,7 @@ def _run_check(ctx: RunContext) -> int:
 
     record("assumptions_certified", ctx.report.c0 > 0.0, f"c0={ctx.report.c0:.6g}")
 
-    short = SolverConfig(
-        dt=ctx.solver.dt,
-        T=min(ctx.solver.T, _CHECK_STEPS * ctx.solver.dt),
-        nu=ctx.solver.nu,
-        stabilization=ctx.solver.stabilization,
-        dealias=ctx.solver.dealias,
-    )
+    short = dataclasses.replace(ctx.solver, T=min(ctx.solver.T, _CHECK_STEPS * ctx.solver.dt))
     traj = simulate(ctx.initial_state(), None, ctx.forcing(), ctx.params, short)
     mass = traj.diagnostics["mass"]
     drift = float(np.max(np.abs(mass - mass[0])))
@@ -748,16 +677,26 @@ def _load_config(path: str) -> dict:
             return json.load(f)
     except OSError as e:
         raise ValidationError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long to convert
         raise ValidationError(f"config {path} is not valid JSON: {e}") from e
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "optimize": _run_optimize,
-    "assimilate": _run_assimilate,
-    "check": _run_check,
-    "gradient-test": _run_gradient_test,
+class _Command(NamedTuple):
+    run: Callable[[RunContext], int]
+    problem: str  # the config's problem, when it names one
+    # dense trajectories kept at once: the optimizing ones hold the targets
+    # or measurements, the current and the trial forward sweep and the
+    # adjoint sweep.  check steps at most _CHECK_STEPS times.
+    dense: int
+    targets: dict  # the table of the targets section
+
+
+_COMMANDS = {
+    "simulate": _Command(_run_simulate, "simulate", 1, {}),
+    "optimize": _Command(_run_optimize, "ocp", 4, _TWIN_TARGETS),
+    "assimilate": _Command(_run_assimilate, "da", 4, _TRUTH_TARGETS),
+    "check": _Command(_run_check, "check", 1, {}),
+    "gradient-test": _Command(_run_gradient_test, "gradient-test", 4, _TWIN_TARGETS),
 }
 
 
@@ -767,7 +706,7 @@ def main(argv=None) -> int:
         description="Nonlocal two-phase flow control and assimilation experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--output", default=None, help="override output directory")
@@ -777,7 +716,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         ctx = RunContext(cfg, args.command, args.seed, args.output)
-        return _RUNNERS[args.command](ctx)
+        return _COMMANDS[args.command].run(ctx)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,12 +1,14 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chnsopt import write_snapshot, write_vector_snapshot
 from chnsopt import synth
-from chnsopt.cli import main
+from chnsopt.cli import RunContext, main
 
 
 def base_config(outdir, problem="simulate", **sections):
@@ -181,6 +183,14 @@ MALFORMED_CONFIGS = [
         "initial.phi.k_cut",
         id="scalar-k-cut-filters-everything",
     ),
+    # simulate reads no targets, so it takes none
+    pytest.param(_set("targets", value="nonsense"), "targets", id="targets-not-a-mapping"),
+    pytest.param(_set("targets", "bogus", value=1), "targets.bogus", id="targets-unknown-key"),
+    pytest.param(
+        _set("initial", "u", value={"type": "file", "path": 5}),
+        "initial.u.path",
+        id="field-path-not-a-string",
+    ),
 ]
 
 
@@ -209,6 +219,186 @@ class TestMalformedConfig:
         rc = main(["simulate", "--config", write_config(tmp_path, cfg), "--seed", "-3"])
         assert rc == 2
         assert "config.seed" in capsys.readouterr().err
+
+
+PROBLEM_OF = {
+    "simulate": "simulate",
+    "optimize": "ocp",
+    "assimilate": "da",
+    "check": "check",
+    "gradient-test": "gradient-test",
+}
+
+# (subcommand, config edit, the key the message names): values a constructor
+# or a runner used to refuse, some after making the output directory
+MALFORMED_BEFORE_OUTPUT = [
+    pytest.param("check", _set("targets", value="nonsense"), "targets", id="check-targets"),
+    pytest.param("check", _set("targets", "bogus", value=1), "targets.bogus", id="check-bogus"),
+    pytest.param("simulate", _set("grid", "n", value=6), "grid.n", id="grid-n-small"),
+    pytest.param("simulate", _set("grid", "n", value=17), "grid.n", id="grid-n-odd"),
+    pytest.param("simulate", _set("grid", "l", value=-1), "grid.l", id="grid-l-negative"),
+    pytest.param("simulate", _set("solver", "dt", value=-1), "solver.dt", id="dt-negative"),
+    pytest.param(
+        "simulate", _set("solver", "T", value=0.0055), "solver.T/solver.dt", id="T-between-steps"
+    ),
+    pytest.param(
+        "simulate", _set("optimizer", "armijo_c", value=2), "optimizer.armijo_c", id="armijo-c"
+    ),
+    pytest.param("simulate", _set("cost", "control", value=-1), "cost.control", id="cost-negative"),
+    pytest.param(
+        "assimilate", _set("targets", "noise", value=-1), "targets.noise", id="noise-negative"
+    ),
+    pytest.param(
+        "simulate",
+        _set("initial", "u", value={"type": "single-mode", "mode": [0, 0]}),
+        "initial.u.mode",
+        id="zero-mode",
+    ),
+    pytest.param("simulate", _set("kernel", "family", value="foo"), "kernel.family", id="kernel"),
+    pytest.param(
+        "simulate",
+        _set("potential", value={"family": "user-polynomial", "coefficients": [1, 0]}),
+        "potential.coefficients",
+        id="potential-degree-1",
+    ),
+    pytest.param(
+        "simulate", _set("initial", "u", value={"type": "nope"}), "initial.u.type", id="u-type"
+    ),
+    pytest.param(
+        "simulate",
+        _set("initial", "phi", value={"type": "random", "k_cut": -1}),
+        "initial.phi.k_cut",
+        id="phi-k-cut",
+    ),
+    pytest.param("simulate", _set("forcing", value={"type": "sine"}), "forcing.type", id="forcing"),
+    pytest.param("optimize", _set("targets", "mode", value="foo"), "targets.mode", id="twin-mode"),
+    pytest.param(
+        "gradient-test",
+        _set("targets", "control", value={"type": "random-divfree", "k_cut": 0}),
+        "targets.control.k_cut",
+        id="control-k-cut",
+    ),
+    pytest.param(
+        "assimilate",
+        _set("targets", "truth", value={"type": "constant", "value": 1}),
+        "targets.truth.type",
+        id="truth-scalar-type",
+    ),
+]
+
+
+class TestFailsBeforeOutput:
+    @pytest.mark.parametrize("command, edit, key", MALFORMED_BEFORE_OUTPUT)
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, command, edit, key):
+        cfg = base_config(tmp_path / "out", problem=PROBLEM_OF[command])
+        edit(cfg)
+        rc = main([command, "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_too_long_to_convert(self, tmp_path, capsys):
+        p = tmp_path / "long.json"
+        p.write_text('{"seed": ' + "1" * 5000 + "}", encoding="utf-8")
+        assert main(["simulate", "--config", str(p)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+
+def _run_bytes(tmp_path, command, cfg, name, files):
+    """The named artifact files of one run, which must succeed."""
+    cfg = json.loads(json.dumps(cfg))
+    cfg["output"]["directory"] = str(tmp_path / name)
+    assert main([command, "--config", write_config(tmp_path, cfg, f"{name}.json")]) == 0
+    return [(tmp_path / name / f).read_bytes() for f in files]
+
+
+class TestNullValues:
+    """A null number reads as absent; a null initial field, targets.control
+    or targets.truth is the zero field; a null forcing is no forcing; a null
+    targets is absent; any other null section, output.directory,
+    solver.dealias or kernel.family is refused."""
+
+    SIMULATED = ["diagnostics.csv", "u_final_x.fld", "u_final_y.fld", "phi_final.fld"]
+
+    def test_null_numbers_read_as_absent(self, tmp_path):
+        cfg = base_config(tmp_path / "out")
+        plain = _run_bytes(tmp_path, "simulate", cfg, "plain", self.SIMULATED)
+        nulls = json.loads(json.dumps(cfg))
+        nulls["grid"]["l"] = None
+        nulls["solver"]["stabilization"] = None
+        nulls["kernel"] = {"epsilon": None, "mass": None}
+        nulls["cost"] = {"control": None}
+        nulls["optimizer"] = {"radius": None, "max_iters": None}
+        nulls["output"]["dump_every"] = None
+        nulls["targets"] = None
+        nulls["problem"] = None
+        assert _run_bytes(tmp_path, "simulate", nulls, "nulls", self.SIMULATED) == plain
+
+    def test_null_required_number_is_missing(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        cfg["solver"]["nu"] = None
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "missing config key solver.nu" in capsys.readouterr().err
+
+    def test_null_fields_are_zero_and_null_forcing_is_none(self, tmp_path):
+        cfg = base_config(tmp_path / "out")
+        zero = {"type": "zero"}
+        cfg["initial"] = {"u": zero, "phi": zero}
+        plain = _run_bytes(tmp_path, "simulate", cfg, "plain", self.SIMULATED)
+        cfg["initial"] = {"u": None, "phi": None}
+        cfg["forcing"] = None
+        assert _run_bytes(tmp_path, "simulate", cfg, "nulls", self.SIMULATED) == plain
+
+    def test_null_targets(self, tmp_path):
+        cfg = base_config(tmp_path / "out", problem="ocp")
+        cfg["optimizer"] = {"max_iters": 1}
+        files = ["history.csv", "report.txt"]
+        plain = _run_bytes(tmp_path, "optimize", cfg, "plain", files)
+        cfg["targets"] = None
+        assert _run_bytes(tmp_path, "optimize", cfg, "null", files) == plain
+        cfg["targets"] = {"control": {"type": "zero"}}
+        zero = _run_bytes(tmp_path, "optimize", cfg, "zero", files)
+        cfg["targets"] = {"control": None}
+        assert _run_bytes(tmp_path, "optimize", cfg, "null-control", files) == zero
+        cfg = base_config(tmp_path / "out", problem="da")
+        cfg["optimizer"] = {"max_iters": 1}
+        cfg["targets"] = {"truth": {"type": "zero"}}
+        zero = _run_bytes(tmp_path, "assimilate", cfg, "zero-truth", files)
+        cfg["targets"] = {"truth": None}
+        assert _run_bytes(tmp_path, "assimilate", cfg, "null-truth", files) == zero
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("grid",),
+            ("solver",),
+            ("kernel",),
+            ("potential",),
+            ("initial",),
+            ("cost",),
+            ("optimizer",),
+            ("output",),
+            ("output", "directory"),
+            ("solver", "dealias"),
+            ("kernel", "family"),
+        ],
+        ids=".".join,
+    )
+    def test_refused_nulls(self, tmp_path, keys):
+        cfg = base_config(tmp_path / "out")
+        _set(*keys, value=None)(cfg)
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+
+
+class TestReadmeConfig:
+    def test_complete_config_is_valid(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"A complete config:\s*```json\n(.*?)```", readme, re.S)
+        cfg = json.loads(block.group(1))
+        ctx = RunContext(cfg, "optimize", None, None)
+        assert ctx.grid.n_x == cfg["grid"]["n"]
+        assert ctx.solver.n_steps == 250
 
 
 class TestMalformedMode:

@@ -459,6 +459,20 @@ class TestNoUnusedImports:
         assert offenders == []
 
 
+class TestLineLength:
+    def test_no_line_over_100_characters(self):
+        import chnsopt
+
+        root = Path(chnsopt.__file__).parent
+        offenders = [
+            f"{path.relative_to(root).as_posix()}:{n} ({len(line)})"
+            for path in sorted(root.rglob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100
+        ]
+        assert offenders == []
+
+
 class TestSnapshots:
     def test_scalar_roundtrip(self, g16, rng, tmp_path):
         f = ScalarField(g16, rng.standard_normal(g16.shape))
