@@ -328,7 +328,7 @@ class RunContext:
         try:
             self.solver = SolverConfig(**s)
             self.solver.n_steps  # raises unless T is a whole number of steps
-        except (ValidationError, OverflowError) as e:
+        except ValidationError as e:
             raise ValidationError(f"config keys solver.T/solver.dt: {e}") from e
         self.grid = TorusGrid(n_x, n_y, l_x, l_y)
 

@@ -4,9 +4,25 @@ Ekeland metric, minimum-principle residual).
 
 The reduced gradient of the tracking cost with respect to a distributed
 control is w_c*U + p with p the backward adjoint momentum; stationarity
-is U = -p/w_c.  The optimizer is projected gradient descent with an
-Armijo backtracking line search, which keeps the cost history
-non-increasing by construction.
+is U = -p/w_c.
+
+``optimize`` serves both this problem and the initial-velocity one
+(assimilation.py).  Its search direction is memoryless BFGS: L-BFGS
+(Nocedal & Wright, Numerical Optimization, 2nd ed., Alg. 7.4) with one
+pair, s the last accepted move and y the change of the gradient over it,
+and H0 = (s.y / y.y) I.  The pair is dropped, and the step is the
+projected-gradient one, when s.y <= 1e-12 |s||y| or when the norm-ball
+projection moved the accepted trial.  One pair reaches the same counts as
+five on the benchmark problems while holding one control-sized array more
+than steepest descent: y is formed in the old gradient's buffer, s is the
+accepted trial's move, and the direction is the one new array.
+
+An Armijo backtracking search along the direction keeps the cost history
+strictly decreasing by construction.  Each search starts one notch above
+the last accepted step, although a quasi-Newton step wants 1 and so about
+one trial per iteration is rejected: the benchmark's traced runs replay
+that rule from the history's ``step`` column, the accepted multiplier on
+the search direction, to count the rejected trials.
 """
 
 from __future__ import annotations
@@ -331,8 +347,53 @@ class DistributedControlProblem:
         )
 
 
+def _memoryless_bfgs(G: ControlSignal, s: ControlSignal, y: ControlSignal) -> ControlSignal:
+    """The search direction -H G of L-BFGS with the one pair (s, y).
+
+    This is the two-loop recursion (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., Alg. 7.4) with m = 1 and H0 = (s.y / y.y) I,
+    every inner product being ``ControlSignal.inner``.  When
+    s.y <= 1e-12 |s||y| the pair carries no usable curvature and the
+    direction is -G.  The direction is the one new signal: s and y are
+    overwritten.
+    """
+    sy = s.inner(y)
+    yy = y.inner(y)
+    if not sy > 1e-12 * s.norm() * np.sqrt(yy):
+        return G.scaled(-1.0)
+    gamma = sy / yy
+    alpha = s.inner(G) / sy
+    beta = gamma * (y.inner(G) - alpha * yy) / sy
+    # -H G = -gamma (G - alpha y) - (alpha - beta) s
+    d = G.scaled(-gamma)
+    y.data *= gamma * alpha
+    d.data += y.data
+    s.data *= beta - alpha
+    d.data += s.data
+    return d
+
+
 def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig):
-    """Projected gradient descent with Armijo backtracking.
+    """Memoryless-BFGS descent with Armijo backtracking.
+
+    The direction is -H G, with H the L-BFGS inverse Hessian of the one
+    pair s = U_new - U_old (the accepted move) and y = G_new - G_old
+    (``_memoryless_bfgs``).  No pair is used on the first iteration, when
+    s.y <= 1e-12 |s||y|, or when the norm-ball projection moved the
+    accepted trial; the direction is then -G, the projected-gradient
+    step.  A trial U_try = proj(U + step d) is accepted when
+    J(U_try) <= J + armijo_c <G, U_try - U> and <G, U_try - U> < 0; for
+    d = -G and no projection that is J - (armijo_c / step) |U_try - U|^2.
+    The sign test matters only where the ball bends a quasi-Newton trial
+    uphill, and keeps every accepted cost strictly below the last.
+
+    The trial steps follow one rule: the first search starts at step0,
+    each later one at one notch (1 / armijo_shrink) above the step
+    accepted before it, and each rejected trial shrinks the step by
+    armijo_shrink, 40 times at most.  The ``step`` of a history row is
+    the accepted multiplier on the direction d, so the rejected trials can
+    be replayed from that column alone; the benchmark's traced runs check
+    their cost-evaluation count that way.
 
     Returns (control, history); history rows carry iter, cost,
     grad_norm, step, wall_seconds.  When the line search exhausts its 40
@@ -354,6 +415,7 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
         }
     ]
     step = opt_config.step0
+    s_pair = G_prev = None  # last accepted move and the gradient before it
     for it in range(opt_config.max_iters):
         G = problem.gradient(U, aux)
         aux = None  # the line search needs only U, J and G
@@ -361,18 +423,26 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
         history[-1]["grad_norm"] = gn
         if gn / max(1.0, U.norm()) <= opt_config.grad_tol:
             break
+        if s_pair is None:
+            d = G.scaled(-1.0)
+        else:
+            np.subtract(G.data, G_prev.data, out=G_prev.data)  # y, in place
+            d = _memoryless_bfgs(G, s_pair, G_prev)
+        s_pair = G_prev = None
         accepted = False
         s = step
         max_move = 0.0
         for _ in range(40):
-            U_try = problem.project(U.axpy(-s, G)).ball_projected(opt_config.radius)
+            V = problem.project(U.axpy(s, d))
+            U_try = V.ball_projected(opt_config.radius)
             dU = U_try.axpy(-1.0, U)
             move = dU.norm() ** 2
             max_move = max(max_move, move)
             if move == 0.0:
                 break  # projection pinned the iterate exactly
             J_try, aux_try = problem.cost(U_try)
-            if J_try <= J - (opt_config.armijo_c / s) * move:
+            slope = G.inner(dU)  # >= 0 only where the ball bent a quasi-Newton trial
+            if slope < 0.0 and J_try <= J + opt_config.armijo_c * slope:
                 accepted = True
                 break
             s *= opt_config.armijo_shrink
@@ -385,7 +455,10 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
                 f"line search stalled at iteration {it}: cost {J:.6e}, "
                 f"gradient norm {gn:.3e}, smallest step tried {s:.3e}"
             )
+        if U_try is V:  # the ball did not move the trial: keep the pair
+            s_pair, G_prev = dU, G
         U, J, aux = U_try, J_try, aux_try
+        d = V = None  # nothing control-sized beyond U, s and G_prev meets the gradient
         step = s / opt_config.armijo_shrink  # warm start, one notch up
         history.append(
             {

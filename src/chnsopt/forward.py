@@ -67,7 +67,10 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.T / self.dt))
+        ratio = self.T / self.dt
+        if not math.isfinite(ratio):
+            raise ValidationError(f"T/dt = {ratio} is not a finite number of steps")
+        n = int(round(ratio))
         if abs(n * self.dt - self.T) > 1e-9 * max(1.0, self.T):
             raise ValidationError("T must be an integer multiple of dt")
         return n
@@ -201,10 +204,13 @@ def spectral(u: VectorField, phi: ScalarField, work: np.ndarray | None = None):
 def physical(grid: TorusGrid, ux_h, uy_h, ph, work: np.ndarray | None = None):
     """The velocity and scalar fields whose transforms ``spectral`` gives,
     in one call; work is a complex (3, n_x, n_y // 2 + 1) stack to gather
-    the transforms in, or None for a fresh one.  The field constructors
-    raise NumericError on non-finite values."""
-    ux, uy, phi = grid.ifft2(np.stack((ux_h, uy_h, ph), out=work), overwrite=True)
-    return VectorField(grid, ux, uy), ScalarField(grid, phi)
+    the transforms in, or None for a fresh one.  The fields are views of
+    the one inverse-transformed stack, checked once: NumericError on
+    non-finite values."""
+    f = grid.ifft2(np.stack((ux_h, uy_h, ph), out=work), overwrite=True)
+    if not np.isfinite(f).all():
+        raise NumericError("state contains non-finite values")
+    return VectorField._of(grid, f[0], f[1]), ScalarField._of(grid, f[2])
 
 
 class Frame:

@@ -190,6 +190,14 @@ class ScalarField:
         self.values = _as_grid_array(self.grid, self.values, "scalar field")
 
     @classmethod
+    def _of(cls, grid: TorusGrid, values: np.ndarray) -> "ScalarField":
+        """A field over ``values`` as given, for callers that have already
+        checked their shape and finiteness."""
+        f = object.__new__(cls)
+        f.grid, f.values = grid, values
+        return f
+
+    @classmethod
     def zeros(cls, grid: TorusGrid) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
 
@@ -242,6 +250,14 @@ class VectorField:
     def __post_init__(self):
         self.u_x = _as_grid_array(self.grid, self.u_x, "vector field (x)")
         self.u_y = _as_grid_array(self.grid, self.u_y, "vector field (y)")
+
+    @classmethod
+    def _of(cls, grid: TorusGrid, u_x: np.ndarray, u_y: np.ndarray) -> "VectorField":
+        """A field over ``u_x`` and ``u_y`` as given, for callers that have
+        already checked their shape and finiteness."""
+        f = object.__new__(cls)
+        f.grid, f.u_x, f.u_y = grid, u_x, u_y
+        return f
 
     @classmethod
     def zeros(cls, grid: TorusGrid) -> "VectorField":

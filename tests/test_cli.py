@@ -599,6 +599,18 @@ class TestAssimilateCommand:
 
 
 class TestCheckCommand:
+    def test_step_count_beyond_float_range(self, tmp_path, capsys):
+        # the check's memory estimate caps the steps, so the step count
+        # itself must refuse T/dt = inf
+        cfg = base_config(tmp_path / "out", problem="check")
+        cfg["solver"] = {"nu": 0.1, "dt": 1e-10, "T": 1e300}
+        assert main(["check", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "solver.T/solver.dt" in err
+        assert "not a finite number of steps" in err
+        assert "cannot convert" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_all_checks_pass_on_a_sound_config(self, tmp_path, capsys):
         # the second box has sides that are not multiples of 2 pi
         grids = [

@@ -4,12 +4,14 @@ import pytest
 from chnsopt import (
     AdjointMode,
     AdjointState,
+    AssimilationProblem,
     Trajectory,
     ControlSignal,
     CostTargets,
     CostWeights,
     DistributedControlProblem,
     FlowState,
+    InitialVelocityProblem,
     LineSearchStallError,
     OptimizerConfig,
     ScalarField,
@@ -23,9 +25,11 @@ from chnsopt import (
     ekeland_metric,
     grad_norm,
     hamiltonian,
+    leray_project,
     minimum_principle_residual,
     observed_orders,
     optimize,
+    record_measurements,
     reduced_gradient_ocp,
     simulate,
     solve_ocp,
@@ -34,7 +38,7 @@ from chnsopt import (
     taylor_remainders,
 )
 from chnsopt import synth
-from chnsopt.control import _trapz_weights
+from chnsopt.control import _memoryless_bfgs, _trapz_weights
 
 
 def _const_signal(grid, n_nodes, dt, amp=1.0, mode=(1, 0)):
@@ -281,6 +285,230 @@ class TestOptimizer:
         U, hist = optimize(prob, U0, OptimizerConfig(max_iters=0))
         assert U.norm() == 0.0
         assert len(hist) == 1
+
+
+class _DiagonalQuadratic:
+    """cost(U) = 0.5 <U - target, D (U - target)> in the control inner
+    product, with D the pointwise multiplier ``scale``; every call is
+    logged as ("cost" or "gradient", U)."""
+
+    def __init__(self, target, scale):
+        self.target = target
+        self.scale = scale
+        self.calls = []
+
+    def _residual(self, U):
+        d = U.axpy(-1.0, self.target)
+        return d, d._with(self.scale * d.data)
+
+    def cost(self, U):
+        self.calls.append(("cost", U))
+        d, Dd = self._residual(U)
+        return 0.5 * d.inner(Dd), None
+
+    def gradient(self, U, aux):
+        self.calls.append(("gradient", U))
+        return self._residual(U)[1]
+
+    def project(self, U):
+        return U
+
+
+def _random_signal(grid, rng, n_nodes=5, dt=1e-2):
+    Z = ControlSignal.zeros_distributed(grid, n_nodes, dt)
+    return Z._with(rng.standard_normal(Z.data.shape))
+
+
+def _ill_conditioned(grid, rng, kappa=100.0):
+    """A diagonal quadratic whose multipliers span [1, kappa] geometrically,
+    with a random target."""
+    target = _random_signal(grid, rng)
+    scale = np.geomspace(1.0, kappa, target.data.size).reshape(target.data.shape)
+    return _DiagonalQuadratic(target, scale)
+
+
+class TestMemorylessBFGS:
+    def _curved_pair(self, grid, rng):
+        s = _random_signal(grid, rng)
+        y = s._with(np.geomspace(1.0, 10.0, s.data.size).reshape(s.data.shape) * s.data)
+        assert s.inner(y) > 0.0
+        return s, y
+
+    def test_secant_condition(self, g16, rng):
+        # H y = s: with G = y the direction is -s
+        s, y = self._curved_pair(g16, rng)
+        d = _memoryless_bfgs(y.copy(), s.copy(), y.copy())
+        assert d.axpy(1.0, s).norm() <= 1e-12 * s.norm()
+
+    def test_direction_descends_when_a_pair_is_used(self, g16, rng):
+        for _ in range(5):
+            s, y = self._curved_pair(g16, rng)
+            y = y.axpy(0.3, _random_signal(g16, rng))  # curvature stays positive
+            assert s.inner(y) > 1e-12 * s.norm() * y.norm()
+            G = _random_signal(g16, rng)
+            d = _memoryless_bfgs(G, s, y)
+            assert G.inner(d) < 0.0
+            assert d.axpy(1.0, G).norm() > 1e-3 * G.norm()  # not the plain -G
+
+    def test_pair_without_curvature_gives_the_gradient_step(self, g16, rng):
+        G = _random_signal(g16, rng)
+        s = _const_signal(g16, 5, 1e-2, amp=1.0, mode=(1, 0))
+        orthogonal = s._with(s.data[:, ::-1].copy())  # (u_x, u_y) swapped
+        assert abs(s.inner(orthogonal)) <= 1e-12 * s.norm() * orthogonal.norm()
+        for y in (s.scaled(-2.0), orthogonal):
+            d = _memoryless_bfgs(G, s.copy(), y.copy())
+            assert np.array_equal(d.data, -G.data)
+
+    def test_binding_ball_drops_the_pair(self, g16, rng):
+        prob = _ill_conditioned(g16, rng)
+        r = 0.5 * prob.target.norm()
+        U0 = ControlSignal.zeros_distributed(g16, 5, 1e-2)
+        opt = OptimizerConfig(step0=1.0, max_iters=2, radius=r)
+        _, hist = optimize(prob, U0, opt)
+        grads = [i for i, (kind, _) in enumerate(prob.calls) if kind == "gradient"]
+        U1 = prob.calls[grads[1]][1]
+        assert U1.norm() == pytest.approx(r, rel=1e-12)  # the ball moved it
+        trial = next(U for kind, U in prob.calls[grads[1]:] if kind == "cost")
+        G0, G1 = prob.gradient(U0, None), prob.gradient(U1, None)
+        step = hist[1]["step"] / opt.armijo_shrink
+        gradient_trial = U1.axpy(-step, G1).ball_projected(r)
+        assert trial.axpy(-1.0, gradient_trial).norm() <= 1e-12 * r
+        # the pair would have moved the trial elsewhere
+        d = _memoryless_bfgs(G1, U1.axpy(-1.0, U0), G1.axpy(-1.0, G0))
+        pair_trial = U1.axpy(step, d).ball_projected(r)
+        assert trial.axpy(-1.0, pair_trial).norm() > 1e-3 * r
+
+    def test_trial_bent_uphill_by_the_ball_is_rejected(self, g16):
+        # In the plane of two orthonormal constant signals: the first step
+        # (-G0 = s) lands inside the unit ball, so the pair is kept; the
+        # quasi-Newton trial at the warm-started step 2 leaves the ball,
+        # and its projection moves along +G1.  The scripted cost does not
+        # fall on the sphere, so only interior trials may be accepted.
+        Z = ControlSignal.zeros_initial(g16)
+
+        def point(x, y):
+            data = np.zeros_like(Z.data)
+            data[0, 0], data[0, 1] = x / (2.0 * np.pi), y / (2.0 * np.pi)
+            return Z._with(data)
+
+        U1, s = point(0.026, -0.957), point(0.888, -0.754)
+        gradients = iter([s.scaled(-1.0), point(-0.04, 1.384)])
+        costs = iter([1.0, 0.5])
+
+        class Scripted:
+            def cost(self, U):
+                J = next(costs, None)
+                if J is None:
+                    J = 0.5 if U.norm() > 1.0 - 1e-9 else 0.4
+                return J, None
+
+            def gradient(self, U, aux):
+                return next(gradients)
+
+            def project(self, U):
+                return U
+
+        U, hist = optimize(
+            Scripted(), U1.axpy(-1.0, s), OptimizerConfig(max_iters=2, radius=1.0)
+        )
+        assert [row["cost"] for row in hist] == [1.0, 0.5, 0.4]
+        assert hist[2]["step"] < 1.0
+        assert U.norm() < 1.0
+
+    def test_ill_conditioned_quadratic_takes_half_the_evaluations(self, g16):
+        # steepest descent (d = -G, same line search) needs 1028 cost
+        # evaluations on this problem to reach grad_tol
+        steepest_descent_evals = 1028
+        prob = _ill_conditioned(g16, np.random.default_rng(0))
+        U0 = ControlSignal.zeros_distributed(g16, 5, 1e-2)
+        opt = OptimizerConfig(step0=1.0, grad_tol=1e-6, max_iters=5000)
+        U, hist = optimize(prob, U0, opt)
+        assert hist[-1]["grad_norm"] / max(1.0, U.norm()) <= opt.grad_tol
+        evals = sum(1 for kind, _ in prob.calls if kind == "cost")
+        assert evals <= steepest_descent_evals // 2
+
+
+class _CountingProblem:
+    """Forwards to a problem and counts its cost calls."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.cost_calls = 0
+
+    def cost(self, U):
+        self.cost_calls += 1
+        return self.problem.cost(U)
+
+    def gradient(self, U, aux):
+        return self.problem.gradient(U, aux)
+
+    def project(self, U):
+        return self.problem.project(U)
+
+
+def _replayed_rejections(history, opt):
+    """Rejected trials read back from the history's step column: the first
+    search starts at step0 and each later one a notch above the step
+    accepted before it; each rejected trial shrinks the step once, and the
+    shrinks must land exactly on the accepted step."""
+    start, rejected = opt.step0, 0
+    for row in history[1:]:
+        s = start
+        for _ in range(40):
+            if s <= row["step"]:
+                break
+            s *= opt.armijo_shrink
+            rejected += 1
+        assert s == row["step"], row
+        start = s / opt.armijo_shrink
+    return rejected
+
+
+class TestLineSearchReplay:
+    """Cost evaluations = accepted iterations + rejected trials + 1, with
+    the rejected trials replayed from the step column."""
+
+    def _check(self, problem, U0):
+        counting = _CountingProblem(problem)
+        opt = OptimizerConfig(max_iters=10, grad_tol=1e-8, step0=1.0)
+        U, hist = optimize(counting, U0, opt)
+        iterations = len(hist) - 1
+        rejected = _replayed_rejections(hist, opt)
+        # every search ended in an accepted step
+        stationary = hist[-1]["grad_norm"] / max(1.0, U.norm()) <= opt.grad_tol
+        assert stationary or iterations == opt.max_iters
+        assert rejected > 0
+        assert counting.cost_calls == iterations + rejected + 1
+
+    def test_distributed_problem(self, params16, smooth_state16):
+        cfg = SolverConfig(dt=1e-3, T=0.01, nu=0.1)
+        g = params16.grid
+        U_true = _const_signal(g, cfg.n_steps + 1, cfg.dt, amp=0.2)
+        truth = simulate(smooth_state16, U_true, None, params16, cfg, with_diagnostics=False)
+        targets = CostTargets(
+            u_d=[s.u for s in truth.states],
+            phi_d=[s.phi for s in truth.states],
+            u_f=truth.final.u,
+            phi_f=truth.final.phi,
+            weights=CostWeights(control=1e-3),
+        )
+        prob = DistributedControlProblem(smooth_state16, targets, None, params16, cfg)
+        self._check(prob, prob.zero_control())
+
+    def test_initial_velocity_problem(self, params16, smooth_state16, rng):
+        cfg = SolverConfig(dt=1e-3, T=0.01, nu=0.1)
+        g = params16.grid
+        phi0 = smooth_state16.phi
+        U_true = synth.random_divfree_velocity(g, rng, amplitude=0.5, k_cut=2.0)
+        truth = simulate(
+            FlowState(leray_project(U_true), phi0.copy(), 0.0), None, None, params16, cfg,
+            with_diagnostics=False,
+        )
+        problem = AssimilationProblem(
+            measurements=record_measurements(truth, CostWeights(control=1e-3)),
+            phi0=phi0, forcing=None, params=params16, config=cfg,
+        )
+        self._check(InitialVelocityProblem(problem), ControlSignal.zeros_initial(g))
 
 
 class TestSpikeVariation:

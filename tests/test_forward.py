@@ -55,6 +55,11 @@ class TestSolverConfig:
     def test_step_count(self):
         assert SolverConfig(dt=1e-3, T=0.02, nu=0.1).n_steps == 20
 
+    def test_infinite_step_count_is_a_validation_error(self):
+        cfg = SolverConfig(dt=1e-10, T=1e300, nu=0.1)
+        with pytest.raises(ValidationError, match="not a finite number of steps"):
+            cfg.n_steps
+
     def test_stabilization_defaults_to_kernel_mass(self, kernel16):
         assert SolverConfig(dt=1e-3, T=1.0, nu=0.1).stabilization_value(
             kernel16
