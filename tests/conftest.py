@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -76,13 +78,18 @@ def smooth_state16(g16):
 def transform_counter(monkeypatch):
     """Counts of TorusGrid.fft2/ifft2 while the test runs: "calls", and
     "fields", the product of each input's leading axes, so a call on a
-    stack of k fields counts k.  A test resets them by assigning 0."""
+    stack of k fields counts k.  A test resets them by assigning 0.  The
+    counts are updated under a lock, since a diagnostics sweep transforms
+    on two threads."""
     counts = {"calls": 0, "fields": 0}
+    lock = threading.Lock()
 
     def counted(method):
         def wrapper(self, array, *args, **kwargs):
-            counts["calls"] += 1
-            counts["fields"] += int(np.prod(np.shape(array)[:-2]))
+            fields = int(np.prod(np.shape(array)[:-2]))
+            with lock:
+                counts["calls"] += 1
+                counts["fields"] += fields
             return method(self, array, *args, **kwargs)
 
         return wrapper

@@ -1,11 +1,14 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chnsopt
 from chnsopt import write_snapshot, write_vector_snapshot
 from chnsopt import synth
 from chnsopt.cli import RunContext, main
@@ -629,3 +632,18 @@ class TestCheckCommand:
             assert text.count("PASS") == 14
             report = (out / "report.txt").read_text(encoding="utf-8")
             assert report.count("PASS") == 14
+
+
+class TestImportCost:
+    def test_import_leaves_out_thread_pools_and_logging(self):
+        # concurrent.futures imports logging, several ms of every fresh start
+        src = os.path.dirname(os.path.dirname(chnsopt.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = (
+            "import sys, chnsopt, chnsopt.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

@@ -1,3 +1,7 @@
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from chnsopt import (
     Kernel,
     ModelParams,
     NumericError,
+    Potential,
     ScalarField,
     SolverConfig,
     StabilityError,
@@ -25,7 +30,18 @@ from chnsopt import (
     tangent_solve,
 )
 from chnsopt import synth
-from chnsopt.forward import Frame, Stepper, signal_node, spectral, step_average
+from chnsopt import forward
+from chnsopt.forward import (
+    Frame,
+    Stepper,
+    _applied_force,
+    _diagnostic_series,
+    node_terms,
+    physical,
+    signal_node,
+    spectral,
+    step_average,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -444,6 +460,219 @@ class TestTransformBudget:
             traj = simulate(initial, control, forcing, params, short, with_diagnostics)
             calls[traj.n_steps] = transform_counter["calls"]
         assert (calls[20] - calls[10]) / 10 <= 3 + with_diagnostics
+
+
+def _one_thread_sweep(initial, control, forcing, params, cfg, with_diagnostics):
+    """(states, rows) of simulate's loop run on one thread: for each node
+    its stored state, its diagnostics row and its CFL check, then the step
+    that leaves it."""
+    g = params.grid
+    st = Stepper(params, cfg)
+    hats, force = spectral(initial.u, initial.phi), (None, None)
+    states, rows = [], []
+    for n in range(cfg.n_steps + 1):
+        if n == 0:
+            state = FlowState(initial.u.copy(), initial.phi.copy(), 0.0)
+        else:
+            state = FlowState(*physical(g, *hats), n * cfg.dt)
+        states.append(state)
+        if with_diagnostics:
+            rows.append(node_terms(params.kernel, params.potential, hats, state, cfg.nu, force))
+        if n == cfg.n_steps:
+            return states, rows
+        st.check_cfl(state.u.u_x, state.u.u_y)
+        force = _applied_force(control, forcing, n, g)
+        hats = st.forward_step_hat(*hats, *force)
+
+
+def _first_failure(run, dt, max_steps):
+    """(N, type, message) of the error of the shortest run of N steps
+    that raises one, or None."""
+    for k in range(1, max_steps + 1):
+        try:
+            run(SolverConfig(dt=dt, T=k * dt, nu=0.1))
+        except NumericError as exc:
+            return k, type(exc), str(exc)
+    return None
+
+
+def _accelerated_flow_inputs(shape, double_well):
+    """(initial, forcing, params, dt): a uniform force speeds a flow at rest
+    up by the same amount each step, so max|u| dt/dx is 2/7 at node 1
+    and first exceeds 1 at node 4."""
+    g = TorusGrid(*shape)
+    params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), double_well)
+    dt = 0.01
+    push = min(g.dx, g.dy) / dt / (3.5 * dt)
+    forcing = VectorField(g, np.full(g.shape, push), np.zeros(g.shape))
+    return FlowState(VectorField.zeros(g), ScalarField.zeros(g), 0.0), forcing, params, dt
+
+
+def _growing_phi_inputs(shape):
+    """(initial, params): phi = 1e295 sin x at rest, under the
+    anti-diffusive F = -5e3 phi^2 and a zero kernel, so u stays zero and
+    phi grows about tenfold a step until the transform of F'(phi)
+    overflows while phi is still finite."""
+    g = TorusGrid(*shape)
+    params = ModelParams(g, Kernel("gaussian", 0.5, 0.0, g), Potential.polynomial((0.0, 0.0, -5e3)))
+    phi = ScalarField(g, 1e295 * np.sin(g.X))
+    return FlowState(VectorField.zeros(g), phi, 0.0), params
+
+
+class TestNodeOverlap:
+    """A diagnostics sweep finishes each node on a worker thread while the
+    calling thread steps; its results and errors are a one-thread loop's."""
+
+    @pytest.mark.parametrize("shape", DIAGNOSTIC_GRIDS)
+    def test_results_match_one_thread_sweep_bitwise(self, shape, double_well):
+        initial, control, forcing, params, cfg = _forced_controlled_inputs(shape, double_well)
+        on = simulate(initial, control, forcing, params, cfg)
+        off = simulate(initial, control, forcing, params, cfg, with_diagnostics=False)
+        states, rows = _one_thread_sweep(initial, control, forcing, params, cfg, True)
+        assert len(on) == len(off) == len(states) == cfg.n_steps + 1
+        for a, b, ref in zip(on.states, off.states, states):
+            for s in (a, b):
+                assert s.t == ref.t
+                assert np.array_equal(s.u.u_x, ref.u.u_x)
+                assert np.array_equal(s.u.u_y, ref.u.u_y)
+                assert np.array_equal(s.phi.values, ref.phi.values)
+        expected = _diagnostic_series(rows, cfg.dt)
+        assert on.diagnostics.keys() == expected.keys()
+        for key, series in expected.items():
+            assert np.array_equal(on.diagnostics[key], series), key
+
+    @pytest.mark.parametrize("shape", DIAGNOSTIC_GRIDS)
+    @pytest.mark.parametrize("with_diagnostics", [False, True], ids=["plain", "diagnostics"])
+    def test_cfl_violation_at_a_later_node(self, shape, with_diagnostics, double_well):
+        initial, forcing, params, dt = _accelerated_flow_inputs(shape, double_well)
+
+        def run(sweep):
+            return _first_failure(
+                lambda cfg: sweep(initial, None, forcing, params, cfg, with_diagnostics), dt, 6
+            )
+
+        got = run(simulate)
+        # node 4 is checked once a step leaves it, in a run of 5 steps
+        assert got[:2] == (5, StabilityError)
+        assert got == run(_one_thread_sweep)
+
+    @pytest.mark.parametrize("shape", DIAGNOSTIC_GRIDS)
+    def test_blowup_raises_numeric_error_with_diagnostics(self, shape, double_well):
+        g = TorusGrid(*shape)
+        params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), double_well)
+        state = FlowState(VectorField.zeros(g), ScalarField(g, 50.0 * np.sin(g.X)), 0.0)
+
+        def run(sweep):
+            return _first_failure(lambda cfg: sweep(state, None, None, params, cfg, True), 0.5, 8)
+
+        with np.errstate(all="ignore"):
+            got = run(simulate)
+            assert got is not None and issubclass(got[1], NumericError)
+            assert got == run(_one_thread_sweep)
+
+    @pytest.mark.parametrize("shape", DIAGNOSTIC_GRIDS)
+    def test_non_finite_chemical_potential_at_a_later_node(self, shape):
+        initial, params = _growing_phi_inputs(shape)
+
+        def run(sweep, with_diagnostics=True):
+            return _first_failure(
+                lambda cfg: sweep(initial, None, None, params, cfg, with_diagnostics), 1e-3, 12
+            )
+
+        with np.errstate(all="ignore"):
+            got = run(simulate)
+            assert got[0] > 1
+            assert got[1:] == (NumericError, "chemical potential is non-finite")
+            assert got == run(_one_thread_sweep)
+            # without diagnostics the overflow surfaces one node later
+            assert run(simulate, False)[1:] == (NumericError, "state contains non-finite values")
+
+    @pytest.mark.parametrize("with_diagnostics", [False, True], ids=["plain", "diagnostics"])
+    def test_a_nodes_error_comes_before_its_steps(self, params16, g32, with_diagnostics):
+        # node 0 fails its CFL check and step 0 its force's grid check; a
+        # one-thread loop checks the node first
+        g = params16.grid
+        wild = VectorField(g, np.full(g.shape, 1e4), np.zeros(g.shape))
+        state = FlowState(wild, ScalarField.zeros(g), 0.0)
+        cfg = SolverConfig(dt=1e-3, T=2e-3, nu=0.1)
+        foreign = VectorField.zeros(g32)
+        with pytest.raises(StabilityError):
+            simulate(state, None, foreign, params16, cfg, with_diagnostics)
+
+    def test_worker_keeps_the_callers_numpy_error_state(self):
+        # the worker's overflows are silenced like the caller's; a warning
+        # raised on the worker would surface here as a RuntimeWarning
+        initial, params = _growing_phi_inputs((64, 64))
+        cfg = SolverConfig(dt=1e-3, T=0.012, nu=0.1)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="chemical potential"):
+                simulate(initial, None, None, params, cfg)
+
+    def test_no_thread_outlives_the_call(self, double_well):
+        before = threading.active_count()
+        initial, control, forcing, params, cfg = _forced_controlled_inputs(
+            (32, 48, TWO_PI, 3.0 * np.pi), double_well
+        )
+        simulate(initial, control, forcing, params, cfg)
+        assert threading.active_count() == before
+        initial, params = _growing_phi_inputs((32, 48, TWO_PI, 3.0 * np.pi))
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            simulate(initial, None, None, params, SolverConfig(dt=1e-3, T=0.012, nu=0.1))
+        assert threading.active_count() == before
+
+    def test_concurrent_sweeps_under_fast_thread_switching(self, params16, smooth_state16):
+        # four sweeps and their four workers on two cores, switching threads
+        # every microsecond: a lost or crossed handoff would change a result
+        cfg = SolverConfig(dt=1e-3, T=0.02, nu=0.1)
+        forcing = synth.single_mode_velocity(params16.grid, (1, 0), 0.1)
+        states, rows = _one_thread_sweep(smooth_state16, None, forcing, params16, cfg, True)
+        expected = _diagnostic_series(rows, cfg.dt)
+        results = [None] * 4
+
+        def run(i):
+            results[i] = simulate(smooth_state16, None, forcing, params16, cfg)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for traj in results:
+            for s, ref in zip(traj.states, states, strict=True):
+                assert np.array_equal(s.u.u_x, ref.u.u_x)
+                assert np.array_equal(s.phi.values, ref.phi.values)
+            for key, series in expected.items():
+                assert np.array_equal(traj.diagnostics[key], series), key
+
+    def test_steps_stay_on_the_calling_thread(self, double_well, monkeypatch):
+        seen = {"step": set(), "node": set()}
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name].add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Stepper, "forward_step_hat", recorded("step", Stepper.forward_step_hat))
+        monkeypatch.setattr(forward, "physical", recorded("node", forward.physical))
+        initial, control, forcing, params, cfg = _forced_controlled_inputs(
+            (32, 48, TWO_PI, 3.0 * np.pi), double_well
+        )
+        me = threading.get_ident()
+        simulate(initial, control, forcing, params, cfg)
+        assert seen["step"] == {me}
+        assert len(seen["node"]) == 1 and me not in seen["node"]
+        seen["node"].clear()
+        simulate(initial, control, forcing, params, cfg, with_diagnostics=False)
+        assert seen == {"step": {me}, "node": {me}}
 
 
 class TestSupDifference:
