@@ -16,17 +16,17 @@ phi is conserved exactly.  The k = 0 velocity mode is driven only by
 the mean of the applied force.
 
 Threads: a sweep steps on the calling thread only.  A simulate sweep
-that records diagnostics hands the bookkeeping of each node (its stored
-state, its checks and its diagnostics row) to one worker thread, which
-runs one node behind the step; every other sweep runs in one thread
-(see ``simulate``).
+that records diagnostics on a grid of at least 96^2 points hands the
+bookkeeping of each node (its stored state, its checks and its
+diagnostics row) to one worker thread, which runs one node behind the
+step; every other sweep runs in one thread (see ``simulate``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -379,15 +379,17 @@ class Stepper:
 
     def check_cfl(self, ux, uy):
         """StabilityError when max|u|*dt/min(dx, dy) > 1, tested as
-        max(u_x^2 + u_y^2) > (min(dx, dy)/dt)^2: the square root is taken
-        only for the message."""
-        sq = ux * ux
-        sq += uy * uy
-        peak = float(sq.max())
-        if peak > (self.cfl_length / self.dt) ** 2:
+        max(u_x^2 + u_y^2) > (min(dx, dy)/dt)^2.  A square that overflows
+        reads inf and fails the test without a warning; the speed itself
+        is taken only for the message."""
+        with np.errstate(over="ignore"):
+            sq = ux * ux
+            sq += uy * uy
+        if float(sq.max()) > (self.cfl_length / self.dt) ** 2:
+            speed = float(np.max(np.hypot(ux, uy)))
             raise StabilityError(
                 f"advective CFL heuristic exceeded: max|u|*dt/dx = "
-                f"{math.sqrt(peak) * self.dt / self.cfl_length:.3g} > 1"
+                f"{speed * self.dt / self.cfl_length:.3g} > 1"
             )
 
 
@@ -484,69 +486,9 @@ def energy_identity_residual(
     return _diagnostic_series(rows, traj.dt)["residual"]
 
 
-class _InlineNodes:
-    """Runs each node function on the calling thread as it is handed in."""
-
-    def __init__(self, finish):
-        self._finish = finish
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def put(self, *args):
-        self._out = self._finish(*args)
-
-    def take(self):
-        return self._out
-
-
-class _NodeThread(_InlineNodes):
-    """Runs each node function on one worker thread, at most one node
-    outstanding.  ``take`` returns the result of the last ``put`` or
-    re-raises its exception; the worker runs in a copy of the caller's
-    context, so numpy's error state carries over.  The thread ends when
-    the ``with`` block does, whether or not it raised."""
-
-    def __enter__(self):
-        self._ctx = contextvars.copy_context()
-        self._given = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        self._args = None
-        self._thread = threading.Thread(target=self._run, name="chnsopt-nodes", daemon=True)
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self._args = None
-        self._given.release()
-        self._thread.join()
-        return False
-
-    def _run(self):
-        while True:
-            self._given.acquire()
-            if self._args is None:
-                return
-            try:
-                self._out = (self._ctx.run(self._finish, *self._args), None)
-            except BaseException as exc:
-                self._out = (None, exc)
-            self._done.release()
-
-    def put(self, *args):
-        self._args = args
-        self._given.release()
-
-    def take(self):
-        self._done.acquire()
-        value, exc = self._out
-        self._out = None
-        if exc is not None:
-            raise exc
-        return value
+# The smallest grid whose diagnostics sweep hands its nodes to the worker
+# thread (see simulate)
+_WORKER_MIN_POINTS = 96 * 96
 
 
 def simulate(
@@ -568,19 +510,25 @@ def simulate(
     Threads.  The calling thread does the stepping.  Finishing node n,
     which the next step never reads, is one function: the stored state
     (the inverse transform and its finiteness check), the diagnostics
-    row, then the CFL check (nodes 0 .. N-1).  With diagnostics, one
-    worker thread finishes node n while the calling thread computes step
-    n from the same transforms, so the worker runs one node behind the
-    step; the rows and states are collected in node order and have the
-    bits of a one-thread run.  An error of node n is raised with its
-    type and message once step n returns, whose result is then dropped
-    (numpy warnings that step raised on a non-finite node stay raised).
-    Without diagnostics the node function runs on the calling thread,
-    before the step, as a one-thread loop would: at 64^2 with a control,
-    handing the node to the worker made simulate 17% slower (60.2 ->
-    70.5 ms median, slower in 53 of 60 alternated rounds on a 2-core
-    machine), since the GIL handoffs cost more than the small node work
-    they hide.
+    row, then the CFL check (nodes 0 .. N-1).  A diagnostics sweep on a
+    grid of at least _WORKER_MIN_POINTS = 96^2 points runs that function
+    on one worker thread while the calling thread computes step n from
+    the same transforms, so the worker runs one node behind the step;
+    the rows and states are collected in node order and have the bits of
+    a one-thread run.  An error of node n is raised with its type and
+    message once step n returns, whose result is then dropped (numpy
+    warnings that step raised on a non-finite node stay raised).  Every
+    other sweep runs the node function on the calling thread, before the
+    step, as a one-thread loop would: the handoffs between the threads
+    cost about the same at every size, the node work they hide grows
+    with the grid, and a diagnostics row adds a transform and several
+    Parseval sums to it.  Measured on a 2-core machine on the ocp-64
+    inputs (a control and a forcing), worker against one thread
+    interleaved in one process, median of the paired time ratios: with
+    diagnostics +16% at 64^2 (faster in 7 of 80 rounds), -6% at 96^2
+    (31 of 48), -19% at 128^2 (38 of 40) and -17% at 256^2 (14 of 16);
+    without diagnostics +18% at 64^2, +6% at 96^2 and -4% at 128^2 and
+    at 256^2, too little to carry a second threaded path.
     """
     g = params.grid
     if initial.grid != g:
@@ -599,18 +547,35 @@ def simulate(
             st.check_cfl(state.u.u_x, state.u.u_y)
         return state, row
 
+    if with_diagnostics and g.n_points >= _WORKER_MIN_POINTS:
+        # imported here: concurrent.futures loads logging, a cost of every
+        # fresh start that most runs would not use
+        from concurrent.futures import ThreadPoolExecutor
+
+        runner = ThreadPoolExecutor(max_workers=1, thread_name_prefix="chnsopt-nodes")
+        ctx = contextvars.copy_context()  # the caller's numpy error state
+
+        def put(*args):
+            return runner.submit(ctx.run, finish, *args).result
+    else:
+        runner = contextlib.nullcontext()
+
+        def put(*args):
+            out = finish(*args)
+            return lambda: out
+
     nodes_out = []
     hats = spectral(initial.u, initial.phi)
-    with (_NodeThread if with_diagnostics else _InlineNodes)(finish) as nodes:
-        nodes.put(0, hats, (None, None))
+    with runner:
+        take = put(0, hats, (None, None))
         for n in range(n_steps):
             try:
                 force = _applied_force(control, forcing, n, g)
                 hats = st.forward_step_hat(*hats, *force)
             finally:
-                nodes_out.append(nodes.take())  # node n's error takes precedence
-            nodes.put(n + 1, hats, force)
-        nodes_out.append(nodes.take())
+                nodes_out.append(take())  # node n's error takes precedence
+            take = put(n + 1, hats, force)
+        nodes_out.append(take())
 
     states, rows = zip(*nodes_out)
     traj = Trajectory(states=list(states), dt=config.dt)

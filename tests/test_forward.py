@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import warnings
@@ -337,6 +338,21 @@ class TestStepFunction:
         with pytest.raises(StabilityError):
             step(state, None, None, params16, cfg)
 
+    def test_cfl_check_of_a_speed_whose_square_overflows(self, params16):
+        # (1e200)^2 overflows: the check still fails, with no warning, and
+        # the message gives the true ratio
+        g = params16.grid
+        cfg = SolverConfig(dt=1e-3, T=2e-3, nu=0.1)
+        wild = VectorField(g, np.full(g.shape, 1e200), np.zeros(g.shape))
+        state = FlowState(wild, ScalarField.zeros(g), 0.0)
+        message = re.escape(f"= {1e200 * cfg.dt / min(g.dx, g.dy):.3g} > 1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StabilityError, match=message):
+                step(state, None, None, params16, cfg)
+            with pytest.raises(StabilityError, match=message):
+                simulate(state, None, None, params16, cfg, with_diagnostics=False)
+
     def test_blowup_raises_numeric_error(self, params16):
         g = params16.grid
         cfg = SolverConfig(dt=0.5, T=2.0, nu=0.1)
@@ -519,9 +535,44 @@ def _growing_phi_inputs(shape):
     return FlowState(VectorField.zeros(g), phi, 0.0), params
 
 
+def _thread_recorder(monkeypatch):
+    """{"step": ..., "node": ...}: the idents of the threads that run
+    Stepper.forward_step_hat and forward.physical while the test runs."""
+    seen = {"step": set(), "node": set()}
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name].add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Stepper, "forward_step_hat", recorded("step", Stepper.forward_step_hat))
+    monkeypatch.setattr(forward, "physical", recorded("node", forward.physical))
+    return seen
+
+
+@pytest.mark.parametrize("n, on_worker", [(64, False), (96, True)])
+def test_diagnostics_sweeps_use_the_worker_from_96x96(n, on_worker, double_well, monkeypatch):
+    g = TorusGrid(n, n)
+    params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), double_well)
+    initial = FlowState(synth.taylor_green(g, 0.5), synth.sine_scalar(g, (1, 1), 0.1), 0.0)
+    seen = _thread_recorder(monkeypatch)
+    simulate(initial, None, None, params, SolverConfig(dt=1e-3, T=3e-3, nu=0.1))
+    me = threading.get_ident()
+    assert seen["step"] == {me}
+    assert (me not in seen["node"]) == on_worker and len(seen["node"]) == 1
+
+
 class TestNodeOverlap:
     """A diagnostics sweep finishes each node on a worker thread while the
-    calling thread steps; its results and errors are a one-thread loop's."""
+    calling thread steps; its results and errors are a one-thread loop's.
+    The worker is forced on here, since these grids are smaller than the
+    ones simulate hands to it."""
+
+    @pytest.fixture(autouse=True)
+    def _worker_on_every_grid(self, monkeypatch):
+        monkeypatch.setattr(forward, "_WORKER_MIN_POINTS", 0)
 
     @pytest.mark.parametrize("shape", DIAGNOSTIC_GRIDS)
     def test_results_match_one_thread_sweep_bitwise(self, shape, double_well):
@@ -652,17 +703,7 @@ class TestNodeOverlap:
                 assert np.array_equal(traj.diagnostics[key], series), key
 
     def test_steps_stay_on_the_calling_thread(self, double_well, monkeypatch):
-        seen = {"step": set(), "node": set()}
-
-        def recorded(name, fn):
-            def wrapper(*args, **kwargs):
-                seen[name].add(threading.get_ident())
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(Stepper, "forward_step_hat", recorded("step", Stepper.forward_step_hat))
-        monkeypatch.setattr(forward, "physical", recorded("node", forward.physical))
+        seen = _thread_recorder(monkeypatch)
         initial, control, forcing, params, cfg = _forced_controlled_inputs(
             (32, 48, TWO_PI, 3.0 * np.pi), double_well
         )
