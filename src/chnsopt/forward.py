@@ -20,6 +20,12 @@ that records diagnostics on a grid of at least 96^2 points hands the
 bookkeeping of each node (its stored state, its checks and its
 diagnostics row) to one worker thread, which runs one node behind the
 step; every other sweep runs in one thread (see ``simulate``).
+
+Memory: a forward step computes in buffers its Stepper keeps and
+allocates nothing field-sized but the three half spectra it returns.
+A force the same every step (control and forcing each None or a
+VectorField) is transformed once per sweep, not with every step's
+products.
 """
 
 from __future__ import annotations
@@ -231,10 +237,14 @@ class Frame:
     (J*grad(phi), a pair) and "lap" (Lap(phi)), both for the adjoint.
     The tangent and adjoint sweeps build frames of their own (w, psi)
     and (p, eta) too, with the same layout.  Every field is a slice of
-    one fresh array, so a frame never aliases the Stepper's work stack.
+    one real stack, never of the Stepper's work stack: out, of 9 fields
+    plus one per extra field, when the caller passes it, or else a fresh
+    one.  The forward step passes a buffer of its Stepper, which the
+    next step overwrites; the tangent, the adjoint and hamiltonian hold
+    two frames at once, so build fresh ones.
     """
 
-    def __init__(self, st: "Stepper", ux_h, uy_h, ph, extras: tuple = ()):
+    def __init__(self, st: "Stepper", ux_h, uy_h, ph, extras: tuple = (), out=None):
         m = st.mask
         ks = [k for name in extras for k in st.frame_extras[name]]
         w = st.stack(9 + len(ks), complex)
@@ -244,7 +254,7 @@ class Frame:
             np.multiply(st.dky, h, out=w[4 + 2 * i])
         for k, row in zip(ks, w[9:]):
             np.multiply(np.multiply(k, ph, out=row), m, out=row)
-        f = st.grid.ifft2(w, overwrite=True)
+        f = st.grid.ifft2(w, overwrite=True, out=out)
         self.ph = ph
         self.ux, self.uy, self.phi = f[0], f[1], f[2]
         self.dux, self.duy, self.dphi = (f[3], f[4]), (f[5], f[6]), (f[7], f[8])
@@ -265,14 +275,23 @@ class Stepper:
     It also owns the work stack that a sweep gathers each group of fields
     in before the one call that transforms the group (``stack``), as real
     fields or as half spectra.  It holds transform inputs only: each group
-    overwrites the last, and every transform output is a fresh array.  It
-    grows on first need to the largest group a step transforms, so it is
-    allocated once per sweep; real and complex groups share its memory,
-    since no two groups are gathered at once.
+    overwrites the last.  It grows on first need to the largest group a
+    step transforms, so it is allocated once per sweep; real and complex
+    groups share its memory, since no two groups are gathered at once.
+
+    Beside the work stack it keeps the buffers a step computes in
+    (``buffer``), each allocated on first need: the forward step's frame
+    (10 real fields), two real products, the right-hand side's
+    transforms and two half-spectrum temporaries (those of ``project``).
+    Every operation writes into them with ufunc ``out=``, in the order
+    the fresh-array expression would take, so with its bits, and a
+    forward step allocates nothing field-sized but the three half
+    spectra it returns.  Those stay fresh, since a caller may read one
+    step's result while the next step runs.
 
     A Stepper belongs to the thread that steps with it.  The node work
     that ``simulate`` may run on a second thread reads its constants
-    (``check_cfl``) but never its work stack.
+    (``check_cfl``) but never its work stack or buffers.
     """
 
     def __init__(self, params: ModelParams, config: SolverConfig):
@@ -281,18 +300,27 @@ class Stepper:
         self.grid = g
         dt = config.dt
         self.dt = dt
-        self.kx = g.kxg_d
-        self.ky = g.kyg_d
+
+        def multiplier(a):
+            # The real multipliers of half spectra (all but ksq) are held
+            # as C-ordered complex arrays of the half-spectrum shape: a
+            # product takes the complex loop and bits it would anyway,
+            # without casting or broadcasting the multiplier through a
+            # temporary on every call.
+            return np.broadcast_to(a, g.spectral_shape).astype(complex, order="C")
+
+        self.kx = multiplier(g.kxg_d)
+        self.ky = multiplier(g.kyg_d)
         self.ksq = g.ksq
-        self.mask = (
-            g.dealias_mask if config.dealias else np.ones(g.spectral_shape, dtype=bool)
-        )
+        self.mask = multiplier(g.dealias_mask if config.dealias else 1.0)
         # masked derivative multipliers i*k*mask of Frame's gradients
         self.dkx = 1j * self.kx * self.mask
         self.dky = 1j * self.ky * self.mask
-        self.visc_den = 1.0 + config.nu * dt * g.ksq
+        self.inv_ksq = multiplier(g.inv_ksq_d)
+        self.neg_ksq = multiplier(-g.ksq)
+        self.visc_den = multiplier(1.0 + config.nu * dt * g.ksq)
         self.S = config.stabilization_value(params.kernel)
-        self.ch_den = 1.0 + self.S * dt * g.ksq
+        self.ch_den = multiplier(1.0 + self.S * dt * g.ksq)
         self.a = params.kernel.mass
         self.J_hat = params.kernel.hat
         self.cfl_length = min(g.dx, g.dy)
@@ -301,9 +329,10 @@ class Stepper:
         self.frame_extras = {
             "conv": (self.J_hat,),
             "conv_grad": (self.J_hat * 1j * self.kx, self.J_hat * 1j * self.ky),
-            "lap": (-self.ksq,),
+            "lap": (self.neg_ksq,),
         }
         self._work = np.empty(0, complex)
+        self._buffers = {}
 
     def stack(self, k: int, dtype) -> np.ndarray:
         """The first k fields of the work stack, as real fields (dtype
@@ -315,15 +344,37 @@ class Stepper:
             self._work = np.empty(n, complex)
         return self._work[:n].view(dtype).reshape(shape)
 
+    def buffer(self, name: str, k: int, dtype) -> np.ndarray:
+        """The first k fields of the buffer kept under name, as real fields
+        (dtype float) or half spectra (complex), allocated on first need
+        and grown to the largest k asked for; see the class docstring."""
+        b = self._buffers.get(name)
+        if b is None or len(b) < k:
+            real = np.dtype(dtype).kind == "f"
+            shape = self.grid.shape if real else self.grid.spectral_shape
+            b = self._buffers[name] = np.empty((k, *shape), dtype)
+        return b[:k]
+
+    def force_hat(self, force_x, force_y):
+        """Half spectra (f_x, f_y) of a force, in one call, or (None, None)
+        without one.  A sweep whose force is the same every step
+        transforms it once and steps with these."""
+        if force_x is None:
+            return None, None
+        return tuple(self.grid.fft2(np.stack((force_x, force_y), out=self.stack(2, float))))
+
     # -- spectral helpers ----------------------------------------------
 
     def project(self, fx_h, fy_h):
-        """Leray projection in transform space; k = 0 passes through."""
-        g = self.grid
-        div_h = self.kx * fx_h + self.ky * fy_h
-        px = fx_h - self.kx * div_h * g.inv_ksq_d
-        py = fy_h - self.ky * div_h * g.inv_ksq_d
-        return px, py
+        """Leray projection in transform space, in place: fx_h and fy_h
+        become the projected pair, which is returned; k = 0 passes
+        through."""
+        div_h, t = self.buffer("spectra", 2, complex)
+        np.add(np.multiply(self.kx, fx_h, out=div_h), np.multiply(self.ky, fy_h, out=t), out=div_h)
+        for k, f in ((self.kx, fx_h), (self.ky, fy_h)):
+            np.multiply(np.multiply(k, div_h, out=t), self.inv_ksq, out=t)
+            np.subtract(f, t, out=f)
+        return fx_h, fy_h
 
     def explicit_rhs(self, fr: Frame, force_x, force_y):
         """Explicit part of the scheme's right-hand side at one state.
@@ -332,50 +383,71 @@ class Stepper:
         -(u.grad)u - (J*phi)grad(phi) + force and of the concentration
         terms -Lap(mu_expl) - u.grad(phi), each product dealiased; the
         implicit -nu*Lap(u) and -S*Lap(phi) are left to the caller.
-        fr must carry the "conv" extra; force_x/force_y are physical
-        components, or None.  The products (and the force) go through
-        in one call.
+        fr must carry the "conv" extra.  force_x/force_y are the force's
+        physical components, which go through in the products' one
+        call, or their half spectra (``force_hat``), or None.  The three
+        results are views of the Stepper's buffers, which the next call
+        overwrites.
         """
         m = self.mask
-        w = self.stack(4 if force_x is None else 6, float)
-        np.subtract(-(fr.ux * fr.dux[0] + fr.uy * fr.dux[1]), fr.conv * fr.dphi[0], out=w[0])
-        np.subtract(-(fr.ux * fr.duy[0] + fr.uy * fr.duy[1]), fr.conv * fr.dphi[1], out=w[1])
-        w[2] = self.params.potential.df(fr.phi)
-        np.add(fr.ux * fr.dphi[0], fr.uy * fr.dphi[1], out=w[3])
-        if force_x is not None:
+        stacked = force_x is not None and not np.iscomplexobj(force_x)
+        w = self.stack(6 if stacked else 4, float)
+        a, b = self.buffer("products", 2, float)
+
+        def dot(p, q, out):  # p[0] q[0] + p[1] q[1], by way of a and b
+            return np.add(np.multiply(p[0], q[0], out=a), np.multiply(p[1], q[1], out=b), out=out)
+
+        u = (fr.ux, fr.uy)
+        for i, d in enumerate((fr.dux, fr.duy)):  # -(u.grad)u_i - (J*phi) d_i(phi)
+            np.negative(dot(u, d, a), out=a)
+            np.subtract(a, np.multiply(fr.conv, fr.dphi[i], out=b), out=w[i])
+        self.params.potential.df(fr.phi, out=w[2])
+        dot(u, fr.dphi, w[3])
+        if stacked:
             w[4] = force_x
             w[5] = force_y
-        h = self.grid.fft2(w)
-        fx_h = h[0] * m
-        fy_h = h[1] * m
+        h = self.grid.fft2(w, out=self.buffer("rhs", len(w), complex))
+        fx_h, fy_h, rhs, adv_h = h[:4]
+        np.multiply(fx_h, m, out=fx_h)
+        np.multiply(fy_h, m, out=fy_h)
         if force_x is not None:
-            fx_h = fx_h + h[4]
-            fy_h = fy_h + h[5]
-        fx_h, fy_h = self.project(fx_h, fy_h)
+            gx, gy = h[4:] if stacked else (force_x, force_y)
+            np.add(fx_h, gx, out=fx_h)
+            np.add(fy_h, gy, out=fy_h)
+        self.project(fx_h, fy_h)
 
+        # rhs = -ksq * mu_expl - (u.grad(phi))^, with the transform of the
+        # explicit chemical potential mu_expl = F'(phi) - J*phi + (a - S) phi
         ph = fr.ph
-        mu_expl_h = h[2] * m - self.J_hat * ph
+        t = self.buffer("spectra", 1, complex)[0]
+        np.multiply(rhs, m, out=rhs)
+        np.subtract(rhs, np.multiply(self.J_hat, ph, out=t), out=rhs)
         if self.a != self.S:
-            mu_expl_h = mu_expl_h + (self.a - self.S) * ph
-        rhs = -self.ksq * mu_expl_h - h[3] * m
+            np.add(rhs, np.multiply(self.a - self.S, ph, out=t), out=rhs)
+        np.multiply(self.neg_ksq, rhs, out=rhs)
+        np.subtract(rhs, np.multiply(adv_h, m, out=adv_h), out=rhs)
         rhs[0, 0] = 0.0  # exact mass conservation
         return fx_h, fy_h, rhs
 
     # -- one forward step, spectral in / spectral out -------------------
 
     def forward_step_hat(self, ux_h, uy_h, ph, extra_x, extra_y):
-        """Advance (u, phi) transforms one step.
+        """Advance (u, phi) transforms one step, into three fresh arrays.
 
-        extra_x/extra_y are the physical control-plus-forcing components
-        for this step (already time-averaged), or None.
+        extra_x/extra_y are the control-plus-forcing components for this
+        step (already time-averaged), physical or transformed as
+        explicit_rhs takes them, or None.
         """
-        fx_h, fy_h, rhs = self.explicit_rhs(
-            Frame(self, ux_h, uy_h, ph, ("conv",)), extra_x, extra_y
-        )
-        new_ux_h = (ux_h + self.dt * fx_h) / self.visc_den
-        new_uy_h = (uy_h + self.dt * fy_h) / self.visc_den
-        new_ph = (ph + self.dt * rhs) / self.ch_den
-        return new_ux_h, new_uy_h, new_ph
+        fr = Frame(self, ux_h, uy_h, ph, ("conv",), self.buffer("frame", 10, float))
+        fx_h, fy_h, rhs = self.explicit_rhs(fr, extra_x, extra_y)
+        new = []
+        for old, inc, den in (
+            (ux_h, fx_h, self.visc_den), (uy_h, fy_h, self.visc_den), (ph, rhs, self.ch_den)
+        ):
+            # (old + dt * inc) / den
+            out = np.add(old, np.multiply(self.dt, inc, out=inc))
+            new.append(np.divide(out, den, out=out))
+        return tuple(new)
 
     def check_cfl(self, ux, uy):
         """StabilityError when max|u|*dt/min(dx, dy) > 1, tested as
@@ -402,7 +474,9 @@ def step(
 ) -> FlowState:
     """One IMEX step from the given state.
 
-    control_value and forcing are this step's (time-averaged) values.
+    control_value and forcing are this step's (time-averaged) values;
+    their sum is transformed on its own, as a sweep transforms a
+    constant force.
     Raises StabilityError on the advective CFL heuristic and
     NumericError on non-finite output.
     """
@@ -412,10 +486,8 @@ def step(
         raise ValidationError("state grid does not match params grid")
     st = Stepper(params, config)
     st.check_cfl(state.u.u_x, state.u.u_y)
-    extra_x, extra_y = _applied_force(control_value, forcing, 0, g)
-    ux_h, uy_h, ph = st.forward_step_hat(
-        *spectral(state.u, state.phi), extra_x, extra_y
-    )
+    force = st.force_hat(*_applied_force(control_value, forcing, 0, g))
+    ux_h, uy_h, ph = st.forward_step_hat(*spectral(state.u, state.phi), *force)
     return FlowState(*physical(g, ux_h, uy_h, ph), state.t + config.dt)
 
 
@@ -431,14 +503,22 @@ def node_terms(
     the quarter double-integral of J(x-y)(phi(x)-phi(y))^2.  The work
     pairs force, the (f_x, f_y) of the step ending at the node, with its
     velocity.  Raises NumericError on a non-finite chemical potential.
+    The velocity's squares are taken as check_cfl takes them: one that
+    overflows reads inf without a warning (and the viscous dissipation
+    nan, where it meets k^2 = 0), so a finite state that fails the CFL
+    check fails it with diagnostics on too, not on a numpy warning
+    turned error.
     """
     g = kernel.grid
     c = g.cell_area / g.n_points
     ux_h, uy_h, ph = hats
     phi = state.phi.values
-    u_sq = np.abs(ux_h) ** 2 + np.abs(uy_h) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_sq = np.abs(ux_h) ** 2 + np.abs(uy_h) ** 2
+        vort_sq = np.abs(g.kxg_d * uy_h - g.kyg_d * ux_h) ** 2
+        visc = g.parseval_sum(g.ksq_d * u_sq)
     kinetic = 0.5 * c * g.parseval_sum(u_sq)
-    enstrophy = 0.5 * c * g.parseval_sum(np.abs(g.kxg_d * uy_h - g.kyg_d * ux_h) ** 2)
+    enstrophy = 0.5 * c * g.parseval_sum(vort_sq)
     gap = kernel.mass - kernel.hat
     interaction = 0.5 * c * g.parseval_sum(gap.real * np.abs(ph) ** 2)
     energy = kinetic + interaction + g.cell_area * float(np.sum(potential.f(phi)))
@@ -446,7 +526,7 @@ def node_terms(
     if not np.all(np.isfinite(mu_h)):
         raise NumericError("chemical potential is non-finite")
     grad_mu_sq = g.parseval_sum(g.ksq_d * np.abs(mu_h) ** 2)
-    diss = c * (nu * g.parseval_sum(g.ksq_d * u_sq) + grad_mu_sq)
+    diss = c * (nu * visc + grad_mu_sq)
     fx, fy = force
     work = 0.0 if fx is None else g.inner(fx, state.u.u_x) + g.inner(fy, state.u.u_y)
     return state.t, energy, kinetic, enstrophy, state.phi.mean(), diss, work
@@ -502,7 +582,10 @@ def simulate(
     """Run the IMEX scheme from t = 0 to T and record every node.
 
     control/forcing follow the signal_node conventions (None, constant
-    VectorField, node-indexed list, or an object with at_node);
+    VectorField, node-indexed list, or an object with at_node); when
+    each is None or a VectorField, their sum is transformed once, at
+    step 0, and every step adds that transform (the bits are those of
+    the same force given per node);
     with_diagnostics fills traj.diagnostics inside the time loop from the
     transforms the step holds, at one extra transform per node (for the
     chemical potential); the stored states do not depend on it.
@@ -564,14 +647,18 @@ def simulate(
             out = finish(*args)
             return lambda: out
 
+    # a force the same every step is transformed once, at step 0
+    constant = all(s is None or isinstance(s, VectorField) for s in (control, forcing))
     nodes_out = []
     hats = spectral(initial.u, initial.phi)
     with runner:
         take = put(0, hats, (None, None))
         for n in range(n_steps):
             try:
-                force = _applied_force(control, forcing, n, g)
-                hats = st.forward_step_hat(*hats, *force)
+                if n == 0 or not constant:
+                    force = _applied_force(control, forcing, n, g)
+                    step_force = st.force_hat(*force) if constant else force
+                hats = st.forward_step_hat(*hats, *step_force)
             finally:
                 nodes_out.append(take())  # node n's error takes precedence
             take = put(n + 1, hats, force)

@@ -132,18 +132,24 @@ class TorusGrid:
         """Smallest nonzero squared wavenumber magnitude."""
         return min((2.0 * np.pi / self.l_x) ** 2, (2.0 * np.pi / self.l_y) ** 2)
 
-    def fft2(self, values: np.ndarray) -> np.ndarray:
+    def fft2(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half-spectrum transform of a real field, or of a stack of them
-        along the leading axes, as rfft2 over the last two axes."""
-        hat = np.fft.rfft(values, axis=-1)
+        along the leading axes, as rfft2 over the last two axes.  out: a
+        complex array of the transform's shape to write it in, or None
+        for a fresh one; the bits are the same either way."""
+        hat = np.fft.rfft(values, axis=-1, out=out)
         return np.fft.fft(hat, axis=-2, out=hat)
 
-    def ifft2(self, hat: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    def ifft2(
+        self, hat: np.ndarray, overwrite: bool = False, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Real field, or stack of fields, whose half-spectrum transform is
         ``hat``, as irfft2 over the last two axes.  overwrite: ``hat`` is
-        scratch, and the first 1-D stage runs in place in it."""
+        scratch, and the first 1-D stage runs in place in it.  out: a real
+        array of the result's shape to write it in, or None for a fresh
+        one; the bits are the same either way."""
         h = np.fft.ifft(hat, axis=-2, out=hat if overwrite else None)
-        return np.fft.irfft(h, n=self.n_y, axis=-1)
+        return np.fft.irfft(h, n=self.n_y, axis=-1, out=out)
 
     def parseval_sum(self, density: np.ndarray) -> float:
         """Sum over the full spectrum of a density given on the half

@@ -152,8 +152,17 @@ class Potential:
     def f(self, s):
         return P.polyval(np.asarray(s, dtype=np.float64), self._c0)
 
-    def df(self, s):
-        return P.polyval(np.asarray(s, dtype=np.float64), self._c1)
+    def df(self, s, out=None):
+        """F'(s); out, a float array of s's shape, takes the values in
+        place of a fresh array, by Horner's rule in ``polyval``'s
+        operation order, so with its bits."""
+        if out is None:
+            return P.polyval(np.asarray(s, dtype=np.float64), self._c1)
+        c = self._c1
+        np.add(c[-1], np.multiply(s, 0.0, out=out), out=out)
+        for ci in c[-2::-1]:
+            np.add(ci, np.multiply(out, s, out=out), out=out)
+        return out
 
     def d2f(self, s):
         return P.polyval(np.asarray(s, dtype=np.float64), self._c2)

@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -353,6 +354,25 @@ class TestStepFunction:
             with pytest.raises(StabilityError, match=message):
                 simulate(state, None, None, params16, cfg, with_diagnostics=False)
 
+    @pytest.mark.parametrize("with_diagnostics", [False, True], ids=["plain", "diagnostics"])
+    @pytest.mark.parametrize("on_worker", [False, True], ids=["one-thread", "worker"])
+    def test_a_square_that_overflows_fails_the_cfl_check_in_every_sweep(
+        self, params16, with_diagnostics, on_worker, monkeypatch
+    ):
+        # the diagnostics row squares the same velocity; its overflow reads
+        # inf quietly, so node 0's CFL check raises, not a numpy warning
+        if on_worker:
+            monkeypatch.setattr(forward, "_WORKER_MIN_POINTS", 0)
+        g = params16.grid
+        cfg = SolverConfig(dt=1e-3, T=2e-3, nu=0.1)
+        wild = VectorField(g, np.full(g.shape, 1e200), np.full(g.shape, -1e160))
+        state = FlowState(wild, synth.sine_scalar(g, (1, 1), 0.1), 0.0)
+        message = re.escape(f"= {1e200 * cfg.dt / min(g.dx, g.dy):.3g} > 1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StabilityError, match=message):
+                simulate(state, None, None, params16, cfg, with_diagnostics)
+
     def test_blowup_raises_numeric_error(self, params16):
         g = params16.grid
         cfg = SolverConfig(dt=0.5, T=2.0, nu=0.1)
@@ -476,6 +496,84 @@ class TestTransformBudget:
             traj = simulate(initial, control, forcing, params, short, with_diagnostics)
             calls[traj.n_steps] = transform_counter["calls"]
         assert (calls[20] - calls[10]) / 10 <= 3 + with_diagnostics
+
+
+    @pytest.mark.parametrize("constant", [True, False], ids=["constant-force", "control"])
+    def test_a_constant_force_is_transformed_once_per_sweep(
+        self, double_well, transform_counter, constant
+    ):
+        """A step transforms 17 fields in 3 calls under a force the same
+        every step (its frame's 10, its products' 4, its state's 3), and 19
+        under a time-varying control, whose 2 components join the
+        products' call."""
+        initial, control, forcing, params, cfg = _forced_controlled_inputs(
+            (32, 48, TWO_PI, 3.0 * np.pi), double_well
+        )
+        used = {}
+        for T in (0.01, 0.02):
+            transform_counter["calls"] = transform_counter["fields"] = 0
+            short = SolverConfig(dt=cfg.dt, T=T, nu=cfg.nu)
+            traj = simulate(
+                initial, None if constant else control, forcing, params, short, False
+            )
+            used[traj.n_steps] = dict(transform_counter)
+        per_step = {key: (used[20][key] - used[10][key]) / 10 for key in ("calls", "fields")}
+        assert per_step == {"calls": 3, "fields": 17 if constant else 19}
+
+
+class TestStepBuffers:
+    """The forward step writes into buffers its Stepper keeps and allocates
+    only the three half spectra it returns."""
+
+    @pytest.mark.parametrize("transformed", [False, True], ids=["physical", "transformed"])
+    @pytest.mark.parametrize("shape", DIAGNOSTIC_GRIDS)
+    def test_a_warmed_step_allocates_its_results_only(self, shape, transformed, double_well):
+        initial, _, forcing, params, cfg = _forced_controlled_inputs(shape, double_well)
+        st = Stepper(params, cfg)
+        force = (forcing.u_x, forcing.u_y)
+        if transformed:
+            force = st.force_hat(*force)
+        hats = spectral(initial.u, initial.phi)
+        for _ in range(2):
+            hats = st.forward_step_hat(*hats, *force)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            hats = st.forward_step_hat(*hats, *force)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the three results plus one half spectrum of slack
+        assert peak <= 4 * hats[0].nbytes
+
+    def test_results_outlive_the_next_step(self, params16, smooth_state16):
+        st = Stepper(params16, SolverConfig(dt=1e-3, T=1e-3, nu=0.1))
+        forcing = synth.single_mode_velocity(params16.grid, (1, 0), 0.1)
+        force = st.force_hat(forcing.u_x, forcing.u_y)
+        first = st.forward_step_hat(*spectral(smooth_state16.u, smooth_state16.phi), *force)
+        kept = [h.copy() for h in first]
+        second = st.forward_step_hat(*first, *force)
+        st.forward_step_hat(*second, *force)
+        for h, want in zip(first, kept, strict=True):
+            assert np.array_equal(h, want)
+            assert not any(np.shares_memory(h, other) for other in second)
+
+    @pytest.mark.parametrize("with_diagnostics", [False, True], ids=["plain", "diagnostics"])
+    @pytest.mark.parametrize("shape", DIAGNOSTIC_GRIDS)
+    def test_constant_force_matches_its_node_list_bitwise(self, shape, with_diagnostics, double_well):
+        # a VectorField forcing is transformed once per sweep; the same
+        # field as a node list goes through each step's products call
+        initial, _, forcing, params, cfg = _forced_controlled_inputs(shape, double_well)
+        nodes = [forcing] * (cfg.n_steps + 1)
+        a = simulate(initial, forcing, forcing, params, cfg, with_diagnostics)
+        b = simulate(initial, nodes, nodes, params, cfg, with_diagnostics)
+        for sa, sb in zip(a.states, b.states, strict=True):
+            assert np.array_equal(sa.u.u_x, sb.u.u_x)
+            assert np.array_equal(sa.u.u_y, sb.u.u_y)
+            assert np.array_equal(sa.phi.values, sb.phi.values)
+        assert a.diagnostics.keys() == b.diagnostics.keys()
+        for key, series in a.diagnostics.items():
+            assert np.array_equal(series, b.diagnostics[key]), key
 
 
 def _one_thread_sweep(initial, control, forcing, params, cfg, with_diagnostics):

@@ -410,6 +410,26 @@ class TestComposedTransforms:
             assert np.array_equal(in_place[i], want)
 
 
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("args", COMPOSED_GRIDS)
+    def test_out_arrays_take_the_fresh_bits(self, args, k, overwrite):
+        """fft2/ifft2 write into an array the caller passes with the bits
+        of a fresh result, the in-place inverse included."""
+        g = TorusGrid(*args)
+        values = np.random.default_rng(g.n_x * k + g.n_y + 1).standard_normal((k, *g.shape))
+        hat = g.fft2(values)
+        out_hat = np.full(hat.shape, np.nan, complex)
+        assert g.fft2(values, out=out_hat) is out_hat
+        assert np.array_equal(out_hat, hat)
+        fresh = g.ifft2(hat.copy(), overwrite=overwrite)
+        out = np.full(values.shape, np.nan)
+        scratch = hat.copy()
+        assert g.ifft2(scratch, overwrite=overwrite, out=out) is out
+        assert np.array_equal(out, fresh)
+        assert np.array_equal(scratch, hat) != overwrite
+
+
 class TestSingleTransformLayer:
     def test_only_grid_calls_numpy_fft(self):
         """Every transform goes through TorusGrid.fft2/ifft2."""

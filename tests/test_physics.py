@@ -99,6 +99,16 @@ class TestPotential:
         assert quartic.f(2.0) == pytest.approx(16.0)
         assert quartic.df(2.0) == pytest.approx(32.0)
 
+    @pytest.mark.parametrize(
+        "coefficients", [(1.0, 0.0, -2.0, 0.0, 1.0), (0.1, 0.3, -1.0, 0.2, 0.5, 0.0, 0.05)]
+    )
+    def test_derivative_into_an_array_has_the_fresh_bits(self, coefficients):
+        potential = Potential.polynomial(coefficients)
+        s = 3.0 * np.random.default_rng(5).standard_normal((16, 24))
+        out = np.full(s.shape, np.nan)
+        assert potential.df(s, out=out) is out
+        assert np.array_equal(out, potential.df(s))
+
     def test_degenerate_degree_rejected(self):
         with pytest.raises(ValidationError):
             Potential.polynomial((1.0, 2.0))
