@@ -268,9 +268,12 @@ class Stepper:
     """Precomputed spectral machinery for one (params, config) pair.
 
     Holds the implicit denominators, dealias mask, masked derivative
-    multipliers and kernel transform that the forward, tangent and
-    adjoint sweeps share, and the scheme's explicit right-hand side,
-    which forward_step_hat steps with and control.hamiltonian evaluates.
+    multipliers and kernel transform, and the one step kernel of the
+    forward, tangent and adjoint sweeps: once a sweep has formed its
+    products, ``assemble`` (or, for the adjoint's momentum, ``momentum``)
+    turns them into increments and ``advance`` takes the implicit
+    update.  explicit_rhs, the forward products assembled, is what
+    forward_step_hat steps with and control.hamiltonian evaluates.
 
     It also owns the work stack that a sweep gathers each group of fields
     in before the one call that transforms the group (``stack``), as real
@@ -376,22 +379,55 @@ class Stepper:
             np.subtract(f, t, out=f)
         return fx_h, fy_h
 
-    def explicit_rhs(self, fr: Frame, force_x, force_y):
-        """Explicit part of the scheme's right-hand side at one state.
+    def products(self, force_x) -> np.ndarray:
+        """The real work stack of a step's four products, with two rows
+        more for a force's physical components, which ``assemble`` fills."""
+        return self.stack(4 if force_x is None or np.iscomplexobj(force_x) else 6, float)
 
-        Returns the transforms of the projected momentum terms
-        -(u.grad)u - (J*phi)grad(phi) + force and of the concentration
-        terms -Lap(mu_expl) - u.grad(phi), each product dealiased; the
-        implicit -nu*Lap(u) and -S*Lap(phi) are left to the caller.
-        fr must carry the "conv" extra.  force_x/force_y are the force's
-        physical components, which go through in the products' one
-        call, or their half spectra (``force_hat``), or None.  The three
-        results are views of the Stepper's buffers, which the next call
-        overwrites.
+    def momentum(self, fx_h, fy_h, gx, gy):
+        """Mask the momentum products' transforms, add the half spectra
+        gx, gy of a force or source (or None) and project, in place."""
+        for f, s in ((fx_h, gx), (fy_h, gy)):
+            np.multiply(f, self.mask, out=f)
+            if s is not None:
+                np.add(f, s, out=f)
+        return self.project(fx_h, fy_h)
+
+    def assemble(self, w, ph, force_x, force_y):
+        """Explicit increments of one step from its product stack w.
+
+        w is filled in ``products``: the momentum terms, F^ and adv^ (the
+        F'(phi) and u.grad(phi) of the forward step, their linearizations
+        in the tangent) and a physical force, transformed in one call.
+        Returns the momentum pair (``momentum``, with the force, given
+        physical, as half spectra from ``force_hat``, or None) and the
+        concentration increment -k^2 (F^ - J^ ph + (a - S) ph) - adv^,
+        its k = 0 mode zeroed.  The three are views of the Stepper's
+        buffers, which the next call overwrites.
         """
-        m = self.mask
-        stacked = force_x is not None and not np.iscomplexobj(force_x)
-        w = self.stack(6 if stacked else 4, float)
+        if len(w) == 6:
+            w[4], w[5] = force_x, force_y
+        h = self.grid.fft2(w, out=self.buffer("rhs", len(w), complex))
+        fx_h, fy_h, rhs, adv_h = h[:4]
+        self.momentum(fx_h, fy_h, *(h[4:] if len(w) == 6 else (force_x, force_y)))
+
+        m, t = self.mask, self.buffer("spectra", 1, complex)[0]
+        np.multiply(rhs, m, out=rhs)
+        np.subtract(rhs, np.multiply(self.J_hat, ph, out=t), out=rhs)
+        if self.a != self.S:
+            np.add(rhs, np.multiply(self.a - self.S, ph, out=t), out=rhs)
+        np.multiply(self.neg_ksq, rhs, out=rhs)
+        np.subtract(rhs, np.multiply(adv_h, m, out=adv_h), out=rhs)
+        rhs[0, 0] = 0.0  # exact mass conservation
+        return fx_h, fy_h, rhs
+
+    def explicit_rhs(self, fr: Frame, force_x, force_y):
+        """Explicit part of the scheme's right-hand side at one state:
+        ``assemble`` of the products -(u.grad)u - (J*phi)grad(phi),
+        F'(phi) and u.grad(phi) of the frame fr (with the "conv" extra).
+        The implicit -nu*Lap(u) and -S*Lap(phi) are left to the caller.
+        """
+        w = self.products(force_x)
         a, b = self.buffer("products", 2, float)
 
         def dot(p, q, out):  # p[0] q[0] + p[1] q[1], by way of a and b
@@ -403,31 +439,17 @@ class Stepper:
             np.subtract(a, np.multiply(fr.conv, fr.dphi[i], out=b), out=w[i])
         self.params.potential.df(fr.phi, out=w[2])
         dot(u, fr.dphi, w[3])
-        if stacked:
-            w[4] = force_x
-            w[5] = force_y
-        h = self.grid.fft2(w, out=self.buffer("rhs", len(w), complex))
-        fx_h, fy_h, rhs, adv_h = h[:4]
-        np.multiply(fx_h, m, out=fx_h)
-        np.multiply(fy_h, m, out=fy_h)
-        if force_x is not None:
-            gx, gy = h[4:] if stacked else (force_x, force_y)
-            np.add(fx_h, gx, out=fx_h)
-            np.add(fy_h, gy, out=fy_h)
-        self.project(fx_h, fy_h)
+        return self.assemble(w, fr.ph, force_x, force_y)
 
-        # rhs = -ksq * mu_expl - (u.grad(phi))^, with the transform of the
-        # explicit chemical potential mu_expl = F'(phi) - J*phi + (a - S) phi
-        ph = fr.ph
-        t = self.buffer("spectra", 1, complex)[0]
-        np.multiply(rhs, m, out=rhs)
-        np.subtract(rhs, np.multiply(self.J_hat, ph, out=t), out=rhs)
-        if self.a != self.S:
-            np.add(rhs, np.multiply(self.a - self.S, ph, out=t), out=rhs)
-        np.multiply(self.neg_ksq, rhs, out=rhs)
-        np.subtract(rhs, np.multiply(adv_h, m, out=adv_h), out=rhs)
-        rhs[0, 0] = 0.0  # exact mass conservation
-        return fx_h, fy_h, rhs
+    def advance(self, hats, incs):
+        """(old + dt * inc) / den for the transforms hats (u_x, u_y, phi),
+        or the tangent's or adjoint's, over visc_den, visc_den and ch_den,
+        into three fresh arrays; incs are overwritten."""
+        new = []
+        for old, inc, den in zip(hats, incs, (self.visc_den, self.visc_den, self.ch_den)):
+            out = np.add(old, np.multiply(self.dt, inc, out=inc))
+            new.append(np.divide(out, den, out=out))
+        return tuple(new)
 
     # -- one forward step, spectral in / spectral out -------------------
 
@@ -439,15 +461,7 @@ class Stepper:
         explicit_rhs takes them, or None.
         """
         fr = Frame(self, ux_h, uy_h, ph, ("conv",), self.buffer("frame", 10, float))
-        fx_h, fy_h, rhs = self.explicit_rhs(fr, extra_x, extra_y)
-        new = []
-        for old, inc, den in (
-            (ux_h, fx_h, self.visc_den), (uy_h, fy_h, self.visc_den), (ph, rhs, self.ch_den)
-        ):
-            # (old + dt * inc) / den
-            out = np.add(old, np.multiply(self.dt, inc, out=inc))
-            new.append(np.divide(out, den, out=out))
-        return tuple(new)
+        return self.advance((ux_h, uy_h, ph), self.explicit_rhs(fr, extra_x, extra_y))
 
     def check_cfl(self, ux, uy):
         """StabilityError when max|u|*dt/min(dx, dy) > 1, tested as

@@ -1,10 +1,14 @@
 """Linearized and adjoint sweeps around a stored forward trajectory.
 
 The tangent system reuses the forward IMEX layout with coefficients
-frozen at the stored states, so it is the exact derivative of the
-discrete step map.  The adjoint discretizes the backward-in-time
-continuous equations with the same implicit/explicit splitting; the
-price is an O(dt) duality gap, measured by duality_gap.
+frozen at the stored states: its linearized products go through the
+forward step's own Stepper.assemble and Stepper.advance, so it is the
+exact derivative of the discrete step map.  The adjoint discretizes the
+backward-in-time continuous equations with the same implicit/explicit
+splitting, sharing Stepper.momentum and Stepper.advance; only its
+concentration increment, the continuous adjoint's own operator, is
+formed here.  The price is an O(dt) duality gap, measured by
+duality_gap.
 
 Backward sweeps advance in the reversed time variable.  With s = T - t
 the momentum adjoint reads
@@ -36,10 +40,10 @@ from .forward import (
     SolverConfig,
     Stepper,
     Trajectory,
+    _applied_force,
     physical,
     signal_node,
     spectral,
-    step_average,
 )
 from .grid import ScalarField, VectorField, leray_project, require_same_grid
 
@@ -96,42 +100,21 @@ def tangent_solve(
     t0 = base.states[start_node].t
     states = [TangentState(w0.copy(), psi0.copy(), t0)]
 
-    m = st.mask
-    dt = st.dt
     for n in range(start_node, n_total):
         # c: the base state; d: the tangent state (w, psi)
         hats = spectral(base.states[n].u, base.states[n].phi, st.stack(3, float))
         c = Frame(st, *hats, ("conv",))
         d = Frame(st, wx_h, wy_h, psh, ("conv",))
 
-        du = step_average(delta_control, n)
-        w = st.stack(4 if du is None else 6, float)
+        force = _applied_force(delta_control, None, n, g)
+        w = st.products(force[0])
         fx = -(d.ux * c.dux[0] + d.uy * c.dux[1]) - (c.ux * d.dux[0] + c.uy * d.dux[1])
         fy = -(d.ux * c.duy[0] + d.uy * c.duy[1]) - (c.ux * d.duy[0] + c.uy * d.duy[1])
         np.subtract(fx - d.conv * c.dphi[0], c.conv * d.dphi[0], out=w[0])
         np.subtract(fy - d.conv * c.dphi[1], c.conv * d.dphi[1], out=w[1])
         np.multiply(params.potential.d2f(c.phi), d.phi, out=w[2])
         np.add(c.ux * d.dphi[0] + c.uy * d.dphi[1] + d.ux * c.dphi[0], d.uy * c.dphi[1], out=w[3])
-        if du is not None:
-            w[4] = du.u_x
-            w[5] = du.u_y
-        h = g.fft2(w)
-
-        fx_h = h[0] * m
-        fy_h = h[1] * m
-        if du is not None:
-            fx_h = fx_h + h[4]
-            fy_h = fy_h + h[5]
-        fx_h, fy_h = st.project(fx_h, fy_h)
-        wx_h = (wx_h + dt * fx_h) / st.visc_den
-        wy_h = (wy_h + dt * fy_h) / st.visc_den
-
-        mu_lin_h = h[2] * m - st.J_hat * psh
-        if st.a != st.S:
-            mu_lin_h = mu_lin_h + (st.a - st.S) * psh
-        rhs = -st.ksq * mu_lin_h - h[3] * m
-        rhs[0, 0] = 0.0  # mean psi frozen, matching the forward update
-        psh = (psh + dt * rhs) / st.ch_den
+        wx_h, wy_h, psh = st.advance((wx_h, wy_h, psh), st.assemble(w, psh, *force))
 
         new = physical(g, wx_h, wy_h, psh, st.stack(3, complex))
         states.append(TangentState(*new, base.states[n + 1].t))
@@ -215,7 +198,6 @@ def adjoint_solve(
     st = Stepper(params, config)
     n_total = base.n_steps
     m = st.mask
-    dt = st.dt
 
     if ref_hats is None:
         ref_hats = reference_transforms(mode, targets, g, n_total + 1)
@@ -243,13 +225,8 @@ def adjoint_solve(
         np.add(c.ux * d.dphi[0], c.uy * d.dphi[1], out=w[3])
         np.add(px * c.dphi[0], py * c.dphi[1], out=w[4])
         np.add(c.conv_grad[0] * px, c.conv_grad[1] * py, out=w[5])
-        h = g.fft2(w)
-
-        fx_h = h[0] * m + sx_h
-        fy_h = h[1] * m + sy_h
-        fx_h, fy_h = st.project(fx_h, fy_h)
-        px_h = (px_h + dt * fx_h) / st.visc_den
-        py_h = (py_h + dt * fy_h) / st.visc_den
+        h = g.fft2(w, out=st.buffer("rhs", 6, complex))
+        fx_h, fy_h = st.momentum(h[0], h[1], sx_h, sy_h)
 
         r_h = h[2] * m
         r_h = r_h + st.ksq * st.J_hat * eh
@@ -259,7 +236,7 @@ def adjoint_solve(
         r_h = r_h - st.J_hat * (h[4] * m)
         r_h = r_h + h[5] * m
         r_h = r_h + seta_h
-        eh = (eh + dt * r_h) / st.ch_den
+        px_h, py_h, eh = st.advance((px_h, py_h, eh), (fx_h, fy_h, r_h))
 
         new = physical(g, px_h, py_h, eh, st.stack(3, complex))
         states[n] = AdjointState(*new, base.states[n].t)
