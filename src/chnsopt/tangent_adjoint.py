@@ -159,9 +159,10 @@ def tracking_sources(mode: AdjointMode, weights, st: Stepper, hats, ref):
     """Transforms (S_p_x, S_p_y, S_eta) of the tracking sources at one node,
     from the base state's transforms hats and the node's reference_transforms
     entry ref.  The distributed mode pairs the velocity mismatch through -Lap
-    (enstrophy tracking), the assimilation mode in L2."""
+    (enstrophy tracking) with the Nyquist derivative lines zeroed, as the
+    cost's gradient norm pairs it; the assimilation mode pairs it in L2."""
     ux_h, uy_h, ph = (h if r is None else h - r for h, r in zip(hats, ref))
-    scale = weights.track_u * st.ksq if mode is AdjointMode.DISTRIBUTED else weights.track_u
+    scale = weights.track_u * st.grid.ksq_d if mode is AdjointMode.DISTRIBUTED else weights.track_u
     return scale * ux_h, scale * uy_h, weights.track_phi * ph
 
 

@@ -160,7 +160,8 @@ def reference_tracking_sources(mode, targets, state, node):
     the distributed mode, u_M/phi_M in the assimilation mode; a missing
     reference reads as zero, a list is indexed by node), weighted by
     track_u/track_phi, with the distributed velocity mismatch paired
-    through -Lap as ifft2(k^2 fft2(u - u_d))."""
+    through -Lap as ifft2(k^2 fft2(u - u_d)), with k^2 = ksq_d, whose
+    Nyquist derivative lines are zeroed as in the cost's gradient norm."""
     g = state.grid
     w = targets.weights
     if mode is AdjointMode.DISTRIBUTED:
@@ -173,8 +174,8 @@ def reference_tracking_sources(mode, targets, state, node):
         dux, duy = dux - u_ref.u_x, duy - u_ref.u_y
     dphi = state.phi.values if phi_ref is None else state.phi.values - phi_ref.values
     if mode is AdjointMode.DISTRIBUTED:
-        dux = g.ifft2(g.ksq * g.fft2(dux))
-        duy = g.ifft2(g.ksq * g.fft2(duy))
+        dux = g.ifft2(g.ksq_d * g.fft2(dux))
+        duy = g.ifft2(g.ksq_d * g.fft2(duy))
     return w.track_u * dux, w.track_u * duy, w.track_phi * dphi
 
 

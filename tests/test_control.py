@@ -681,6 +681,36 @@ class TestDerivatives:
         fd = (Jp - Jm) / (2.0 * h)
         assert dd == pytest.approx(fd, rel=1e-5)
 
+    def test_derivatives_see_the_nyquist_lines_as_the_cost_does(self, params16):
+        # the gradient norm of the cost zeroes the derivative at the Nyquist
+        # frequency, so a velocity mismatch alternating along x costs
+        # nothing; its tracking source must vanish there too
+        g = params16.grid
+        cfg = SolverConfig(dt=1e-3, T=0.01, nu=0.1)
+        alt = np.broadcast_to((-1.0) ** np.arange(g.n_x)[:, None], g.shape).copy()
+        tg = synth.taylor_green(g, 0.5)
+        initial = FlowState(
+            VectorField(g, tg.u_x, tg.u_y + 0.3 * alt),
+            synth.sine_scalar(g, (1, 1), 0.1, mean=0.2),
+            0.0,
+        )
+        weights = CostWeights(track_u=1.0, track_phi=0.0, final_u=0.0, final_phi=0.0, control=0.0)
+        prob = DistributedControlProblem(
+            initial, CostTargets(weights=weights), None, params16, cfg
+        )
+        U = prob.zero_control()
+        V = ControlSignal.constant(
+            VectorField(g, np.zeros(g.shape), alt), cfg.n_steps + 1, cfg.dt
+        )
+        _, base = prob.cost(U)
+        h = 1e-3
+        fd = (prob.cost(U.axpy(h, V))[0] - prob.cost(U.axpy(-h, V))[0]) / (2.0 * h)
+        dd = directional_derivative(
+            base, U, V, AdjointMode.DISTRIBUTED, prob.targets, params16, cfg
+        )
+        assert dd == pytest.approx(fd, abs=1e-12)
+        assert prob.gradient(U, base).inner(V) == pytest.approx(fd, abs=1e-12)
+
     def test_adjoint_gradient_pairing_is_consistent(self, params16, smooth_state16):
         cfg = SolverConfig(dt=1e-3, T=0.01, nu=0.1)
         prob = self._problem(params16, smooth_state16, cfg)
