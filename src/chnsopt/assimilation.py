@@ -137,7 +137,7 @@ def record_measurements(
 ) -> CostTargets:
     """Turn a trajectory into full-field measurements, optionally
     perturbed by Gaussian noise of the given relative magnitude."""
-    if noise_level < 0.0:
+    if not noise_level >= 0.0:
         raise ValidationError("noise_level must be nonnegative")
     if noise_level > 0.0 and rng is None:
         raise ValidationError("noisy measurements need a random generator")

@@ -77,7 +77,7 @@ class CostWeights:
 
     def __post_init__(self):
         for name in ("track_u", "track_phi", "final_u", "final_phi", "control"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValidationError(f"cost weight {name} must be nonnegative")
 
 
@@ -233,10 +233,10 @@ class OptimizerConfig:
     radius: float = np.inf
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValidationError("max_iters must be nonnegative")
-        if not self.step0 > 0.0:
-            raise ValidationError("step0 must be positive")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+            raise ValidationError("max_iters must be a nonnegative integer")
+        if not 0.0 < self.step0 < np.inf:
+            raise ValidationError("step0 must be positive and finite")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValidationError("armijo_c must lie in (0, 1)")
         if not 0.0 < self.armijo_shrink < 1.0:

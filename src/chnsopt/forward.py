@@ -76,7 +76,7 @@ class SolverConfig:
             raise ValidationError("T must be positive and at least dt")
         if not self.nu > 0.0:
             raise ValidationError("nu must be positive")
-        if self.stabilization is not None and self.stabilization < 0.0:
+        if self.stabilization is not None and not self.stabilization >= 0.0:
             raise ValidationError("stabilization must be nonnegative")
 
     @property

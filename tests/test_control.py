@@ -236,6 +236,28 @@ class TestOptimizer:
         with pytest.raises(ValidationError):
             OptimizerConfig(radius=0.0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda traj: CostWeights(track_u=np.nan),
+            lambda traj: SolverConfig(dt=1e-3, T=1e-2, nu=0.1, stabilization=np.nan),
+            lambda traj: record_measurements(traj, CostWeights(), noise_level=np.nan),
+            lambda traj: record_measurements(
+                traj, CostWeights(), np.nan, np.random.default_rng(0)
+            ),
+            lambda traj: OptimizerConfig(step0=np.inf),
+            lambda traj: OptimizerConfig(max_iters=np.nan),
+            lambda traj: OptimizerConfig(max_iters=2.5),
+        ],
+        ids=[
+            "nan-weight", "nan-stabilization", "nan-noise", "nan-noise-with-rng",
+            "infinite-step0", "nan-max-iters", "fractional-max-iters",
+        ],
+    )
+    def test_non_finite_and_non_integer_inputs_rejected(self, make, smooth_state16):
+        with pytest.raises(ValidationError):
+            make(Trajectory(states=[smooth_state16], dt=1e-3))
+
     def test_quadratic_converges_in_one_unit_step(self, g16):
         target = _const_signal(g16, 5, 1e-2, amp=1.3)
         prob = _Quadratic(target)
