@@ -207,6 +207,15 @@ def _applied_force(control, forcing, n: int, grid: TorusGrid):
     return total.u_x, total.u_y
 
 
+def _require_nodes(n_nodes: int, **signals):
+    """Before a sweep's first step: ValidationError naming a node-indexed
+    signal with fewer than the n_nodes nodes _applied_force will read."""
+    for name, s in signals.items():
+        have = len(s) if isinstance(s, (list, tuple)) else getattr(s, "n_nodes", n_nodes)
+        if have < n_nodes:
+            raise ValidationError(f"{name} has {have} time nodes, the sweep reads {n_nodes}")
+
+
 def spectral(u: VectorField, phi: ScalarField, work: np.ndarray | None = None):
     """Half-spectrum transforms (u_x, u_y, phi) of a velocity and a scalar,
     in one call; work is a real (3, n_x, n_y) stack to gather the fields
@@ -268,12 +277,9 @@ class Stepper:
     """Precomputed spectral machinery for one (params, config) pair.
 
     Holds the implicit denominators, dealias mask, masked derivative
-    multipliers and kernel transform, and the one step kernel of the
-    forward, tangent and adjoint sweeps: once a sweep has formed its
-    products, ``assemble`` (or, for the adjoint's momentum, ``momentum``)
-    turns them into increments and ``advance`` takes the implicit
-    update.  explicit_rhs, the forward products assembled, is what
-    forward_step_hat steps with and control.hamiltonian evaluates.
+    multipliers and kernel transform, and the step kernel the forward,
+    tangent and adjoint sweeps share once they have formed their
+    products: ``assemble`` (``momentum`` for the adjoint) and ``advance``.
 
     It also owns the work stack that a sweep gathers each group of fields
     in before the one call that transforms the group (``stack``), as real
@@ -394,17 +400,14 @@ class Stepper:
         return self.project(fx_h, fy_h)
 
     def assemble(self, w, ph, force_x, force_y):
-        """Explicit increments of one step from its product stack w.
-
-        w is filled in ``products``: the momentum terms, F^ and adv^ (the
-        F'(phi) and u.grad(phi) of the forward step, their linearizations
-        in the tangent) and a physical force, transformed in one call.
-        Returns the momentum pair (``momentum``, with the force, given
-        physical, as half spectra from ``force_hat``, or None) and the
-        concentration increment -k^2 (F^ - J^ ph + (a - S) ph) - adv^,
-        its k = 0 mode zeroed.  The three are views of the Stepper's
-        buffers, which the next call overwrites.
-        """
+        """Explicit increments of one step from its stack w of ``products``:
+        the momentum terms, then F^ and adv^ (F'(phi) and u.grad(phi) in
+        the forward step, their linearizations in the tangent's), which
+        are transformed with a physical force in one call.  Returns the
+        momentum pair (``momentum``; the force physical, half spectra from
+        ``force_hat`` or None) and the concentration increment
+        -k^2 (F^ - J^ ph + (a - S) ph) - adv^ with its mean frozen, views
+        of the Stepper's buffers, which the next call overwrites."""
         if len(w) == 6:
             w[4], w[5] = force_x, force_y
         h = self.grid.fft2(w, out=self.buffer("rhs", len(w), complex))
@@ -632,6 +635,7 @@ def simulate(
         raise ValidationError("initial state grid does not match params grid")
     st = Stepper(params, config)
     n_steps = config.n_steps
+    _require_nodes(n_steps + 1, control=control, forcing=forcing)
     start = initial.copy()
     start.t = 0.0
     terms = (params.kernel, params.potential)

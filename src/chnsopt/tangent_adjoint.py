@@ -1,14 +1,11 @@
 """Linearized and adjoint sweeps around a stored forward trajectory.
 
-The tangent system reuses the forward IMEX layout with coefficients
-frozen at the stored states: its linearized products go through the
-forward step's own Stepper.assemble and Stepper.advance, so it is the
-exact derivative of the discrete step map.  The adjoint discretizes the
-backward-in-time continuous equations with the same implicit/explicit
-splitting, sharing Stepper.momentum and Stepper.advance; only its
-concentration increment, the continuous adjoint's own operator, is
-formed here.  The price is an O(dt) duality gap, measured by
-duality_gap.
+The tangent system reuses the forward IMEX layout, step kernel and all
+(Stepper.assemble and Stepper.advance), with coefficients frozen at the
+stored states, so it is the exact derivative of the discrete step map.
+The adjoint discretizes the backward-in-time continuous equations with
+the same splitting and kernel but its own concentration operator; the
+price is an O(dt) duality gap, measured by duality_gap.
 
 Backward sweeps advance in the reversed time variable.  With s = T - t
 the momentum adjoint reads
@@ -41,6 +38,7 @@ from .forward import (
     Stepper,
     Trajectory,
     _applied_force,
+    _require_nodes,
     physical,
     signal_node,
     spectral,
@@ -88,6 +86,7 @@ def tangent_solve(
         raise ValidationError("base trajectory dt does not match config dt")
     if not 0 <= start_node <= n_total:
         raise ValidationError("start_node outside the base trajectory")
+    _require_nodes(n_total + 1, delta_control=delta_control)
     st = Stepper(params, config)
 
     w0 = VectorField.zeros(g) if w0 is None else w0

@@ -106,6 +106,23 @@ class TestSignals:
             with pytest.raises(ValidationError, match="node index needed"):
                 signal_node(indexed, None)
 
+    @pytest.mark.parametrize("where", ["control", "forcing"])
+    @pytest.mark.parametrize("kind", ["list", "control-signal"])
+    def test_a_short_signal_fails_before_the_first_step(
+        self, kind, where, params16, smooth_state16, monkeypatch
+    ):
+        cfg = SolverConfig(dt=1e-3, T=1e-2, nu=0.1)
+        f = synth.taylor_green(params16.grid, 0.1)
+        short = [f] * 5 if kind == "list" else ControlSignal.constant(f, 5, cfg.dt)
+        signals = {"control": None, "forcing": None, where: short}
+
+        def stepped(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(Stepper, "forward_step_hat", stepped)
+        with pytest.raises(ValidationError, match=f"{where} has 5 time nodes, the sweep reads 11"):
+            simulate(smooth_state16, signals["control"], signals["forcing"], params16, cfg)
+
     def test_step_average_is_nodal_midpoint(self, g16):
         a = synth.taylor_green(g16, 1.0)
         b = synth.taylor_green(g16, 3.0)

@@ -144,6 +144,23 @@ class TestTangent:
         with pytest.raises(NumericError), np.errstate(all="ignore"):
             tangent_solve(base, None, w0, None, params16, cfg)
 
+    @pytest.mark.parametrize("kind", ["list", "control-signal"])
+    def test_a_short_control_fails_before_the_first_step(
+        self, kind, params16, smooth_state16, monkeypatch
+    ):
+        cfg = SolverConfig(dt=1e-3, T=1e-2, nu=0.1)
+        base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+        f = synth.taylor_green(params16.grid, 0.1)
+        short = [f] * 5 if kind == "list" else ControlSignal.constant(f, 5, cfg.dt)
+
+        def assembled(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(Stepper, "assemble", assembled)
+        for start in (0, 7):
+            with pytest.raises(ValidationError, match="has 5 time nodes, the sweep reads 11"):
+                tangent_solve(base, short, None, None, params16, cfg, start_node=start)
+
 
 class TestAdjoint:
     def test_terminal_pair_is_projected_and_weighted(self, params16, smooth_state16):
