@@ -450,6 +450,46 @@ class TestSingleTransformLayer:
         assert offenders == []
 
 
+class TestOneStepKernel:
+    def test_only_forward_assembles_and_advances_a_step(self):
+        """A module other than forward.py that steps with a Stepper leaves
+        the post-transform half of the step to it: it reads no visc_den
+        or ch_den, calls no Stepper's project, zeroes no [0, 0] mode."""
+        import chnsopt
+
+        root = Path(chnsopt.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            if path.name == "forward.py" or "Stepper" not in text:
+                continue
+            tree = ast.parse(text)
+            # names bound to a Stepper: st = Stepper(...) or an st: Stepper argument
+            steppers = {
+                t.id
+                for n in ast.walk(tree)
+                if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call)
+                and getattr(n.value.func, "id", None) == "Stepper"
+                for t in n.targets if isinstance(t, ast.Name)
+            } | {
+                n.arg
+                for n in ast.walk(tree)
+                if isinstance(n, ast.arg) and getattr(n.annotation, "id", None) == "Stepper"
+            }
+            for n in ast.walk(tree):
+                if isinstance(n, ast.Attribute) and n.attr in ("visc_den", "ch_den"):
+                    offenders.append(f"{path.name}:{n.lineno} reads {n.attr}")
+                elif (isinstance(n, ast.Attribute) and n.attr == "project"
+                      and getattr(n.value, "id", None) in steppers):
+                    offenders.append(f"{path.name}:{n.lineno} projects")
+                elif isinstance(n, ast.Assign) and any(
+                    isinstance(t, ast.Subscript) and ast.unparse(t.slice) == "(0, 0)"
+                    for t in n.targets
+                ) and getattr(n.value, "value", None) == 0.0:
+                    offenders.append(f"{path.name}:{n.lineno} zeroes the mean")
+        assert offenders == []
+
+
 class TestNoUnusedImports:
     def test_every_imported_name_is_used(self):
         """No module of the package imports a name it never reads; the
