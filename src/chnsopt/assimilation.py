@@ -24,13 +24,7 @@ from .control import (
 from .errors import ValidationError
 from .forward import FlowState, ModelParams, SolverConfig, Trajectory, simulate
 from .grid import ScalarField, VectorField, leray_project
-from .tangent_adjoint import (
-    AdjointMode,
-    _trapz_weights,
-    adjoint_solve,
-    mismatch,
-    reference_transforms,
-)
+from .tangent_adjoint import AdjointMode, adjoint_solve, reference_transforms, tracking_cost
 
 
 @dataclass
@@ -54,21 +48,12 @@ class AssimilationProblem:
 
 
 def cost_da(traj: Trajectory, U: VectorField, problem: AssimilationProblem) -> float:
-    """Tikhonov term plus tracking and terminal measurement mismatches."""
+    """Tikhonov term on the initial velocity plus tracking_cost in the
+    assimilation mode: L2 mismatches to the measurement histories,
+    trapezoidal in time, and to the terminal measurements."""
     m = problem.measurements
-    w = m.weights
-    g = traj.grid
-    tw = _trapz_weights(len(traj), traj.dt)
-    total = 0.5 * w.control * U.dot(U)
-    for n, s in enumerate(traj.states):
-        du, dphi = mismatch(AdjointMode.ASSIMILATION, m, s, n)
-        total += tw[n] * 0.5 * (
-            w.track_u * du.dot(du) + w.track_phi * g.inner(dphi, dphi)
-        )
-    du_f, dphi_f = mismatch(AdjointMode.ASSIMILATION, m, traj.final)
-    total += 0.5 * w.final_u * du_f.dot(du_f)
-    total += 0.5 * w.final_phi * g.inner(dphi_f, dphi_f)
-    return float(total)
+    tikhonov = 0.5 * m.weights.control * U.dot(U)
+    return float(tikhonov + tracking_cost(AdjointMode.ASSIMILATION, m, traj))
 
 
 def reduced_gradient_da(
@@ -137,32 +122,24 @@ def record_measurements(
 ) -> CostTargets:
     """Turn a trajectory into full-field measurements, optionally
     perturbed by Gaussian noise of the given relative magnitude."""
-    if not noise_level >= 0.0:
-        raise ValidationError("noise_level must be nonnegative")
+    if not 0.0 <= noise_level < np.inf:
+        raise ValidationError("noise_level must be nonnegative and finite")
     if noise_level > 0.0 and rng is None:
         raise ValidationError("noisy measurements need a random generator")
 
-    def vec(f: VectorField) -> VectorField:
-        if noise_level == 0.0:
-            return f.copy()
-        n = f.norm()
-        gx = rng.standard_normal(f.grid.shape)
-        gy = rng.standard_normal(f.grid.shape)
-        gn = VectorField(f.grid, gx, gy).norm()
-        s = noise_level * n / gn if gn > 0 else 0.0
-        return VectorField(f.grid, f.u_x + s * gx, f.u_y + s * gy)
+    g = traj.grid
 
-    def sca(f: ScalarField) -> ScalarField:
+    def noisy(*parts):
+        """The arrays parts plus Gaussian noise of noise_level times their joint L2 norm."""
         if noise_level == 0.0:
-            return f.copy()
-        n = f.norm()
-        gv = rng.standard_normal(f.grid.shape)
-        gn = ScalarField(f.grid, gv).norm()
+            return [a.copy() for a in parts]
+        draws = [rng.standard_normal(g.shape) for _ in parts]
+        n, gn = (np.sqrt(g.cell_area * sum(np.sum(a**2) for a in x)) for x in (parts, draws))
         s = noise_level * n / gn if gn > 0 else 0.0
-        return ScalarField(f.grid, f.values + s * gv)
+        return [a + s * d for a, d in zip(parts, draws)]
 
-    u_M = [vec(s.u) for s in traj.states]
-    phi_M = [sca(s.phi) for s in traj.states]
+    u_M = [VectorField(g, *noisy(s.u.u_x, s.u.u_y)) for s in traj.states]
+    phi_M = [ScalarField(g, *noisy(s.phi.values)) for s in traj.states]
     return CostTargets(
         u_M=u_M,
         phi_M=phi_M,

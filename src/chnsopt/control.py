@@ -45,21 +45,14 @@ from .forward import (
     simulate,
     spectral,
 )
-from .grid import (
-    ScalarField,
-    TorusGrid,
-    VectorField,
-    curl2d,
-    grad_norm,
-    leray_project,
-    require_same_grid,
-)
+from .grid import ScalarField, TorusGrid, VectorField, leray_project, require_same_grid
 from .tangent_adjoint import (
     AdjointMode,
     adjoint_solve,
-    mismatch,
     reference_transforms,
+    running_cost,
     tangent_solve,
+    tracking_cost,
     tracking_pairing,
     _trapz_weights,
 )
@@ -77,8 +70,8 @@ class CostWeights:
 
     def __post_init__(self):
         for name in ("track_u", "track_phi", "final_u", "final_phi", "control"):
-            if not getattr(self, name) >= 0.0:
-                raise ValidationError(f"cost weight {name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValidationError(f"cost weight {name} must be nonnegative and finite")
 
 
 @dataclass
@@ -122,8 +115,8 @@ class ControlSignal:
         if kind == self.DISTRIBUTED:
             if not fields or len(fields) < 2:
                 raise ValidationError("distributed control needs >= 2 time nodes")
-            if dt is None or not dt > 0.0:
-                raise ValidationError("distributed control needs a positive dt")
+            if dt is None or not 0.0 < dt < np.inf:
+                raise ValidationError("distributed control needs a positive finite dt")
             if any(f.grid != fields[0].grid for f in fields):
                 raise ValidationError("control nodes live on different grids")
             dt = float(dt)
@@ -241,53 +234,19 @@ class OptimizerConfig:
             raise ValidationError("armijo_c must lie in (0, 1)")
         if not 0.0 < self.armijo_shrink < 1.0:
             raise ValidationError("armijo_shrink must lie in (0, 1)")
-        if not self.grad_tol > 0.0:
-            raise ValidationError("grad_tol must be positive")
+        if not 0.0 < self.grad_tol < np.inf:
+            raise ValidationError("grad_tol must be positive and finite")
         if not self.radius > 0.0:
             raise ValidationError("radius must be positive")
 
 
-def cost_ocp(
-    traj: Trajectory,
-    control: ControlSignal,
-    targets: CostTargets,
-    enstrophy_form: str = "grad",
-) -> float:
-    """Tracking cost: enstrophy of the velocity mismatch, concentration
-    mismatch, terminal mismatches, and the control energy, trapezoidal
-    in time.
-
-    enstrophy_form selects |grad(u-u_d)| ("grad") or |curl(u-u_d)|
-    ("curl"); the two agree for divergence-free mismatches.
-    """
-    if enstrophy_form not in ("grad", "curl"):
-        raise ValidationError(f"unknown enstrophy form {enstrophy_form!r}")
-    w = targets.weights
-    g = traj.grid
-    n_nodes = len(traj)
-    if control.kind != ControlSignal.DISTRIBUTED or control.n_nodes != n_nodes:
+def cost_ocp(traj: Trajectory, control: ControlSignal, targets: CostTargets) -> float:
+    """The distributed problem's cost, tracking_cost in the distributed
+    mode with the control's energy in the running cost; the control must
+    share the trajectory's time nodes."""
+    if control.kind != ControlSignal.DISTRIBUTED or control.n_nodes != len(traj):
         raise ValidationError("control does not match the trajectory time grid")
-    tw = _trapz_weights(n_nodes, traj.dt)
-    total = 0.0
-    for n, s in enumerate(traj.states):
-        total += tw[n] * _running_cost(s, control.at_node(n), targets, n, enstrophy_form)
-    du_f, dphi_f = mismatch(AdjointMode.DISTRIBUTED, targets, traj.final)
-    total += 0.5 * w.final_u * du_f.dot(du_f)
-    total += 0.5 * w.final_phi * g.inner(dphi_f, dphi_f)
-    return float(total)
-
-
-def _running_cost(state: FlowState, U: VectorField, targets, node, enstrophy_form="grad"):
-    """Integrand of the tracking cost at one node, the Lagrangian of the
-    Hamiltonian."""
-    w = targets.weights
-    du, dphi = mismatch(AdjointMode.DISTRIBUTED, targets, state, node)
-    if enstrophy_form == "grad":
-        track_u = grad_norm(du) ** 2
-    else:
-        track_u = curl2d(du).norm() ** 2
-    track_phi = state.grid.inner(dphi, dphi)
-    return 0.5 * (w.track_u * track_u + w.track_phi * track_phi + w.control * U.dot(U))
+    return tracking_cost(AdjointMode.DISTRIBUTED, targets, traj, control)
 
 
 def reduced_gradient_ocp(
@@ -565,8 +524,9 @@ def hamiltonian(
     nu: float,
     node: int | None = None,
 ) -> float:
-    """Running cost plus adjoint pairings with the state equations'
-    right-hand sides, evaluated at one time node.
+    """The Hamiltonian at one time node: the Lagrangian, running_cost in
+    the distributed mode (the integrand of cost_ocp), plus the adjoint
+    pairings with the state equations' right-hand sides.
 
     The right-hand sides are the scheme's: the dealiased explicit terms a
     forward step uses (Stepper.explicit_rhs, default stabilization and
@@ -577,7 +537,9 @@ def hamiltonian(
     references constant in time.
     """
     g = params.grid
-    lagr = _running_cost(state, U_value, targets, 0 if node is None else node)
+    lagr = running_cost(
+        AdjointMode.DISTRIBUTED, targets, state, 0 if node is None else node, U_value
+    )
 
     # dt does not enter the right-hand side
     st = Stepper(params, SolverConfig(dt=1.0, T=1.0, nu=nu))
@@ -672,7 +634,7 @@ def directional_derivative(
     quadratic Taylor remainder in gradient tests.
     """
     tang = tangent_solve(base, direction, None, None, params, config)
-    val = tracking_pairing(base, tang, mode, targets, Stepper(params, config))
+    val = tracking_pairing(base, tang, mode, targets)
     return float(val + targets.weights.control * control.inner(direction))
 
 

@@ -70,14 +70,14 @@ class SolverConfig:
     dealias: bool = True
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValidationError("dt must be positive")
-        if not self.T > 0.0 or self.dt > self.T * (1.0 + 1e-12):
-            raise ValidationError("T must be positive and at least dt")
-        if not self.nu > 0.0:
-            raise ValidationError("nu must be positive")
-        if self.stabilization is not None and not self.stabilization >= 0.0:
-            raise ValidationError("stabilization must be nonnegative")
+        if not 0.0 < self.dt < math.inf:
+            raise ValidationError("dt must be positive and finite")
+        if not 0.0 < self.T < math.inf or self.dt > self.T * (1.0 + 1e-12):
+            raise ValidationError("T must be positive, finite and at least dt")
+        if not 0.0 < self.nu < math.inf:
+            raise ValidationError("nu must be positive and finite")
+        if self.stabilization is not None and not 0.0 <= self.stabilization < math.inf:
+            raise ValidationError("stabilization must be nonnegative and finite")
 
     @property
     def n_steps(self) -> int:

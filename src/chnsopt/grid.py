@@ -68,8 +68,8 @@ class TorusGrid:
                 raise ValidationError(
                     f"grid resolution must be an even integer >= 8, got {n}"
                 )
-        if not (self.l_x > 0.0 and self.l_y > 0.0):
-            raise ValidationError("domain lengths must be positive")
+        if not (0.0 < self.l_x < np.inf and 0.0 < self.l_y < np.inf):
+            raise ValidationError("domain lengths must be positive and finite")
 
         kx = 2.0 * np.pi / self.l_x * np.fft.fftfreq(self.n_x, 1.0 / self.n_x)
         ky = 2.0 * np.pi / self.l_y * np.fft.rfftfreq(self.n_y, 1.0 / self.n_y)

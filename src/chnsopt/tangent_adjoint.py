@@ -21,6 +21,11 @@ adjoint
 The phase-coupling term enters the momentum adjoint as -eta*grad(phi)
 in this backward form; this is the sign that closes the integration by
 parts against the tangent system, and duality_gap checks it at O(dt).
+
+The cost functional of both control problems lives here beside its
+derivative: running_cost is its integrand at one node, tracking_cost the
+trapezoidal sum plus the terminal terms, and tracking_sources,
+tracking_pairing and terminal_adjoint_data differentiate them.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .forward import (
     signal_node,
     spectral,
 )
-from .grid import ScalarField, VectorField, leray_project, require_same_grid
+from .grid import ScalarField, VectorField, grad_norm, leray_project, require_same_grid
 
 
 class AdjointMode(enum.Enum):
@@ -154,14 +159,46 @@ def reference_transforms(mode: AdjointMode, targets, grid, n_nodes: int) -> list
     return list(zip(series(u_sig, "u_x"), series(u_sig, "u_y"), series(phi_sig, "values")))
 
 
-def tracking_sources(mode: AdjointMode, weights, st: Stepper, hats, ref):
+def running_cost(mode: AdjointMode, targets, state, node: int, U=None) -> float:
+    """The cost's integrand at one node, 0.5*(w_u |du|^2 + w_phi |dphi|^2
+    + w_c |U|^2) with (du, dphi) the node's mismatch and no control term
+    when U is None; it is the Lagrangian of the Hamiltonian.  |du| is the
+    gradient norm (enstrophy tracking, Nyquist derivative lines zeroed) in
+    the distributed mode and the L2 norm in the assimilation mode: the
+    pairings tracking_sources differentiates."""
+    w = targets.weights
+    du, dphi = mismatch(mode, targets, state, node)
+    a = grad_norm(du) ** 2 if mode is AdjointMode.DISTRIBUTED else du.dot(du)
+    b = state.grid.inner(dphi, dphi)
+    c = 0.0 if U is None else w.control * U.dot(U)
+    return 0.5 * (w.track_u * a + w.track_phi * b + c)
+
+
+def tracking_cost(mode: AdjointMode, targets, traj: Trajectory, control=None) -> float:
+    """The running cost summed over the nodes, trapezoidal in time, with the
+    control's node values when a control is given, plus the terminal L2
+    mismatches."""
+    w = targets.weights
+    g = traj.grid
+    tw = _trapz_weights(len(traj), traj.dt)
+    total = 0.0
+    for n, s in enumerate(traj.states):
+        total += tw[n] * running_cost(mode, targets, s, n, signal_node(control, n))
+    du, dphi = mismatch(mode, targets, traj.final)
+    total += 0.5 * w.final_u * du.dot(du)
+    total += 0.5 * w.final_phi * g.inner(dphi, dphi)
+    return float(total)
+
+
+def tracking_sources(mode: AdjointMode, weights, grid, hats, ref):
     """Transforms (S_p_x, S_p_y, S_eta) of the tracking sources at one node,
-    from the base state's transforms hats and the node's reference_transforms
-    entry ref.  The distributed mode pairs the velocity mismatch through -Lap
-    (enstrophy tracking) with the Nyquist derivative lines zeroed, as the
-    cost's gradient norm pairs it; the assimilation mode pairs it in L2."""
+    the derivative of running_cost in the state, from the base state's
+    transforms hats and the node's reference_transforms entry ref.  The
+    distributed mode pairs the velocity mismatch through -Lap (enstrophy
+    tracking) with the Nyquist derivative lines zeroed, as the cost's
+    gradient norm pairs it; the assimilation mode pairs it in L2."""
     ux_h, uy_h, ph = (h if r is None else h - r for h, r in zip(hats, ref))
-    scale = weights.track_u * st.grid.ksq_d if mode is AdjointMode.DISTRIBUTED else weights.track_u
+    scale = weights.track_u * grid.ksq_d if mode is AdjointMode.DISTRIBUTED else weights.track_u
     return scale * ux_h, scale * uy_h, weights.track_phi * ph
 
 
@@ -213,7 +250,7 @@ def adjoint_solve(
         hats = spectral(base.states[node].u, base.states[node].phi, st.stack(3, float))
         c = Frame(st, *hats, ("conv_grad",))
         d = Frame(st, px_h, py_h, eh, ("lap",))
-        sx_h, sy_h, seta_h = tracking_sources(mode, targets.weights, st, hats, ref_hats[node])
+        sx_h, sy_h, seta_h = tracking_sources(mode, targets.weights, g, hats, ref_hats[node])
         px, py = d.ux, d.uy
 
         w = st.stack(6, float)
@@ -250,16 +287,16 @@ def _trapz_weights(n_nodes: int, dt: float) -> np.ndarray:
     return w
 
 
-def tracking_pairing(base: Trajectory, tang: Trajectory, mode, targets, st: Stepper):
-    """Derivative of the cost's tracking and terminal terms along a tangent
-    solution started at node 0: the cost sources paired with the tangent
-    states (trapezoidal in time) plus the terminal pairings."""
-    g = st.grid
-    tw = _trapz_weights(len(base), st.dt)
+def tracking_pairing(base: Trajectory, tang: Trajectory, mode, targets):
+    """Derivative of tracking_cost's state terms along a tangent solution
+    started at node 0: the cost sources paired with the tangent states
+    (trapezoidal in time) plus the terminal pairings."""
+    g = base.grid
+    tw = _trapz_weights(len(base), base.dt)
     refs = reference_transforms(mode, targets, g, len(base))
     val = 0.0
     for n, s in enumerate(base.states):
-        src = tracking_sources(mode, targets.weights, st, spectral(s.u, s.phi), refs[n])
+        src = tracking_sources(mode, targets.weights, g, spectral(s.u, s.phi), refs[n])
         ts = tang.at_node(n)
         val += tw[n] * sum(
             g.inner(g.ifft2(h), v) for h, v in zip(src, (ts.w.u_x, ts.w.u_y, ts.psi.values))
@@ -286,7 +323,7 @@ def duality_gap(
     """
     tang = tangent_solve(base, delta_control, None, None, params, config)
     adj = adjoint_solve(base, mode, targets, params, config)
-    lhs = tracking_pairing(base, tang, mode, targets, Stepper(params, config))
+    lhs = tracking_pairing(base, tang, mode, targets)
     tw = _trapz_weights(len(base), config.dt)
 
     rhs = 0.0

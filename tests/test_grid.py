@@ -490,6 +490,26 @@ class TestOneStepKernel:
         assert offenders == []
 
 
+class TestOneCostFunctional:
+    def test_only_tangent_adjoint_forms_a_mismatch(self):
+        """The running cost, its trapezoidal sum and its derivative live in
+        tangent_adjoint.py; a module that called mismatch( would be writing
+        a second copy of the cost's integrand."""
+        import chnsopt
+
+        root = Path(chnsopt.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path.name == "tangent_adjoint.py":
+                continue
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                func = getattr(n, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(n, ast.Call) and name == "mismatch":
+                    offenders.append(f"{path.name}:{n.lineno}")
+        assert offenders == []
+
+
 class TestNoUnusedImports:
     def test_every_imported_name_is_used(self):
         """No module of the package imports a name it never reads; the

@@ -28,7 +28,7 @@ from chnsopt import (
 )
 from chnsopt import synth
 from chnsopt.forward import Stepper, spectral
-from chnsopt.tangent_adjoint import reference_transforms, tracking_sources
+from chnsopt.tangent_adjoint import reference_transforms, running_cost, tracking_sources
 
 TWO_PI = 2.0 * np.pi
 
@@ -328,10 +328,9 @@ class TestTrackingSources:
     ):
         base, targets, params, cfg = _tracked_run(args, refs)
         g = params.grid
-        st = Stepper(params, cfg)
         ref_hats = reference_transforms(mode, targets, g, len(base))
         for n, s in enumerate(base.states):
-            got = tracking_sources(mode, targets.weights, st, spectral(s.u, s.phi), ref_hats[n])
+            got = tracking_sources(mode, targets.weights, g, spectral(s.u, s.phi), ref_hats[n])
             want = tracking_sources_reference(mode, targets, s, n)
             for a, b in zip(got, want):
                 bh = g.fft2(b)
@@ -354,6 +353,52 @@ class TestTrackingSources:
                 assert np.array_equal(a.p.u_x, b.p.u_x)
                 assert np.array_equal(a.p.u_y, b.p.u_y)
                 assert np.array_equal(a.eta.values, b.eta.values)
+
+
+class TestSourcesDifferentiateTheRunningCost:
+    @pytest.mark.parametrize(
+        "args",
+        [pytest.param((16, 16, TWO_PI, TWO_PI), id="16x16"), SOURCE_GRIDS[1]],
+    )
+    @pytest.mark.parametrize("mode", list(AdjointMode), ids=lambda m: m.value)
+    def test_central_difference_of_the_running_cost(self, args, mode):
+        """At every node the tracking sources paired with a direction (V, P)
+        are the derivative of running_cost along it.  The state and the
+        direction carry Nyquist content, where the distributed mode's
+        gradient norm zeroes the derivative; the cost is quadratic in the
+        state, so the central difference is exact up to rounding."""
+        g = TorusGrid(*args)
+        rng = np.random.default_rng(g.n_x * 100 + g.n_y)
+        alt = np.broadcast_to((-1.0) ** np.arange(g.n_x)[:, None], g.shape)
+        tg = synth.taylor_green(g, 0.5)
+        state = FlowState(
+            VectorField(g, tg.u_x, tg.u_y + 0.3 * alt),
+            synth.sine_scalar(g, (1, 1), 0.1, mean=0.2),
+            0.0,
+        )
+
+        def field():
+            return rng.standard_normal(g.shape) + 0.3 * alt
+
+        n_nodes = 3
+        targets = CostTargets(weights=CostWeights(track_u=2.0, track_phi=0.5, control=1.5))
+        targets.u_d = targets.u_M = [VectorField(g, field(), field()) for _ in range(n_nodes)]
+        targets.phi_d = targets.phi_M = [ScalarField(g, field()) for _ in range(n_nodes)]
+        V, P = VectorField(g, field(), field()), ScalarField(g, field())
+        U = synth.taylor_green(g, 0.7)
+        ref_hats = reference_transforms(mode, targets, g, n_nodes)
+        h = 1e-3
+        shifted = [FlowState(state.u + V * e, state.phi + P * e, 0.0) for e in (h, -h)]
+        for n in range(n_nodes):
+            plus, minus = (running_cost(mode, targets, s, n, U) for s in shifted)
+            fd = (plus - minus) / (2.0 * h)
+            src = tracking_sources(
+                mode, targets.weights, g, spectral(state.u, state.phi), ref_hats[n]
+            )
+            paired = sum(
+                g.inner(g.ifft2(a), b) for a, b in zip(src, (V.u_x, V.u_y, P.values))
+            )
+            assert paired == pytest.approx(fd, rel=1e-10), n
 
 
 class TestAdjointTransformBudget:
