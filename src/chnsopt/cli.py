@@ -338,7 +338,10 @@ class RunContext:
                 "config key potential.coefficients is required by user-polynomial "
                 "and refused by double-well"
             )
-        potential = Potential.double_well() if p["coefficients"] is None else Potential(**p)
+        try:
+            potential = Potential.double_well() if p["coefficients"] is None else Potential(**p)
+        except ValidationError as e:  # a derivative beyond float range
+            raise ValidationError(f"config key potential.coefficients: {e}") from e
         kernel = Kernel(grid=self.grid, **c["kernel"])
         self.report = validate_assumptions(kernel, potential)
         self.params = ModelParams(self.grid, kernel, potential)
@@ -422,7 +425,9 @@ def _run_simulate(ctx: RunContext) -> int:
     out = ctx.ensure_outdir()
     state = ctx.initial_state()
     forcing = ctx.forcing()
-    traj = simulate(state, None, forcing, ctx.params, ctx.solver)
+    # the record holds the dumped nodes and the final one only
+    dumps = range(0, ctx.solver.n_steps + 1, ctx.dump_every) if ctx.dump_every > 0 else ()
+    traj = simulate(state, None, forcing, ctx.params, ctx.solver, keep=dumps)
     d = traj.diagnostics
     residual = np.append(d["residual"], 0.0)  # no step leaves the last node
     write_csv(
@@ -433,11 +438,10 @@ def _run_simulate(ctx: RunContext) -> int:
             for n in range(len(traj))
         ),
     )
-    if ctx.dump_every > 0:
-        for n in range(0, len(traj), ctx.dump_every):
-            s = traj.states[n]
-            write_vector_snapshot(os.path.join(out, f"u_{n:06d}"), s.u)
-            write_snapshot(os.path.join(out, f"phi_{n:06d}.fld"), s.phi)
+    for n in dumps:
+        s = traj.states[n]
+        write_vector_snapshot(os.path.join(out, f"u_{n:06d}"), s.u)
+        write_snapshot(os.path.join(out, f"phi_{n:06d}.fld"), s.phi)
     write_vector_snapshot(os.path.join(out, "u_final"), traj.final.u)
     write_snapshot(os.path.join(out, "phi_final.fld"), traj.final.phi)
     return 0
@@ -686,7 +690,9 @@ class _Command(NamedTuple):
     problem: str  # the config's problem, when it names one
     # dense trajectories kept at once: the optimizing ones hold the targets
     # or measurements, the current and the trial forward sweep and the
-    # adjoint sweep.  check steps at most _CHECK_STEPS times.
+    # adjoint sweep.  check steps at most _CHECK_STEPS times.  simulate
+    # keeps only the nodes it writes but counts one on purpose: the guard
+    # then also bounds its diagnostics rows, which still grow with N.
     dense: int
     targets: dict  # the table of the targets section
 

@@ -25,7 +25,9 @@ Memory: a forward step computes in buffers its Stepper keeps and
 allocates nothing field-sized but the three half spectra it returns.
 A force the same every step (control and forcing each None or a
 VectorField) is transformed once per sweep, not with every step's
-products.
+products.  A simulate sweep holds every node's state unless its caller
+names the nodes to keep (``keep``); ``chnsopt simulate`` keeps the
+nodes it writes only, so its record no longer grows with N.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    """Dense record of one sweep: a state per time node start_node..N.
+    """Record of one sweep: a state per time node start_node..N, or None
+    at a node a simulate sweep did not keep (see its keep).
 
     Forward runs hold FlowState, tangent sweeps TangentState and adjoint
     sweeps AdjointState; only a forward record has a grid.  diagnostics
@@ -140,7 +143,9 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+        """Node times n * dt, n = start_node..N: the bits of the sweeps'
+        own state times, read from no state."""
+        return np.arange(self.start_node, self.start_node + len(self.states)) * self.dt
 
     @property
     def initial(self):
@@ -583,6 +588,22 @@ def energy_identity_residual(
     return _diagnostic_series(rows, traj.dt)["residual"]
 
 
+def _kept_nodes(keep, n_steps: int):
+    """The nodes a sweep of n_steps holds (see simulate): every node for
+    keep None, else keep's nodes with 0 and n_steps.  ValidationError
+    unless keep is None or a collection of node indices in 0..n_steps."""
+    if keep is None:
+        return range(n_steps + 1)
+    try:
+        nodes = list(keep)
+    except TypeError as e:
+        raise ValidationError(f"keep must be a collection of node indices, got {keep!r:.80}") from e
+    for n in nodes:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= n_steps:
+            raise ValidationError(f"keep holds {n!r:.80}, not a node index in 0..{n_steps}")
+    return {0, n_steps, *map(int, nodes)}
+
+
 # The smallest grid whose diagnostics sweep hands its nodes to the worker
 # thread (see simulate)
 _WORKER_MIN_POINTS = 96 * 96
@@ -595,8 +616,10 @@ def simulate(
     params: ModelParams,
     config: SolverConfig,
     with_diagnostics: bool = True,
+    keep=None,
 ) -> Trajectory:
-    """Run the IMEX scheme from t = 0 to T and record every node.
+    """Run the IMEX scheme from t = 0 to T and record every node, or the
+    nodes keep names.
 
     control/forcing follow the signal_node conventions (None, constant
     VectorField, node-indexed list, or an object with at_node); when
@@ -606,6 +629,15 @@ def simulate(
     with_diagnostics fills traj.diagnostics inside the time loop from the
     transforms the step holds, at one extra transform per node (for the
     chemical potential); the stored states do not depend on it.
+
+    keep, None for every node or a collection of node indices in 0..N,
+    names the nodes whose states the record holds; it holds nodes 0 and
+    N too, so initial, final, grid and len answer as on a full record,
+    and None at every other node.  Every node is still computed, checked
+    and its row taken by the node function below: only the reference to
+    a dropped state is let go, so the kept states, the diagnostics and
+    the errors have the bits of a full record.  ValidationError before
+    the first step when keep is not such a collection.
 
     Threads.  The calling thread does the stepping.  Finishing node n,
     which the next step never reads, is one function: the stored state
@@ -636,6 +668,7 @@ def simulate(
     st = Stepper(params, config)
     n_steps = config.n_steps
     _require_nodes(n_steps + 1, control=control, forcing=forcing)
+    kept = _kept_nodes(keep, n_steps)
     start = initial.copy()
     start.t = 0.0
     terms = (params.kernel, params.potential)
@@ -646,7 +679,7 @@ def simulate(
         row = node_terms(*terms, hats, state, config.nu, force) if with_diagnostics else None
         if n < n_steps:
             st.check_cfl(state.u.u_x, state.u.u_y)
-        return state, row
+        return (state if n in kept else None), row
 
     if with_diagnostics and g.n_points >= _WORKER_MIN_POINTS:
         # imported here: concurrent.futures loads logging, a cost of every

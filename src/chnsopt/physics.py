@@ -135,11 +135,16 @@ class Potential:
         if not all(np.isfinite(coeffs)):
             raise ValidationError("potential coefficients must be finite")
         c = np.asarray(coeffs)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            derivatives = [P.polyder(c, m) for m in (1, 2, 3)]
+        if not all(np.isfinite(d).all() for d in derivatives):
+            raise ValidationError(
+                "potential coefficients give derivative coefficients beyond float range"
+            )
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "_c0", c)
-        object.__setattr__(self, "_c1", P.polyder(c, 1))
-        object.__setattr__(self, "_c2", P.polyder(c, 2))
-        object.__setattr__(self, "_c3", P.polyder(c, 3))
+        for m, d in enumerate(derivatives, 1):
+            object.__setattr__(self, f"_c{m}", d)
 
     @classmethod
     def double_well(cls) -> "Potential":

@@ -3,15 +3,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chnsopt
-from chnsopt import write_snapshot, write_vector_snapshot
+from chnsopt import simulate, write_snapshot, write_vector_snapshot
 from chnsopt import synth
-from chnsopt.cli import RunContext, main
+from chnsopt.cli import RunContext, main, write_csv
 
 
 def base_config(outdir, problem="simulate", **sections):
@@ -144,6 +145,12 @@ MALFORMED_CONFIGS = [
         _set("potential", value={"family": "user-polynomial", "coefficients": [0, 10**400, 1]}),
         "potential.coefficients",
         id="coefficient-beyond-float",
+    ),
+    # finite coefficients whose derivatives' are not: 2 * 1e308 overflows
+    pytest.param(
+        _set("potential", value={"family": "user-polynomial", "coefficients": [0, 0, 1e308, 1]}),
+        "potential.coefficients",
+        id="coefficient-derivative-beyond-float",
     ),
     # 8 TiB of trajectory for one step; numpy would fail allocating the grid
     pytest.param(_set("grid", "n", value=2**40), "grid", id="trajectory-beyond-memory-grid"),
@@ -524,6 +531,81 @@ class TestSimulate:
         cfg["initial"] = {"u": {"type": "file", "path": str(tmp_path / "u0")}}
         rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
         assert rc == 2
+
+
+def _dense_artifacts(cfg, out):
+    """simulate's artifacts written through the runner's own writers from
+    a full record of every node, into out."""
+    ctx = RunContext(cfg, "simulate", None, None)
+    traj = simulate(ctx.initial_state(), None, ctx.forcing(), ctx.params, ctx.solver)
+    d = traj.diagnostics
+    residual = np.append(d["residual"], 0.0)
+    out.mkdir()
+    write_csv(
+        str(out / "diagnostics.csv"),
+        ["t", "energy", "kinetic", "enstrophy", "mass", "residual"],
+        (
+            [d[k][n] for k in ("t", "energy", "kinetic", "enstrophy", "mass")] + [residual[n]]
+            for n in range(len(traj))
+        ),
+    )
+    if ctx.dump_every > 0:
+        for n in range(0, len(traj), ctx.dump_every):
+            write_vector_snapshot(str(out / f"u_{n:06d}"), traj.states[n].u)
+            write_snapshot(str(out / f"phi_{n:06d}.fld"), traj.states[n].phi)
+    write_vector_snapshot(str(out / "u_final"), traj.final.u)
+    write_snapshot(str(out / "phi_final.fld"), traj.final.phi)
+
+
+class TestSimulateKeepsWhatItWrites:
+    """simulate keeps only the nodes it writes: its artifacts are a full
+    record's, and its memory does not grow with the step count."""
+
+    @pytest.mark.parametrize("dump_every", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "grid",
+        [{"n": 16}, {"n_x": 32, "n_y": 48, "l_y": 3.0 * np.pi}],
+        ids=["16x16", "32x48-anisotropic"],
+    )
+    def test_artifacts_match_a_full_record_bytewise(self, tmp_path, grid, dump_every):
+        # 5 steps: the last dump of every third node is not the final node
+        cfg = base_config(
+            tmp_path / "run",
+            grid=grid,
+            initial={"phi": {"type": "random", "amplitude": 0.3, "k_cut": 3.0}},
+            forcing={"type": "single-mode", "mode": [1, 1], "amplitude": 0.1},
+        )
+        cfg["output"]["dump_every"] = dump_every
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        _dense_artifacts(cfg, tmp_path / "full")
+        names = sorted(os.listdir(tmp_path / "full"))
+        assert sorted(os.listdir(tmp_path / "run")) == names
+        dumped = {0: 0, 1: 6, 3: 2}[dump_every]  # nodes 0 to 5, or 0 and 3
+        assert len(names) == 4 + 3 * dumped
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() == (
+                tmp_path / "full" / name
+            ).read_bytes(), name
+
+    def test_peak_memory_does_not_grow_with_the_step_count(self, tmp_path):
+        # a full record of 120 nodes more would add 120 states, about 11 MiB
+        def peak(n_steps, traced=True):
+            cfg = base_config(tmp_path / f"out{n_steps}", grid={"n": 64})
+            cfg["solver"]["T"] = n_steps * 1e-3
+            argv = ["simulate", "--config", write_config(tmp_path, cfg, f"{n_steps}.json")]
+            if not traced:
+                return main(argv)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4, traced=False) == 0  # first-call caches stay out of the peaks
+        one_state = 3 * 64 * 64 * 8
+        assert abs(peak(160) - peak(40)) < one_state
 
 
 class TestGradientTestCommand:

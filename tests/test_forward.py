@@ -831,6 +831,152 @@ class TestNodeOverlap:
         assert seen == {"step": {me}, "node": {me}}
 
 
+KEEP_GRIDS = [
+    pytest.param((16, 16, TWO_PI, TWO_PI), id="16x16"),
+    pytest.param((32, 48, TWO_PI, 3.0 * np.pi), id="32x48-anisotropic"),
+    pytest.param((96, 96, TWO_PI, TWO_PI), id="96x96-worker"),
+]
+KEEPS = [
+    pytest.param((), id="ends-only"),
+    pytest.param(range(0, 21, 3), id="every-third"),
+    pytest.param([7, 2, 7, np.int64(11)], id="unordered-repeated"),
+]
+
+
+class TestKeep:
+    """simulate(keep=...) holds the named nodes, 0 and N only.  Every node
+    is still computed, checked and its row taken, so what the record
+    holds and what the sweep raises are a full record's."""
+
+    @pytest.mark.parametrize("keep", KEEPS)
+    @pytest.mark.parametrize("shape", KEEP_GRIDS)
+    def test_kept_nodes_match_a_full_record_bitwise(self, shape, keep, double_well):
+        inputs = _forced_controlled_inputs(shape, double_well)
+        full = simulate(*inputs)
+        part = simulate(*inputs, keep=keep)
+        n_steps = inputs[-1].n_steps
+        kept = {0, n_steps, *map(int, keep)}
+        assert len(part) == len(full) == n_steps + 1
+        for n, (a, b) in enumerate(zip(part.states, full.states, strict=True)):
+            if n not in kept:
+                assert a is None
+                continue
+            assert a.t == b.t
+            assert np.array_equal(a.u.u_x, b.u.u_x)
+            assert np.array_equal(a.u.u_y, b.u.u_y)
+            assert np.array_equal(a.phi.values, b.phi.values)
+        assert part.initial is part.states[0] and part.final is part.states[-1]
+        assert part.grid == full.grid and part.n_steps == full.n_steps
+        assert part.diagnostics.keys() == full.diagnostics.keys()
+        for key, series in full.diagnostics.items():
+            assert np.array_equal(part.diagnostics[key], series), key
+
+    def test_times_are_the_node_times_bitwise(self, params16, smooth_state16):
+        cfg = SolverConfig(dt=1e-3, T=0.007, nu=0.1)
+        full = simulate(smooth_state16, None, None, params16, cfg)
+        part = simulate(smooth_state16, None, None, params16, cfg, keep=())
+        assert np.array_equal(full.times, [s.t for s in full.states])
+        assert np.array_equal(part.times, full.times)
+        tang = tangent_solve(full, None, None, None, params16, cfg, start_node=3)
+        assert np.array_equal(tang.times, [s.t for s in tang.states])
+
+    @pytest.mark.parametrize(
+        "keep",
+        [5, 2.0, "12", [1.5], [True], [-1], [11], [None], [[1]]],
+        ids=["int", "float", "str", "float-node", "bool-node", "negative", "beyond-N",
+             "none-node", "list-node"],
+    )
+    def test_a_bad_keep_fails_before_the_first_step(
+        self, keep, params16, smooth_state16, monkeypatch
+    ):
+        def stepped(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(Stepper, "forward_step_hat", stepped)
+        cfg = SolverConfig(dt=1e-3, T=1e-2, nu=0.1)
+        with pytest.raises(ValidationError, match="keep"):
+            simulate(smooth_state16, None, None, params16, cfg, keep=keep)
+
+
+def _error_of(run):
+    """(type, message) of the NumericError run raises, or None."""
+    try:
+        run()
+    except NumericError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestKeepErrors:
+    """The node-overlap error cases in a run longer than the shortest that
+    fails, so the failing node is one that keep=() drops: the error is a
+    full record's, on the worker and on the calling thread."""
+
+    @pytest.fixture(autouse=True, params=[False, True], ids=["one-thread", "worker"])
+    def _worker(self, request, monkeypatch):
+        monkeypatch.setattr(forward, "_WORKER_MIN_POINTS", 0 if request.param else 10**9)
+
+    @staticmethod
+    def _same_error_dropped(sweep, dt, max_steps):
+        """(type, message) of the failure of a run two steps longer than the
+        shortest failing one, asserted the same with keep=() as full."""
+        k, *error = _first_failure(lambda cfg: sweep(cfg, None), dt, max_steps)
+        cfg = SolverConfig(dt=dt, T=(k + 2) * dt, nu=0.1)
+        assert _error_of(lambda: sweep(cfg, None)) == tuple(error)
+        assert _error_of(lambda: sweep(cfg, ())) == tuple(error)
+        return tuple(error)
+
+    @pytest.mark.parametrize("shape", KEEP_GRIDS[:2])
+    @pytest.mark.parametrize("with_diagnostics", [False, True], ids=["plain", "diagnostics"])
+    def test_cfl_violation_at_a_dropped_node(self, shape, with_diagnostics, double_well):
+        initial, forcing, params, dt = _accelerated_flow_inputs(shape, double_well)
+        error = self._same_error_dropped(
+            lambda cfg, keep: simulate(
+                initial, None, forcing, params, cfg, with_diagnostics, keep=keep
+            ),
+            dt,
+            6,
+        )
+        assert error[0] is StabilityError
+
+    @pytest.mark.parametrize("shape", KEEP_GRIDS[:2])
+    def test_blowup_at_a_dropped_node(self, shape, double_well):
+        g = TorusGrid(*shape)
+        params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), double_well)
+        state = FlowState(VectorField.zeros(g), ScalarField(g, 50.0 * np.sin(g.X)), 0.0)
+        with np.errstate(all="ignore"):
+            error = self._same_error_dropped(
+                lambda cfg, keep: simulate(state, None, None, params, cfg, keep=keep), 0.5, 8
+            )
+        assert issubclass(error[0], NumericError)
+
+    @pytest.mark.parametrize("shape", KEEP_GRIDS[:2])
+    def test_non_finite_chemical_potential_at_a_dropped_node(self, shape):
+        initial, params = _growing_phi_inputs(shape)
+        with np.errstate(all="ignore"):
+            error = self._same_error_dropped(
+                lambda cfg, keep: simulate(initial, None, None, params, cfg, keep=keep), 1e-3, 12
+            )
+        assert error == (NumericError, "chemical potential is non-finite")
+
+    @pytest.mark.parametrize("shape", KEEP_GRIDS[:2])
+    @pytest.mark.parametrize("with_diagnostics", [False, True], ids=["plain", "diagnostics"])
+    def test_a_dropped_nodes_error_comes_before_its_steps(
+        self, shape, with_diagnostics, double_well
+    ):
+        # node 4 fails its CFL check and step 4 its force's grid check: the
+        # forcing moves, from node 4 on, to a box of the same shape
+        initial, forcing, params, dt = _accelerated_flow_inputs(shape, double_well)
+        g = params.grid
+        other = TorusGrid(g.n_x, g.n_y, 2.0 * g.l_x, g.l_y)
+        moved = VectorField(other, forcing.u_x, forcing.u_y)
+        cfg = SolverConfig(dt=dt, T=7 * dt, nu=0.1)
+        nodes = [forcing] * 4 + [moved] * 4
+        for keep in (None, ()):
+            with pytest.raises(StabilityError, match="CFL"):
+                simulate(initial, None, nodes, params, cfg, with_diagnostics, keep=keep)
+
+
 class TestSupDifference:
     def test_identical_trajectories_have_zero_gap(self, params16, smooth_state16):
         cfg = SolverConfig(dt=1e-3, T=0.003, nu=0.1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,21 @@ class TestPotential:
     def test_non_finite_coefficients_rejected(self):
         with pytest.raises(ValidationError):
             Potential.polynomial((0.0, 0.0, np.inf))
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(0.0, 0.0, 1e308, 1.0), (0.0, 0.0, 0.0, 1e308), (1e308, 0.0, 0.0, 0.0, 1e308)],
+    )
+    def test_derivatives_beyond_float_range_rejected_without_a_warning(self, coefficients):
+        # 2 * 1e308, 3 * 1e308 and 4 * 1e308 overflow, though each coefficient is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="derivative"):
+                Potential.polynomial(coefficients)
+
+    def test_large_coefficients_with_finite_derivatives_stay_legal(self):
+        potential = Potential.polynomial((1e308, 0.0, 1e307, 1e300))
+        assert np.isfinite([potential.df(0.5), potential.d2f(0.5), potential.d3f(0.5)]).all()
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValidationError):
