@@ -138,8 +138,9 @@ def record_measurements(
         s = noise_level * n / gn if gn > 0 else 0.0
         return [a + s * d for a, d in zip(parts, draws)]
 
-    u_M = [VectorField(g, *noisy(s.u.u_x, s.u.u_y)) for s in traj.states]
-    phi_M = [ScalarField(g, *noisy(s.phi.values)) for s in traj.states]
+    states = traj.every_node()
+    u_M = [VectorField(g, *noisy(s.u.u_x, s.u.u_y)) for s in states]
+    phi_M = [ScalarField(g, *noisy(s.phi.values)) for s in states]
     return CostTargets(
         u_M=u_M,
         phi_M=phi_M,

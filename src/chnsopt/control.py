@@ -42,6 +42,7 @@ from .forward import (
     Stepper,
     Trajectory,
     physical,
+    read_signal,
     simulate,
     spectral,
 )
@@ -54,6 +55,7 @@ from .tangent_adjoint import (
     tangent_solve,
     tracking_cost,
     tracking_pairing,
+    tracking_references,
     _trapz_weights,
 )
 
@@ -532,21 +534,22 @@ def hamiltonian(
     forward step uses (Stepper.explicit_rhs, default stabilization and
     dealiasing) plus the implicit viscous and stabilization terms.  As a
     function of U_value this is (w_c/2)|U|^2 + <p, U> + const, so its
-    minimizer over all fields is -p/w_c.  node picks the tracking
-    references; None reads them at node 0, which is every node for
-    references constant in time.
+    minimizer over all fields is -p/w_c.  node, a node index from 0,
+    picks the tracking references; None reads them at node 0, which is
+    every node for references constant in time.
     """
     g = params.grid
-    lagr = running_cost(
-        AdjointMode.DISTRIBUTED, targets, state, 0 if node is None else node, U_value
-    )
+    n = 0 if node is None else node
+    if n < 0:
+        raise ValidationError(f"node {node} is not a time node")
+    u_d, phi_d = tracking_references(AdjointMode.DISTRIBUTED, targets, g, n + 1)
+    U = read_signal(U_value, "U_value", g)
+    lagr = running_cost(AdjointMode.DISTRIBUTED, targets.weights, state, (u_d[n], phi_d[n]), U)
 
     # dt does not enter the right-hand side
     st = Stepper(params, SolverConfig(dt=1.0, T=1.0, nu=nu))
     ux_h, uy_h, ph = spectral(state.u, state.phi)
-    fx_h, fy_h, rhs = st.explicit_rhs(
-        Frame(st, ux_h, uy_h, ph, ("conv",)), U_value.u_x, U_value.u_y
-    )
+    fx_h, fy_h, rhs = st.explicit_rhs(Frame(st, ux_h, uy_h, ph, ("conv",)), *U)
     n1, n2 = physical(
         g, fx_h - nu * g.ksq * ux_h, fy_h - nu * g.ksq * uy_h, rhs - st.S * g.ksq * ph
     )

@@ -21,13 +21,18 @@ bookkeeping of each node (its stored state, its checks and its
 diagnostics row) to one worker thread, which runs one node behind the
 step; every other sweep runs in one thread (see ``simulate``).
 
+Time signals: the control, the forcing and the states a cost tracks are
+read by ``read_signal``, the one function that knows a signal's forms.
+It checks a signal once, before a sweep does any work, and gives each
+node's arrays as views, so no sweep builds a field per node.
+
 Memory: a forward step computes in buffers its Stepper keeps and
 allocates nothing field-sized but the three half spectra it returns.
-A force the same every step (control and forcing each None or a
-VectorField) is transformed once per sweep, not with every step's
-products.  A simulate sweep holds every node's state unless its caller
-names the nodes to keep (``keep``); ``chnsopt simulate`` keeps the
-nodes it writes only, so its record no longer grows with N.
+A force constant in time (control and forcing each None or one field)
+is transformed once per sweep, not with every step's products.  A
+simulate sweep holds every node's state unless its caller names the
+nodes to keep (``keep``); ``chnsopt simulate`` keeps the nodes it
+writes only, so its record no longer grows with N.
 """
 
 from __future__ import annotations
@@ -159,66 +164,69 @@ class Trajectory:
     def grid(self) -> TorusGrid:
         return self.states[0].grid
 
+    def every_node(self) -> list:
+        """The states, for a reader of whole records: ValidationError naming
+        the first node a simulate sweep did not keep."""
+        for n, s in enumerate(self.states):
+            if s is None:
+                raise ValidationError(
+                    f"the record holds no state at node {self.start_node + n} (simulate's keep "
+                    "dropped it); this reader needs every node"
+                )
+        return self.states
 
-def signal_node(signal, n: int | None):
-    """Value of a time-indexed signal at node n.
 
-    Accepts None (zero), a single VectorField or ScalarField (constant in
-    time), a list/tuple indexed by node, or any object with an at_node
-    method.  A node-indexed signal needs an integer node.
-    """
+def read_signal(signal, name: str, grid: TorusGrid, n_nodes: int | None = None,
+                kind: type = VectorField, dt: float | None = None):
+    """The arrays of the time signal a sweep reads at nodes 0..n_nodes-1,
+    checked once, before the sweep does any work: the one function that
+    knows a signal's forms.  These are None, one field (constant in time),
+    a list or tuple of fields indexed by node, and a distributed
+    ControlSignal, read as the rows of its data.  Fields are of kind and
+    on grid, a node-indexed signal has at least n_nodes nodes, and a
+    ControlSignal steps dt (when given) to 1e-14 max(1, dt); each failed
+    check raises ValidationError naming the signal.  Returns n_nodes
+    entries, None or the node's component arrays ((u_x, u_y), or (values,)
+    of a ScalarField) as views; a signal constant in time is one entry
+    n_nodes times, so nodes[0] is nodes[-1].  n_nodes None reads a signal
+    that must be one field, such as a terminal reference: its entry."""
+    from .control import ControlSignal  # control.py imports this module
+
     if signal is None:
-        return None
-    if isinstance(signal, (VectorField, ScalarField)):
-        return signal
-    if not isinstance(signal, (list, tuple)) and not hasattr(signal, "at_node"):
-        raise ValidationError(f"cannot read a time-indexed signal from {type(signal)!r}")
-    if n is None:
-        raise ValidationError("node index needed for time-indexed signals")
-    if isinstance(signal, (list, tuple)):
-        return signal[n]
-    return signal.at_node(n)
-
-
-def step_average(signal, n: int):
-    """Average of the node-n and node-(n+1) values, the per-step action.
-
-    Centering the control on the step keeps the discrete work pairing
-    consistent with trapezoidal time quadrature.
-    """
-    if signal is None:
-        return None
-    if isinstance(signal, VectorField):
-        return signal
-    a = signal_node(signal, n)
-    b = signal_node(signal, n + 1)
-    return VectorField(
-        a.grid, 0.5 * (a.u_x + b.u_x), 0.5 * (a.u_y + b.u_y)
-    )
-
-
-def _applied_force(control, forcing, n: int, grid: TorusGrid):
-    """Components (f_x, f_y) of the control plus forcing acting over step
-    n, each time-averaged, or (None, None) when neither is given."""
-    total = None
-    for f in (step_average(control, n), step_average(forcing, n)):
-        if f is None:
-            continue
+        return None if n_nodes is None else [None] * n_nodes
+    held = isinstance(signal, ControlSignal)
+    one = not held and not isinstance(signal, (list, tuple))
+    fields = [signal] if one or held else signal
+    for f in fields:
+        if not (isinstance(f, kind) or held and f.kind == f.DISTRIBUTED and kind is VectorField):
+            raise ValidationError(f"cannot read {name} from {type(f).__name__}")
         if f.grid != grid:
-            raise ValidationError("force field grid does not match params grid")
-        total = f if total is None else total + f
-    if total is None:
-        return None, None
-    return total.u_x, total.u_y
+            raise ValidationError(f"{name} grid does not match params grid")
+    if held and dt is not None and abs(signal.dt - dt) > 1e-14 * max(1.0, dt):
+        raise ValidationError(f"{name} steps dt = {signal.dt!r}, the sweep {dt!r}")
+    nodes = list(map(tuple, signal.data)) if held else [
+        (f.u_x, f.u_y) if kind is VectorField else (f.values,) for f in fields]
+    if one:
+        return nodes[0] if n_nodes is None else nodes * n_nodes
+    if n_nodes is None:
+        raise ValidationError(f"{name} is node-indexed where one field is needed")
+    if len(nodes) < n_nodes:
+        raise ValidationError(f"{name} has {len(nodes)} time nodes, the sweep reads {n_nodes}")
+    return nodes[:n_nodes]
 
 
-def _require_nodes(n_nodes: int, **signals):
-    """Before a sweep's first step: ValidationError naming a node-indexed
-    signal with fewer than the n_nodes nodes _applied_force will read."""
-    for name, s in signals.items():
-        have = len(s) if isinstance(s, (list, tuple)) else getattr(s, "n_nodes", n_nodes)
-        if have < n_nodes:
-            raise ValidationError(f"{name} has {have} time nodes, the sweep reads {n_nodes}")
+def _applied_force(n: int, *signals):
+    """Components (f_x, f_y) acting over step n: the sum, in order, of the
+    read_signal lists signals (control, then forcing), each as given when
+    constant in time, else the per-component midpoint 0.5 (a + b) of nodes
+    n and n + 1, which keeps the work pairing trapezoidal; or (None, None)."""
+    total = None
+    for a, b in (s[n : n + 2] for s in signals):
+        if a is None:
+            continue
+        f = a if a is b else tuple(0.5 * (p + q) for p, q in zip(a, b))
+        total = f if total is None else tuple(p + q for p, q in zip(total, f))
+    return (None, None) if total is None else total
 
 
 def spectral(u: VectorField, phi: ScalarField, work: np.ndarray | None = None):
@@ -506,10 +514,11 @@ def step(
     require_same_grid(state.u, state.phi)
     if state.grid != g:
         raise ValidationError("state grid does not match params grid")
+    force = _applied_force(0, read_signal(control_value, "control_value", g, 2, dt=config.dt),
+                           read_signal(forcing, "forcing", g, 2, dt=config.dt))
     st = Stepper(params, config)
     st.check_cfl(state.u.u_x, state.u.u_y)
-    force = st.force_hat(*_applied_force(control_value, forcing, 0, g))
-    ux_h, uy_h, ph = st.forward_step_hat(*spectral(state.u, state.phi), *force)
+    ux_h, uy_h, ph = st.forward_step_hat(*spectral(state.u, state.phi), *st.force_hat(*force))
     return FlowState(*physical(g, ux_h, uy_h, ph), state.t + config.dt)
 
 
@@ -580,10 +589,13 @@ def energy_identity_residual(
     and the force at the step's time-averaged value.  First-order
     accurate, so r_n = O(dt) on smooth runs.
     """
+    states = traj.every_node()
+    signals = [read_signal(s, name, traj.grid, len(states), dt=traj.dt)
+               for s, name in ((control, "control"), (forcing, "forcing"))]
     rows = [
         node_terms(params.kernel, params.potential, spectral(s.u, s.phi), s, config.nu,
-                   _applied_force(control, forcing, n - 1, traj.grid) if n else (None, None))
-        for n, s in enumerate(traj.states)
+                   _applied_force(n - 1, *signals) if n else (None, None))
+        for n, s in enumerate(states)
     ]
     return _diagnostic_series(rows, traj.dt)["residual"]
 
@@ -621,11 +633,10 @@ def simulate(
     """Run the IMEX scheme from t = 0 to T and record every node, or the
     nodes keep names.
 
-    control/forcing follow the signal_node conventions (None, constant
-    VectorField, node-indexed list, or an object with at_node); when
-    each is None or a VectorField, their sum is transformed once, at
-    step 0, and every step adds that transform (the bits are those of
-    the same force given per node);
+    control/forcing are time signals, read and checked by read_signal
+    before the first step; when both are constant in time, their sum is
+    transformed once, at step 0, and every step adds that transform (the
+    bits are those of the same force given per node);
     with_diagnostics fills traj.diagnostics inside the time loop from the
     transforms the step holds, at one extra transform per node (for the
     chemical potential); the stored states do not depend on it.
@@ -667,7 +678,8 @@ def simulate(
         raise ValidationError("initial state grid does not match params grid")
     st = Stepper(params, config)
     n_steps = config.n_steps
-    _require_nodes(n_steps + 1, control=control, forcing=forcing)
+    control, forcing = (read_signal(s, name, g, n_steps + 1, dt=config.dt)
+                        for s, name in ((control, "control"), (forcing, "forcing")))
     kept = _kept_nodes(keep, n_steps)
     start = initial.copy()
     start.t = 0.0
@@ -699,7 +711,7 @@ def simulate(
             return lambda: out
 
     # a force the same every step is transformed once, at step 0
-    constant = all(s is None or isinstance(s, VectorField) for s in (control, forcing))
+    constant = control[0] is control[-1] and forcing[0] is forcing[-1]
     nodes_out = []
     hats = spectral(initial.u, initial.phi)
     with runner:
@@ -707,7 +719,7 @@ def simulate(
         for n in range(n_steps):
             try:
                 if n == 0 or not constant:
-                    force = _applied_force(control, forcing, n, g)
+                    force = _applied_force(n, control, forcing)
                     step_force = st.force_hat(*force) if constant else force
                 hats = st.forward_step_hat(*hats, *step_force)
             finally:
@@ -731,7 +743,7 @@ def sup_state_difference(a: Trajectory, b: Trajectory) -> float:
     if len(a) != len(b):
         raise ValidationError("trajectories have different lengths")
     worst = 0.0
-    for sa, sb in zip(a.states, b.states):
+    for sa, sb in zip(a.every_node(), b.every_node()):
         require_same_grid(sa.phi, sb.phi)
         du = sa.u + sb.u * (-1.0)
         dphi = ScalarField(sa.phi.grid, sa.phi.values - sb.phi.values)

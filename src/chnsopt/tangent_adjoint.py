@@ -43,9 +43,8 @@ from .forward import (
     Stepper,
     Trajectory,
     _applied_force,
-    _require_nodes,
     physical,
-    signal_node,
+    read_signal,
     spectral,
 )
 from .grid import ScalarField, VectorField, grad_norm, leray_project, require_same_grid
@@ -81,7 +80,7 @@ def tangent_solve(
 ) -> Trajectory:
     """Integrate the linearized system along the base trajectory.
 
-    delta_control follows the forward signal conventions.  start_node
+    delta_control is a time signal (read_signal).  start_node
     lets a perturbation be injected mid-trajectory (the spike limit
     diagnostic); the returned states then cover nodes start_node..N.
     """
@@ -91,7 +90,8 @@ def tangent_solve(
         raise ValidationError("base trajectory dt does not match config dt")
     if not 0 <= start_node <= n_total:
         raise ValidationError("start_node outside the base trajectory")
-    _require_nodes(n_total + 1, delta_control=delta_control)
+    base.every_node()
+    control = read_signal(delta_control, "delta_control", g, n_total + 1, dt=config.dt)
     st = Stepper(params, config)
 
     w0 = VectorField.zeros(g) if w0 is None else w0
@@ -110,7 +110,7 @@ def tangent_solve(
         c = Frame(st, *hats, ("conv",))
         d = Frame(st, wx_h, wy_h, psh, ("conv",))
 
-        force = _applied_force(delta_control, None, n, g)
+        force = _applied_force(n, control)
         w = st.products(force[0])
         fx = -(d.ux * c.dux[0] + d.uy * c.dux[1]) - (c.ux * d.dux[0] + c.uy * d.dux[1])
         fy = -(d.ux * c.duy[0] + d.uy * c.duy[1]) - (c.ux * d.duy[0] + c.uy * d.duy[1])
@@ -125,24 +125,24 @@ def tangent_solve(
     return Trajectory(states=states, dt=config.dt, start_node=start_node)
 
 
-def _references(mode: AdjointMode, targets, terminal: bool):
-    """The (velocity, phi) reference signals mismatch describes."""
-    if mode is AdjointMode.DISTRIBUTED:
-        return (targets.u_f, targets.phi_f) if terminal else (targets.u_d, targets.phi_d)
-    return (targets.u_M_f, targets.phi_M_f) if terminal else (targets.u_M, targets.phi_M)
+def tracking_references(mode: AdjointMode, targets, grid, n_nodes: int | None = None):
+    """The (velocity, phi) references the mode tracks, read by read_signal:
+    u_d/phi_d or u_M/phi_M over n_nodes, or for n_nodes None the terminal
+    pair of single fields u_f/phi_f or u_M_f/phi_M_f; None reads as zero."""
+    tag = ("_d", "_f") if mode is AdjointMode.DISTRIBUTED else ("_M", "_M_f")
+    names = [part + tag[n_nodes is None] for part in ("u", "phi")]
+    return tuple(read_signal(getattr(targets, name), name, grid, n_nodes, kind)
+                 for name, kind in zip(names, (VectorField, ScalarField)))
 
 
-def mismatch(mode: AdjointMode, targets, state, node: int | None = None):
-    """State minus the reference the mode tracks: (velocity, phi values).
-
-    The distributed mode tracks u_d/phi_d at a node and u_f/phi_f at the
-    end, the assimilation mode u_M/phi_M and u_M_f/phi_M_f; node=None
-    selects the terminal pair.  A missing reference reads as zero.
-    """
-    refs = _references(mode, targets, node is None)
-    u_ref, phi_ref = (signal_node(r, node) for r in refs)
-    du = state.u if u_ref is None else state.u - u_ref
-    dphi = state.phi.values if phi_ref is None else state.phi.values - phi_ref.values
+def mismatch(state, ref):
+    """State minus one node's reference: (velocity field, phi values), with
+    ref the node's (velocity, phi) entries of tracking_references."""
+    u_ref, phi_ref = ref
+    du = state.u
+    if u_ref is not None:
+        du = VectorField(state.grid, du.u_x - u_ref[0], du.u_y - u_ref[1])
+    dphi = state.phi.values if phi_ref is None else state.phi.values - phi_ref[0]
     return du, dphi
 
 
@@ -150,41 +150,43 @@ def reference_transforms(mode: AdjointMode, targets, grid, n_nodes: int) -> list
     """Entry n is the transforms (u_x, u_y, phi) of the tracking references at
     node n, None where missing; a reference constant in time is transformed once."""
 
-    def series(signal, part):
-        if signal is None or isinstance(signal, (VectorField, ScalarField)):
-            return [None if signal is None else grid.fft2(getattr(signal, part))] * n_nodes
-        return [grid.fft2(getattr(signal_node(signal, n), part)) for n in range(n_nodes)]
+    def series(nodes, i):
+        if nodes[0] is nodes[-1]:
+            return [None if nodes[0] is None else grid.fft2(nodes[0][i])] * n_nodes
+        return [grid.fft2(e[i]) for e in nodes]
 
-    u_sig, phi_sig = _references(mode, targets, False)
-    return list(zip(series(u_sig, "u_x"), series(u_sig, "u_y"), series(phi_sig, "values")))
+    u, phi = tracking_references(mode, targets, grid, n_nodes)
+    return list(zip(series(u, 0), series(u, 1), series(phi, 0)))
 
 
-def running_cost(mode: AdjointMode, targets, state, node: int, U=None) -> float:
+def running_cost(mode: AdjointMode, weights, state, ref, U=None) -> float:
     """The cost's integrand at one node, 0.5*(w_u |du|^2 + w_phi |dphi|^2
-    + w_c |U|^2) with (du, dphi) the node's mismatch and no control term
-    when U is None; it is the Lagrangian of the Hamiltonian.  |du| is the
+    + w_c |U|^2) with (du, dphi) the node's mismatch against ref (see
+    mismatch), U the node's control components and no control term when
+    U is None; it is the Lagrangian of the Hamiltonian.  |du| is the
     gradient norm (enstrophy tracking, Nyquist derivative lines zeroed) in
     the distributed mode and the L2 norm in the assimilation mode: the
     pairings tracking_sources differentiates."""
-    w = targets.weights
-    du, dphi = mismatch(mode, targets, state, node)
+    du, dphi = mismatch(state, ref)
     a = grad_norm(du) ** 2 if mode is AdjointMode.DISTRIBUTED else du.dot(du)
     b = state.grid.inner(dphi, dphi)
-    c = 0.0 if U is None else w.control * U.dot(U)
-    return 0.5 * (w.track_u * a + w.track_phi * b + c)
+    c = 0.0 if U is None else weights.control * sum(state.grid.inner(x, x) for x in U)
+    return 0.5 * (weights.track_u * a + weights.track_phi * b + c)
 
 
 def tracking_cost(mode: AdjointMode, targets, traj: Trajectory, control=None) -> float:
     """The running cost summed over the nodes, trapezoidal in time, with the
     control's node values when a control is given, plus the terminal L2
-    mismatches."""
+    mismatches.  Every signal is read once, before the sum."""
     w = targets.weights
     g = traj.grid
+    refs = tracking_references(mode, targets, g, len(traj))
+    U = read_signal(control, "control", g, len(traj), dt=traj.dt)
     tw = _trapz_weights(len(traj), traj.dt)
     total = 0.0
-    for n, s in enumerate(traj.states):
-        total += tw[n] * running_cost(mode, targets, s, n, signal_node(control, n))
-    du, dphi = mismatch(mode, targets, traj.final)
+    for n, (s, *ref, U_n) in enumerate(zip(traj.every_node(), *refs, U)):
+        total += tw[n] * running_cost(mode, w, s, ref, U_n)
+    du, dphi = mismatch(traj.final, tracking_references(mode, targets, g))
     total += 0.5 * w.final_u * du.dot(du)
     total += 0.5 * w.final_phi * g.inner(dphi, dphi)
     return float(total)
@@ -206,7 +208,7 @@ def terminal_adjoint_data(base: Trajectory, mode: AdjointMode, targets):
     """Terminal pair (p(T), eta(T)) prescribed by the cost."""
     w = targets.weights
     g = base.grid
-    du, dphi = mismatch(mode, targets, base.final)
+    du, dphi = mismatch(base.final, tracking_references(mode, targets, g))
     p_T = leray_project(VectorField(g, w.final_u * du.u_x, w.final_u * du.u_y))
     eta_T = ScalarField(g, w.final_phi * dphi)
     return p_T, eta_T
@@ -232,6 +234,7 @@ def adjoint_solve(
     g = params.grid
     if abs(base.dt - config.dt) > 1e-14 * max(1.0, config.dt):
         raise ValidationError("base trajectory dt does not match config dt")
+    base.every_node()
     st = Stepper(params, config)
     n_total = base.n_steps
     m = st.mask
@@ -326,12 +329,12 @@ def duality_gap(
     lhs = tracking_pairing(base, tang, mode, targets)
     tw = _trapz_weights(len(base), config.dt)
 
+    g = params.grid
     rhs = 0.0
-    for n in range(len(base)):
-        du = signal_node(delta_control, n)
-        if du is None:
-            continue
-        rhs += tw[n] * adj.at_node(n).p.dot(du)
+    control = read_signal(delta_control, "delta_control", g, len(base), dt=config.dt)
+    for n, (du, s) in enumerate(zip(control, adj.states)):
+        if du is not None:
+            rhs += tw[n] * (g.inner(s.p.u_x, du[0]) + g.inner(s.p.u_y, du[1]))
 
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale

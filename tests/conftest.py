@@ -10,12 +10,12 @@ from chnsopt import (
     Potential,
     SolverConfig,
     TorusGrid,
+    VectorField,
     chemical_potential,
     curl2d,
     grad_norm,
 )
 from chnsopt import AdjointMode, synth
-from chnsopt.forward import step_average
 
 TWO_PI = 2.0 * np.pi
 
@@ -103,6 +103,15 @@ def short_config(dt=1e-3, T=0.01, nu=0.1, **kw):
     return SolverConfig(dt=dt, T=T, nu=nu, **kw)
 
 
+def step_midpoint(signal, n):
+    """The force of step n as the scheme averages a signal: None, or one
+    field as given, or the nodal midpoint (a + b) / 2 of a node list."""
+    if not isinstance(signal, list):
+        return signal
+    a, b = signal[n], signal[n + 1]
+    return VectorField(a.grid, 0.5 * (a.u_x + b.u_x), 0.5 * (a.u_y + b.u_y))
+
+
 def reference_diagnostics(traj, forcing, control, params, config):
     """The diagnostic series of a forward trajectory from physical-space
     formulas: the energy as sums over grid points, the enstrophy through
@@ -123,7 +132,7 @@ def reference_diagnostics(traj, forcing, control, params, config):
         nxt = traj.states[n + 1]
         mu = chemical_potential(nxt.phi, kernel, potential)
         diss = config.nu * grad_norm(nxt.u) ** 2 + grad_norm(mu) ** 2
-        forces = (step_average(control, n), step_average(forcing, n))
+        forces = (step_midpoint(control, n), step_midpoint(forcing, n))
         work = sum(f.dot(nxt.u) for f in forces if f is not None)
         residual[n] = (en[n + 1] - en[n]) / config.dt + diss - work
     return {

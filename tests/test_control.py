@@ -19,11 +19,15 @@ from chnsopt import (
     TorusGrid,
     ValidationError,
     VectorField,
+    adjoint_solve,
     build_trial_controls,
+    cost_da,
     cost_ocp,
     curl2d,
     directional_derivative,
+    duality_gap,
     ekeland_metric,
+    energy_identity_residual,
     grad_norm,
     hamiltonian,
     leray_project,
@@ -36,10 +40,14 @@ from chnsopt import (
     solve_ocp,
     spike_limit_reference,
     spike_variation,
+    sup_state_difference,
+    tangent_solve,
     taylor_remainders,
 )
+from chnsopt import grid as grid_module
 from chnsopt import synth
 from chnsopt.control import _memoryless_bfgs, _trapz_weights
+from chnsopt.tangent_adjoint import tracking_cost
 
 
 def _const_signal(grid, n_nodes, dt, amp=1.0, mode=(1, 0)):
@@ -847,3 +855,139 @@ class TestSolveOcp:
         assert costs[-1] < costs[0]
         assert U.norm() > 0.0
         assert len(hist) <= 6
+
+
+class TestSignalChecksAtEntry:
+    """The public entry points check their time signals before any work,
+    with a ValidationError naming the signal."""
+
+    @staticmethod
+    def _inputs(params16, smooth_state16):
+        cfg = SolverConfig(dt=1e-3, T=1e-2, nu=0.1)
+        f = synth.single_mode_velocity(params16.grid, (1, 0), 0.1)
+        return cfg, f
+
+    def test_a_control_on_another_time_step(self, params16, smooth_state16):
+        cfg, f = self._inputs(params16, smooth_state16)
+        coarse = ControlSignal.constant(f, 11, 2e-3)
+        base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+        problem = DistributedControlProblem(smooth_state16, CostTargets(), None, params16, cfg)
+        runs = [
+            lambda: simulate(smooth_state16, coarse, None, params16, cfg),
+            lambda: tangent_solve(base, coarse, None, None, params16, cfg),
+            lambda: problem.cost(coarse),
+        ]
+        for run in runs:
+            with pytest.raises(ValidationError, match="control steps dt = 0.002, the sweep 0.001"):
+                run()
+
+    def test_short_tracked_references(self, params16, smooth_state16):
+        cfg, f = self._inputs(params16, smooth_state16)
+        g = params16.grid
+        with pytest.raises(ValidationError, match="u_d has 5 time nodes, the sweep reads 11"):
+            DistributedControlProblem(
+                smooth_state16, CostTargets(u_d=[f] * 5), None, params16, cfg
+            )
+        measured = CostTargets(
+            u_M=[f] * 5, u_M_f=VectorField.zeros(g), phi_M_f=ScalarField.zeros(g)
+        )
+        with pytest.raises(ValidationError, match="u_M has 5 time nodes, the sweep reads 11"):
+            InitialVelocityProblem(
+                AssimilationProblem(measured, smooth_state16.phi, None, params16, cfg)
+            )
+
+    def test_a_field_of_the_wrong_kind(self, params16, smooth_state16):
+        cfg, f = self._inputs(params16, smooth_state16)
+        c = smooth_state16.phi
+        with pytest.raises(ValidationError, match="cannot read forcing from ScalarField"):
+            simulate(smooth_state16, None, c, params16, cfg)
+        with pytest.raises(ValidationError, match="cannot read control from ScalarField"):
+            simulate(smooth_state16, c, None, params16, cfg)
+        for targets, message in (
+            (CostTargets(u_d=c), "cannot read u_d from ScalarField"),
+            (CostTargets(phi_d=[f] * 11), "cannot read phi_d from VectorField"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                DistributedControlProblem(smooth_state16, targets, None, params16, cfg)
+
+    def test_hamiltonian_reads_only_the_nodes_it_has(self, params16, smooth_state16):
+        g = params16.grid
+        targets = CostTargets(u_d=[smooth_state16.u * float(k) for k in range(11)])
+        adj = AdjointState(VectorField.zeros(g), ScalarField.zeros(g), 0.0)
+        W = VectorField.zeros(g)
+        with pytest.raises(ValidationError, match="node -1 is not a time node"):
+            hamiltonian(smooth_state16, W, adj, targets, params16, nu=0.1, node=-1)
+        with pytest.raises(ValidationError, match="u_d has 11 time nodes, the sweep reads 12"):
+            hamiltonian(smooth_state16, W, adj, targets, params16, nu=0.1, node=11)
+        hamiltonian(smooth_state16, W, adj, targets, params16, nu=0.1, node=10)
+
+
+_SPARSE_READERS = {
+    "tangent_solve": lambda r, p, c, t: tangent_solve(r, None, None, None, p, c),
+    "adjoint_solve": lambda r, p, c, t: adjoint_solve(r, AdjointMode.DISTRIBUTED, t, p, c),
+    "cost_ocp": lambda r, p, c, t: cost_ocp(
+        r, ControlSignal.zeros_distributed(p.grid, len(r), c.dt), t
+    ),
+    "cost_da": lambda r, p, c, t: cost_da(
+        r, r.initial.u, AssimilationProblem(t, r.initial.phi, None, p, c)
+    ),
+    "duality_gap": lambda r, p, c, t: duality_gap(r, None, AdjointMode.DISTRIBUTED, t, p, c),
+    "energy_identity_residual": lambda r, p, c, t: energy_identity_residual(r, None, None, p, c),
+    "sup_state_difference": lambda r, p, c, t: sup_state_difference(
+        simulate(r.initial, None, None, p, c), r
+    ),
+    "record_measurements": lambda r, p, c, t: record_measurements(r, t.weights),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_SPARSE_READERS))
+def test_a_sparse_record_is_refused_by_readers_of_whole_records(
+    reader, params16, smooth_state16
+):
+    """A record simulate(keep=...) thinned holds None at its dropped nodes;
+    a reader of every node refuses it, naming the first dropped node."""
+    g = params16.grid
+    cfg = SolverConfig(dt=1e-3, T=1e-2, nu=0.1)
+    sparse = simulate(smooth_state16, None, None, params16, cfg, keep=[5])
+    targets = CostTargets(u_M_f=VectorField.zeros(g), phi_M_f=ScalarField.zeros(g))
+    with pytest.raises(ValidationError, match=r"no state at node 1 \(simulate's keep"):
+        _SPARSE_READERS[reader](sparse, params16, cfg, targets)
+
+
+class TestFieldValidationBudget:
+    """Tooling: a sweep reads its time signals as views, so the checked
+    fields it builds (grid._as_grid_array calls) do not grow with N."""
+
+    def test_flat_in_the_number_of_steps(self, params16, smooth_state16, monkeypatch):
+        g = params16.grid
+        calls = {"n": 0}
+        checked = grid_module._as_grid_array
+
+        def counted(*args):
+            calls["n"] += 1
+            return checked(*args)
+
+        monkeypatch.setattr(grid_module, "_as_grid_array", counted)
+        forcing = synth.single_mode_velocity(g, (1, 0), 0.1)
+        used = {}
+        for N in (10, 20):
+            cfg = SolverConfig(dt=1e-3, T=N * 1e-3, nu=0.1)
+            nodes = [synth.single_mode_velocity(g, (1, 1), 0.01 * (1 + n)) for n in range(N + 1)]
+            U = ControlSignal(ControlSignal.DISTRIBUTED, fields=nodes, dt=cfg.dt)
+            for with_diagnostics in (False, True):
+                calls["n"] = 0
+                traj = simulate(smooth_state16, U, forcing, params16, cfg, with_diagnostics)
+                used[N, with_diagnostics] = calls["n"]
+            targets = CostTargets(
+                u_d=[s.u for s in traj.states], phi_d=[s.phi for s in traj.states],
+                u_f=traj.final.u, phi_f=traj.final.phi,
+            )
+            calls["n"] = 0
+            tracking_cost(AdjointMode.DISTRIBUTED, targets, traj)
+            without_control = calls["n"]
+            calls["n"] = 0
+            cost_ocp(traj, U, targets)
+            # the control term reads the rows of U.data and builds no field
+            assert calls["n"] == without_control, N
+        assert used[10, False] == used[20, False]
+        assert used[10, True] == used[20, True]

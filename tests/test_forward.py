@@ -40,9 +40,8 @@ from chnsopt.forward import (
     _diagnostic_series,
     node_terms,
     physical,
-    signal_node,
+    read_signal,
     spectral,
-    step_average,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -88,23 +87,60 @@ class TestSolverConfig:
 
 
 class TestSignals:
-    def test_signal_node_conventions(self, g16):
+    """read_signal, the one reader of a time signal, and the step force."""
+
+    def test_signal_forms(self, g16):
         f = synth.taylor_green(g16, 1.0)
-        assert signal_node(None, 3) is None
-        assert signal_node(f, 3) is f
-        assert signal_node([f, f * 2.0], 1).norm() == pytest.approx(2.0 * f.norm())
+        two = f * 2.0
+        assert read_signal(None, "s", g16) is None
+        assert read_signal(None, "s", g16, 3) == [None] * 3
+        # one field is constant in time: one entry for every node, views
+        const = read_signal(f, "s", g16, 3)
+        assert len(const) == 3 and const[0] is const[-1]
+        assert const[0][0] is f.u_x and const[0][1] is f.u_y
+        assert read_signal(f, "s", g16)[1] is f.u_y
+        # a list is indexed by node
+        listed = read_signal([f, two, f], "s", g16, 2)
+        assert len(listed) == 2 and listed[0] is not listed[-1]
+        assert listed[1][0] is two.u_x
+        # a distributed ControlSignal is read as rows of its data
         sig = ControlSignal.constant(f, 4, 1e-3)
-        assert np.array_equal(signal_node(sig, 2).u_x, f.u_x)
+        rows = read_signal(sig, "s", g16, 3, dt=1e-3)
+        assert len(rows) == 3 and rows[0] is not rows[-1]
+        for n, (ux, uy) in enumerate(rows):
+            assert np.shares_memory(ux, sig.data) and np.shares_memory(uy, sig.data)
+            assert np.array_equal(ux, f.u_x) and np.array_equal(uy, f.u_y), n
+        # a scalar signal gives (values,)
         c = ScalarField.constant(g16, 0.3)
-        assert signal_node(c, 3) is c
-        assert signal_node([c, c * 2.0], 1).mean() == pytest.approx(0.6)
-        with pytest.raises(ValidationError, match="cannot read a time-indexed signal"):
-            signal_node(0.3, 0)
-        # a node-indexed signal read without a node (a hamiltonian call
-        # with node=None) is an input error, not an index error
-        for indexed in ([f, f], sig):
-            with pytest.raises(ValidationError, match="node index needed"):
-                signal_node(indexed, None)
+        assert read_signal(c, "phi", g16, 3, ScalarField)[2][0] is c.values
+        doubled = read_signal([c, c * 2.0], "phi", g16, 2, ScalarField)[1][0]
+        assert doubled.mean() == pytest.approx(0.6)
+
+    def test_every_check_names_the_signal(self, g16, g32):
+        f = synth.taylor_green(g16, 1.0)
+        c = ScalarField.constant(g16, 0.3)
+        sig = ControlSignal.constant(f, 4, 1e-3)
+        cases = [
+            ((0.3, "forcing", g16, 3), "cannot read forcing from float"),
+            ((c, "control", g16, 3), "cannot read control from ScalarField"),
+            (([f, c], "u_d", g16, 2), "cannot read u_d from ScalarField"),
+            ((f, "phi_d", g16, 3, ScalarField), "cannot read phi_d from VectorField"),
+            ((sig, "phi_M", g16, 3, ScalarField), "cannot read phi_M from ControlSignal"),
+            ((ControlSignal.zeros_initial(g16), "control", g16, 3), "cannot read control from"),
+            # a node-indexed signal where one field is needed (a terminal reference)
+            (([f, f], "u_f", g16), "u_f is node-indexed where one field is needed"),
+            ((sig, "u_M_f", g16), "u_M_f is node-indexed where one field is needed"),
+            (([f] * 3, "u_d", g16, 4), "u_d has 3 time nodes, the sweep reads 4"),
+            ((sig, "control", g16, 5), "control has 4 time nodes, the sweep reads 5"),
+            ((VectorField.zeros(g32), "forcing", g16, 3), "forcing grid does not match"),
+            (([f, VectorField.zeros(g32)], "u_d", g16, 2), "u_d grid does not match"),
+            ((sig, "control", g16, 4, VectorField, 2e-3), "steps dt = 0.001, the sweep 0.002"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                read_signal(*args)
+        # a dt within 1e-14 relative is the same step
+        assert len(read_signal(sig, "control", g16, 4, dt=1e-3 * (1 + 1e-15))) == 4
 
     @pytest.mark.parametrize("where", ["control", "forcing"])
     @pytest.mark.parametrize("kind", ["list", "control-signal"])
@@ -123,11 +159,18 @@ class TestSignals:
         with pytest.raises(ValidationError, match=f"{where} has 5 time nodes, the sweep reads 11"):
             simulate(smooth_state16, signals["control"], signals["forcing"], params16, cfg)
 
-    def test_step_average_is_nodal_midpoint(self, g16):
+    def test_step_force_is_the_nodal_midpoint(self, g16):
         a = synth.taylor_green(g16, 1.0)
         b = synth.taylor_green(g16, 3.0)
-        avg = step_average([a, b], 0)
-        assert np.allclose(avg.u_x, 2.0 * a.u_x, atol=1e-15)
+        fx, fy = _applied_force(0, read_signal([a, b], "control", g16, 2))
+        assert np.allclose(fx, 2.0 * a.u_x, atol=1e-15)
+        assert np.allclose(fy, 2.0 * a.u_y, atol=1e-15)
+        # control, then forcing; a force constant in time as given
+        both = _applied_force(1, read_signal([a, b, a], "control", g16, 3),
+                              read_signal(a, "forcing", g16, 3))
+        assert np.array_equal(both[0], 0.5 * (b.u_x + a.u_x) + a.u_x)
+        assert _applied_force(0, read_signal(a, "forcing", g16, 2))[1] is a.u_y
+        assert _applied_force(0, [None] * 2, [None] * 2) == (None, None)
 
 
 class TestExactSolutions:
@@ -599,6 +642,8 @@ def _one_thread_sweep(initial, control, forcing, params, cfg, with_diagnostics):
     that leaves it."""
     g = params.grid
     st = Stepper(params, cfg)
+    signals = [read_signal(control, "control", g, cfg.n_steps + 1),
+               read_signal(forcing, "forcing", g, cfg.n_steps + 1)]
     hats, force = spectral(initial.u, initial.phi), (None, None)
     states, rows = [], []
     for n in range(cfg.n_steps + 1):
@@ -612,7 +657,7 @@ def _one_thread_sweep(initial, control, forcing, params, cfg, with_diagnostics):
         if n == cfg.n_steps:
             return states, rows
         st.check_cfl(state.u.u_x, state.u.u_y)
-        force = _applied_force(control, forcing, n, g)
+        force = _applied_force(n, *signals)
         hats = st.forward_step_hat(*hats, *force)
 
 
@@ -637,6 +682,20 @@ def _accelerated_flow_inputs(shape, double_well):
     push = min(g.dx, g.dy) / dt / (3.5 * dt)
     forcing = VectorField(g, np.full(g.shape, push), np.zeros(g.shape))
     return FlowState(VectorField.zeros(g), ScalarField.zeros(g), 0.0), forcing, params, dt
+
+
+def _fail_at_step(k, monkeypatch):
+    """Make step k of every sweep raise RuntimeError, a failure that is no
+    input error: each Stepper counts its own forward steps."""
+    forward_step_hat = Stepper.forward_step_hat
+
+    def failing(self, *args):
+        self.steps_taken = getattr(self, "steps_taken", 0) + 1
+        if self.steps_taken == k + 1:
+            raise RuntimeError(f"step {k} failed")
+        return forward_step_hat(self, *args)
+
+    monkeypatch.setattr(Stepper, "forward_step_hat", failing)
 
 
 def _growing_phi_inputs(shape):
@@ -754,16 +813,41 @@ class TestNodeOverlap:
             assert run(simulate, False)[1:] == (NumericError, "state contains non-finite values")
 
     @pytest.mark.parametrize("with_diagnostics", [False, True], ids=["plain", "diagnostics"])
-    def test_a_nodes_error_comes_before_its_steps(self, params16, g32, with_diagnostics):
-        # node 0 fails its CFL check and step 0 its force's grid check; a
-        # one-thread loop checks the node first
+    def test_a_nodes_error_comes_before_its_steps(self, params16, with_diagnostics, monkeypatch):
+        # node 0 fails its CFL check and step 0 fails too; a one-thread
+        # loop checks the node first
         g = params16.grid
         wild = VectorField(g, np.full(g.shape, 1e4), np.zeros(g.shape))
         state = FlowState(wild, ScalarField.zeros(g), 0.0)
         cfg = SolverConfig(dt=1e-3, T=2e-3, nu=0.1)
-        foreign = VectorField.zeros(g32)
+        _fail_at_step(0, monkeypatch)
         with pytest.raises(StabilityError):
-            simulate(state, None, foreign, params16, cfg, with_diagnostics)
+            simulate(state, None, None, params16, cfg, with_diagnostics)
+
+    @pytest.mark.parametrize("with_diagnostics", [False, True], ids=["plain", "diagnostics"])
+    @pytest.mark.parametrize("form", ["constant", "moved-at-node-4"])
+    def test_a_foreign_grid_force_fails_before_any_step(
+        self, params16, g32, form, with_diagnostics, monkeypatch
+    ):
+        # an input error comes before every node and step, even node 0's
+        # failing CFL check
+        g = params16.grid
+        wild = VectorField(g, np.full(g.shape, 1e4), np.zeros(g.shape))
+        state = FlowState(wild, ScalarField.zeros(g), 0.0)
+        cfg = SolverConfig(dt=1e-3, T=7e-3, nu=0.1)
+        f = synth.taylor_green(g, 0.1)
+        other = TorusGrid(g.n_x, g.n_y, 2.0 * g.l_x, g.l_y)
+        if form == "constant":
+            forcing = VectorField.zeros(g32)
+        else:
+            forcing = [f] * 4 + [VectorField(other, f.u_x, f.u_y)] * 4
+
+        def stepped(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(Stepper, "forward_step_hat", stepped)
+        with pytest.raises(ValidationError, match="forcing grid does not match"):
+            simulate(state, None, forcing, params16, cfg, with_diagnostics)
 
     def test_worker_keeps_the_callers_numpy_error_state(self):
         # the worker's overflows are silenced like the caller's; a warning
@@ -962,19 +1046,15 @@ class TestKeepErrors:
     @pytest.mark.parametrize("shape", KEEP_GRIDS[:2])
     @pytest.mark.parametrize("with_diagnostics", [False, True], ids=["plain", "diagnostics"])
     def test_a_dropped_nodes_error_comes_before_its_steps(
-        self, shape, with_diagnostics, double_well
+        self, shape, with_diagnostics, double_well, monkeypatch
     ):
-        # node 4 fails its CFL check and step 4 its force's grid check: the
-        # forcing moves, from node 4 on, to a box of the same shape
+        # node 4 fails its CFL check and step 4 fails too
         initial, forcing, params, dt = _accelerated_flow_inputs(shape, double_well)
-        g = params.grid
-        other = TorusGrid(g.n_x, g.n_y, 2.0 * g.l_x, g.l_y)
-        moved = VectorField(other, forcing.u_x, forcing.u_y)
         cfg = SolverConfig(dt=dt, T=7 * dt, nu=0.1)
-        nodes = [forcing] * 4 + [moved] * 4
+        _fail_at_step(4, monkeypatch)
         for keep in (None, ()):
             with pytest.raises(StabilityError, match="CFL"):
-                simulate(initial, None, nodes, params, cfg, with_diagnostics, keep=keep)
+                simulate(initial, None, forcing, params, cfg, with_diagnostics, keep=keep)
 
 
 class TestSupDifference:

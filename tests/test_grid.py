@@ -510,6 +510,52 @@ class TestOneCostFunctional:
         assert offenders == []
 
 
+class TestOneSignalReader:
+    GONE = {"signal_node", "step_average", "_require_nodes"}
+
+    @staticmethod
+    def _form_test(n) -> bool:
+        """n is isinstance(..., (list, tuple)) or hasattr(..., "at_node")."""
+        if not isinstance(n, ast.Call) or len(n.args) != 2:
+            return False
+        func, what = getattr(n.func, "id", None), n.args[1]
+        if func == "isinstance":
+            return {"list", "tuple"} <= {getattr(e, "id", None) for e in getattr(what, "elts", ())}
+        return func == "hasattr" and getattr(what, "value", None) == "at_node"
+
+    def test_only_the_reader_tests_a_signals_form(self):
+        """A time signal's forms are known to forward.read_signal alone: no
+        other function of the package tests isinstance(..., (list, tuple))
+        or hasattr(..., "at_node"), and the lookups it replaced
+        (signal_node, step_average, _require_nodes) are bound nowhere."""
+        import chnsopt
+
+        root = Path(chnsopt.__file__).parent
+        offenders, in_reader = [], 0
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            reader = set()
+            if path.name == "forward.py":
+                (fn,) = [n for n in tree.body
+                         if isinstance(n, ast.FunctionDef) and n.name == "read_signal"]
+                reader = {id(n) for n in ast.walk(fn)}
+            for n in ast.walk(tree):
+                if self._form_test(n):
+                    if id(n) in reader:
+                        in_reader += 1
+                    else:
+                        offenders.append(f"{path.name}:{n.lineno} tests a signal's form")
+                bound = (
+                    getattr(n, "name", None) if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    else n.asname or n.name if isinstance(n, ast.alias)
+                    else getattr(n, "id", None) or getattr(n, "attr", None)
+                )
+                if bound in self.GONE:
+                    offenders.append(f"{path.name}:{getattr(n, 'lineno', '?')} binds {bound}")
+        assert in_reader >= 1  # the scan sees the reader's own test
+        assert offenders == []
+
+
 class TestNoUnusedImports:
     def test_every_imported_name_is_used(self):
         """No module of the package imports a name it never reads; the

@@ -28,7 +28,12 @@ from chnsopt import (
 )
 from chnsopt import synth
 from chnsopt.forward import Stepper, spectral
-from chnsopt.tangent_adjoint import reference_transforms, running_cost, tracking_sources
+from chnsopt.tangent_adjoint import (
+    reference_transforms,
+    running_cost,
+    tracking_references,
+    tracking_sources,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -387,10 +392,14 @@ class TestSourcesDifferentiateTheRunningCost:
         V, P = VectorField(g, field(), field()), ScalarField(g, field())
         U = synth.taylor_green(g, 0.7)
         ref_hats = reference_transforms(mode, targets, g, n_nodes)
+        u_refs, phi_refs = tracking_references(mode, targets, g, n_nodes)
         h = 1e-3
         shifted = [FlowState(state.u + V * e, state.phi + P * e, 0.0) for e in (h, -h)]
         for n in range(n_nodes):
-            plus, minus = (running_cost(mode, targets, s, n, U) for s in shifted)
+            plus, minus = (
+                running_cost(mode, targets.weights, s, (u_refs[n], phi_refs[n]), (U.u_x, U.u_y))
+                for s in shifted
+            )
             fd = (plus - minus) / (2.0 * h)
             src = tracking_sources(
                 mode, targets.weights, g, spectral(state.u, state.phi), ref_hats[n]
