@@ -357,7 +357,7 @@ class RunContext:
         if make in _FILE_MAKERS:
             try:
                 return make(args["path"], grid=self.grid)
-            except OSError as e:
+            except (OSError, NumericError) as e:  # a file holding a non-finite value
                 raise ValidationError(f"config key {name}.path: cannot read field file: {e}") from e
         if make in _RANDOM_MAKERS:
             try:

@@ -119,16 +119,17 @@ class ControlSignal:
                 raise ValidationError("distributed control needs >= 2 time nodes")
             if dt is None or not 0.0 < dt < np.inf:
                 raise ValidationError("distributed control needs a positive finite dt")
-            if any(f.grid != fields[0].grid for f in fields):
-                raise ValidationError("control nodes live on different grids")
             dt = float(dt)
             weights = _trapz_weights(len(fields), dt)
         else:
-            if initial is None:
-                raise ValidationError("initial-velocity control needs a field")
             fields = [initial]
             dt = None
             weights = np.ones(1)
+        for f in fields:
+            if not isinstance(f, VectorField):
+                raise ValidationError(f"{kind} control needs VectorFields, not {type(f).__name__}")
+        if any(f.grid != fields[0].grid for f in fields):
+            raise ValidationError("control nodes live on different grids")
         self.kind = kind
         self.grid = fields[0].grid
         self.dt = dt
@@ -228,7 +229,8 @@ class OptimizerConfig:
     radius: float = np.inf
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 0):
             raise ValidationError("max_iters must be a nonnegative integer")
         if not 0.0 < self.step0 < np.inf:
             raise ValidationError("step0 must be positive and finite")
@@ -534,9 +536,9 @@ def hamiltonian(
     forward step uses (Stepper.explicit_rhs, default stabilization and
     dealiasing) plus the implicit viscous and stabilization terms.  As a
     function of U_value this is (w_c/2)|U|^2 + <p, U> + const, so its
-    minimizer over all fields is -p/w_c.  node, a node index from 0,
-    picks the tracking references; None reads them at node 0, which is
-    every node for references constant in time.
+    minimizer over all fields is -p/w_c; U_value None is no control.
+    node, a node index from 0, picks the tracking references; None reads
+    them at node 0, which is every node for references constant in time.
     """
     g = params.grid
     n = 0 if node is None else node
@@ -549,7 +551,7 @@ def hamiltonian(
     # dt does not enter the right-hand side
     st = Stepper(params, SolverConfig(dt=1.0, T=1.0, nu=nu))
     ux_h, uy_h, ph = spectral(state.u, state.phi)
-    fx_h, fy_h, rhs = st.explicit_rhs(Frame(st, ux_h, uy_h, ph, ("conv",)), *U)
+    fx_h, fy_h, rhs = st.explicit_rhs(Frame(st, ux_h, uy_h, ph, ("conv",)), *(U or (None, None)))
     n1, n2 = physical(
         g, fx_h - nu * g.ksq * ux_h, fy_h - nu * g.ksq * uy_h, rhs - st.S * g.ksq * ph
     )

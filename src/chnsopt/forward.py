@@ -40,7 +40,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -232,7 +232,7 @@ def _applied_force(n: int, *signals):
 def spectral(u: VectorField, phi: ScalarField, work: np.ndarray | None = None):
     """Half-spectrum transforms (u_x, u_y, phi) of a velocity and a scalar,
     in one call; work is a real (3, n_x, n_y) stack to gather the fields
-    in, such as ``Stepper.stack(3, float)``, or None for a fresh one."""
+    in, such as ``st.buffer("work", 3, float)``, or None for a fresh one."""
     g = phi.grid
     return tuple(g.fft2(np.stack((u.u_x, u.u_y, phi.values), out=work)))
 
@@ -259,9 +259,9 @@ class Frame:
     (J*grad(phi), a pair) and "lap" (Lap(phi)), both for the adjoint.
     The tangent and adjoint sweeps build frames of their own (w, psi)
     and (p, eta) too, with the same layout.  Every field is a slice of
-    one real stack, never of the Stepper's work stack: out, of 9 fields
+    one real stack, never of the Stepper's "work" buffer: out, of 9 fields
     plus one per extra field, when the caller passes it, or else a fresh
-    one.  The forward step passes a buffer of its Stepper, which the
+    one.  The forward step passes its Stepper's "frame" buffer, which the
     next step overwrites; the tangent, the adjoint and hamiltonian hold
     two frames at once, so build fresh ones.
     """
@@ -269,7 +269,7 @@ class Frame:
     def __init__(self, st: "Stepper", ux_h, uy_h, ph, extras: tuple = (), out=None):
         m = st.mask
         ks = [k for name in extras for k in st.frame_extras[name]]
-        w = st.stack(9 + len(ks), complex)
+        w = st.buffer("work", 9 + len(ks), complex)
         for i, h in enumerate((ux_h, uy_h, ph)):
             np.multiply(h, m, out=w[i])
             np.multiply(st.dkx, h, out=w[3 + 2 * i])
@@ -294,26 +294,23 @@ class Stepper:
     tangent and adjoint sweeps share once they have formed their
     products: ``assemble`` (``momentum`` for the adjoint) and ``advance``.
 
-    It also owns the work stack that a sweep gathers each group of fields
-    in before the one call that transforms the group (``stack``), as real
-    fields or as half spectra.  It holds transform inputs only: each group
-    overwrites the last.  It grows on first need to the largest group a
-    step transforms, so it is allocated once per sweep; real and complex
-    groups share its memory, since no two groups are gathered at once.
-
-    Beside the work stack it keeps the buffers a step computes in
-    (``buffer``), each allocated on first need: the forward step's frame
-    (10 real fields), two real products, the right-hand side's
-    transforms and two half-spectrum temporaries (those of ``project``).
-    Every operation writes into them with ufunc ``out=``, in the order
-    the fresh-array expression would take, so with its bits, and a
-    forward step allocates nothing field-sized but the three half
-    spectra it returns.  Those stay fresh, since a caller may read one
-    step's result while the next step runs.
+    It also keeps the scratch arrays a step computes in, one per name
+    (``buffer``), each allocated on first need and grown to the largest
+    request: "work", where a sweep gathers each group of fields before the
+    one call that transforms the group (transform inputs only: each group
+    overwrites the last), the forward step's "frame" (10 real fields), two
+    real "products", the right-hand side's transforms ("rhs") and two
+    half-spectrum temporaries ("spectra", those of ``project``).  Each is
+    complex memory, viewed as real fields or as half spectra.  Every
+    operation writes into them with ufunc ``out=``, in the order the
+    fresh-array expression would take, so with its bits, and a forward
+    step allocates nothing field-sized but the three half spectra it
+    returns.  Those stay fresh, since a caller may read one step's result
+    while the next step runs.
 
     A Stepper belongs to the thread that steps with it.  The node work
     that ``simulate`` may run on a second thread reads its constants
-    (``check_cfl``) but never its work stack or buffers.
+    (``check_cfl``) but never its buffers.
     """
 
     def __init__(self, params: ModelParams, config: SolverConfig):
@@ -353,29 +350,19 @@ class Stepper:
             "conv_grad": (self.J_hat * 1j * self.kx, self.J_hat * 1j * self.ky),
             "lap": (self.neg_ksq,),
         }
-        self._work = np.empty(0, complex)
         self._buffers = {}
 
-    def stack(self, k: int, dtype) -> np.ndarray:
-        """The first k fields of the work stack, as real fields (dtype
-        float) or half spectra (complex); see the class docstring."""
+    def buffer(self, name: str, k: int, dtype) -> np.ndarray:
+        """The first k fields of the scratch array kept under name, as real
+        fields (dtype float) or half spectra (complex); see the class
+        docstring."""
         real = np.dtype(dtype).kind == "f"
         shape = (k, *(self.grid.shape if real else self.grid.spectral_shape))
         n = math.prod(shape) // (2 if real else 1)  # in complex entries
-        if self._work.size < n:
-            self._work = np.empty(n, complex)
-        return self._work[:n].view(dtype).reshape(shape)
-
-    def buffer(self, name: str, k: int, dtype) -> np.ndarray:
-        """The first k fields of the buffer kept under name, as real fields
-        (dtype float) or half spectra (complex), allocated on first need
-        and grown to the largest k asked for; see the class docstring."""
         b = self._buffers.get(name)
-        if b is None or len(b) < k:
-            real = np.dtype(dtype).kind == "f"
-            shape = self.grid.shape if real else self.grid.spectral_shape
-            b = self._buffers[name] = np.empty((k, *shape), dtype)
-        return b[:k]
+        if b is None or b.size < n:
+            b = self._buffers[name] = np.empty(n, complex)
+        return b[:n].view(dtype).reshape(shape)
 
     def force_hat(self, force_x, force_y):
         """Half spectra (f_x, f_y) of a force, in one call, or (None, None)
@@ -383,7 +370,8 @@ class Stepper:
         transforms it once and steps with these."""
         if force_x is None:
             return None, None
-        return tuple(self.grid.fft2(np.stack((force_x, force_y), out=self.stack(2, float))))
+        w = self.buffer("work", 2, float)
+        return tuple(self.grid.fft2(np.stack((force_x, force_y), out=w)))
 
     # -- spectral helpers ----------------------------------------------
 
@@ -399,9 +387,9 @@ class Stepper:
         return fx_h, fy_h
 
     def products(self, force_x) -> np.ndarray:
-        """The real work stack of a step's four products, with two rows
+        """The real "work" buffer of a step's four products, with two rows
         more for a force's physical components, which ``assemble`` fills."""
-        return self.stack(4 if force_x is None or np.iscomplexobj(force_x) else 6, float)
+        return self.buffer("work", 4 if force_x is None or np.iscomplexobj(force_x) else 6, float)
 
     def momentum(self, fx_h, fy_h, gx, gy):
         """Mask the momentum products' transforms, add the half spectra
@@ -502,24 +490,14 @@ def step(
     params: ModelParams,
     config: SolverConfig,
 ) -> FlowState:
-    """One IMEX step from the given state.
-
-    control_value and forcing are this step's (time-averaged) values;
-    their sum is transformed on its own, as a sweep transforms a
-    constant force.
-    Raises StabilityError on the advective CFL heuristic and
-    NumericError on non-finite output.
-    """
-    g = params.grid
-    require_same_grid(state.u, state.phi)
-    if state.grid != g:
-        raise ValidationError("state grid does not match params grid")
-    force = _applied_force(0, read_signal(control_value, "control_value", g, 2, dt=config.dt),
-                           read_signal(forcing, "forcing", g, 2, dt=config.dt))
-    st = Stepper(params, config)
-    st.check_cfl(state.u.u_x, state.u.u_y)
-    ux_h, uy_h, ph = st.forward_step_hat(*spectral(state.u, state.phi), *st.force_hat(*force))
-    return FlowState(*physical(g, ux_h, uy_h, ph), state.t + config.dt)
+    """One IMEX step from the given state, to time state.t + dt: a
+    one-step ``simulate``, so with its bits and its errors (StabilityError
+    on the advective CFL heuristic, NumericError on non-finite output).
+    control_value and forcing are this step's (time-averaged) values."""
+    final = simulate(state, control_value, forcing, params, replace(config, T=config.dt),
+                     with_diagnostics=False).final
+    final.t = state.t + config.dt
+    return final
 
 
 def node_terms(

@@ -64,7 +64,7 @@ class TorusGrid:
 
     def __post_init__(self):
         for n in (self.n_x, self.n_y):
-            if int(n) != n or n % 2 != 0 or n < 8:
+            if not isinstance(n, (int, np.integer)) or n % 2 != 0 or n < 8:
                 raise ValidationError(
                     f"grid resolution must be an even integer >= 8, got {n}"
                 )

@@ -106,7 +106,7 @@ def tangent_solve(
 
     for n in range(start_node, n_total):
         # c: the base state; d: the tangent state (w, psi)
-        hats = spectral(base.states[n].u, base.states[n].phi, st.stack(3, float))
+        hats = spectral(base.states[n].u, base.states[n].phi, st.buffer("work", 3, float))
         c = Frame(st, *hats, ("conv",))
         d = Frame(st, wx_h, wy_h, psh, ("conv",))
 
@@ -120,7 +120,7 @@ def tangent_solve(
         np.add(c.ux * d.dphi[0] + c.uy * d.dphi[1] + d.ux * c.dphi[0], d.uy * c.dphi[1], out=w[3])
         wx_h, wy_h, psh = st.advance((wx_h, wy_h, psh), st.assemble(w, psh, *force))
 
-        new = physical(g, wx_h, wy_h, psh, st.stack(3, complex))
+        new = physical(g, wx_h, wy_h, psh, st.buffer("work", 3, complex))
         states.append(TangentState(*new, base.states[n + 1].t))
     return Trajectory(states=states, dt=config.dt, start_node=start_node)
 
@@ -136,12 +136,12 @@ def tracking_references(mode: AdjointMode, targets, grid, n_nodes: int | None = 
 
 
 def mismatch(state, ref):
-    """State minus one node's reference: (velocity field, phi values), with
-    ref the node's (velocity, phi) entries of tracking_references."""
+    """State minus one node's reference, as arrays ((du_x, du_y), dphi),
+    with ref the node's (velocity, phi) entries of tracking_references."""
     u_ref, phi_ref = ref
-    du = state.u
+    du = (state.u.u_x, state.u.u_y)
     if u_ref is not None:
-        du = VectorField(state.grid, du.u_x - u_ref[0], du.u_y - u_ref[1])
+        du = (du[0] - u_ref[0], du[1] - u_ref[1])
     dphi = state.phi.values if phi_ref is None else state.phi.values - phi_ref[0]
     return du, dphi
 
@@ -167,10 +167,12 @@ def running_cost(mode: AdjointMode, weights, state, ref, U=None) -> float:
     gradient norm (enstrophy tracking, Nyquist derivative lines zeroed) in
     the distributed mode and the L2 norm in the assimilation mode: the
     pairings tracking_sources differentiates."""
+    g = state.grid
     du, dphi = mismatch(state, ref)
-    a = grad_norm(du) ** 2 if mode is AdjointMode.DISTRIBUTED else du.dot(du)
-    b = state.grid.inner(dphi, dphi)
-    c = 0.0 if U is None else weights.control * sum(state.grid.inner(x, x) for x in U)
+    a = (grad_norm(VectorField._of(g, *du)) ** 2 if mode is AdjointMode.DISTRIBUTED
+         else sum(g.inner(x, x) for x in du))
+    b = g.inner(dphi, dphi)
+    c = 0.0 if U is None else weights.control * sum(g.inner(x, x) for x in U)
     return 0.5 * (weights.track_u * a + weights.track_phi * b + c)
 
 
@@ -187,7 +189,7 @@ def tracking_cost(mode: AdjointMode, targets, traj: Trajectory, control=None) ->
     for n, (s, *ref, U_n) in enumerate(zip(traj.every_node(), *refs, U)):
         total += tw[n] * running_cost(mode, w, s, ref, U_n)
     du, dphi = mismatch(traj.final, tracking_references(mode, targets, g))
-    total += 0.5 * w.final_u * du.dot(du)
+    total += 0.5 * w.final_u * sum(g.inner(x, x) for x in du)
     total += 0.5 * w.final_phi * g.inner(dphi, dphi)
     return float(total)
 
@@ -209,7 +211,7 @@ def terminal_adjoint_data(base: Trajectory, mode: AdjointMode, targets):
     w = targets.weights
     g = base.grid
     du, dphi = mismatch(base.final, tracking_references(mode, targets, g))
-    p_T = leray_project(VectorField(g, w.final_u * du.u_x, w.final_u * du.u_y))
+    p_T = leray_project(VectorField(g, w.final_u * du[0], w.final_u * du[1]))
     eta_T = ScalarField(g, w.final_phi * dphi)
     return p_T, eta_T
 
@@ -250,13 +252,13 @@ def adjoint_solve(
     for n in range(n_total - 1, -1, -1):
         node = n + 1  # explicit terms live at the later time level
         # c: the base state; d: the adjoint state (p, eta)
-        hats = spectral(base.states[node].u, base.states[node].phi, st.stack(3, float))
+        hats = spectral(base.states[node].u, base.states[node].phi, st.buffer("work", 3, float))
         c = Frame(st, *hats, ("conv_grad",))
         d = Frame(st, px_h, py_h, eh, ("lap",))
         sx_h, sy_h, seta_h = tracking_sources(mode, targets.weights, g, hats, ref_hats[node])
         px, py = d.ux, d.uy
 
-        w = st.stack(6, float)
+        w = st.buffer("work", 6, float)
         fx = (c.ux * d.dux[0] + c.uy * d.dux[1]) - (px * c.dux[0] + py * c.duy[0])
         fy = (c.ux * d.duy[0] + c.uy * d.duy[1]) - (px * c.dux[1] + py * c.duy[1])
         np.subtract(fx, d.phi * c.dphi[0], out=w[0])
@@ -278,7 +280,7 @@ def adjoint_solve(
         r_h = r_h + seta_h
         px_h, py_h, eh = st.advance((px_h, py_h, eh), (fx_h, fy_h, r_h))
 
-        new = physical(g, px_h, py_h, eh, st.stack(3, complex))
+        new = physical(g, px_h, py_h, eh, st.buffer("work", 3, complex))
         states[n] = AdjointState(*new, base.states[n].t)
     return Trajectory(states=states, dt=config.dt)
 

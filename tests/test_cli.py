@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chnsopt
-from chnsopt import simulate, write_snapshot, write_vector_snapshot
+from chnsopt import ScalarField, simulate, write_snapshot, write_vector_snapshot
 from chnsopt import synth
 from chnsopt.cli import RunContext, main, write_csv
 
@@ -531,6 +531,21 @@ class TestSimulate:
         cfg["initial"] = {"u": {"type": "file", "path": str(tmp_path / "u0")}}
         rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
         assert rc == 2
+
+    @pytest.mark.parametrize("key", ["phi", "u"])
+    def test_non_finite_field_file(self, tmp_path, g16, key, capsys):
+        """A field file holding a NaN cannot be read: exit 2 naming the
+        key's path, as for a missing file, not a numeric error."""
+        bad = np.ones(g16.shape)
+        bad[3, 4] = np.nan
+        path = str(tmp_path / ("phi0.fld" if key == "phi" else "u0"))
+        for name in [path] if key == "phi" else [f"{path}_x.fld", f"{path}_y.fld"]:
+            write_snapshot(name, ScalarField._of(g16, bad))
+        cfg = base_config(tmp_path / "out")
+        cfg["initial"] = {key: {"type": "file", "path": path}}
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg)])
+        assert rc == 2
+        assert f"config key initial.{key}.path" in capsys.readouterr().err
 
 
 def _dense_artifacts(cfg, out):

@@ -121,6 +121,20 @@ class TestControlSignal:
             a.inner(ControlSignal(ControlSignal.INITIAL, initial=v))
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda g: ControlSignal(ControlSignal.INITIAL, initial=np.zeros(g.shape)),
+                 id="initial-from-ndarray"),
+    pytest.param(lambda g: ControlSignal(
+        ControlSignal.DISTRIBUTED, fields=[ScalarField.zeros(g)] * 3, dt=1e-3),
+                 id="distributed-from-scalar-fields"),
+    pytest.param(lambda g: TorusGrid(8.0, 8), id="float-grid-resolution"),
+    pytest.param(lambda g: OptimizerConfig(max_iters=True), id="bool-max-iters"),
+])
+def test_constructors_refuse_bad_arguments_with_validation_error(make, g16):
+    with pytest.raises(ValidationError):
+        make(g16)
+
+
 class TestCost:
     def test_control_energy_only(self, params16):
         # zero out the tracking weights; the cost is (T/2)|W|^2 exactly
@@ -647,6 +661,15 @@ class TestHamiltonian:
         assert vals[1] < vals[0]
         assert vals[1] < vals[2]
 
+    def test_no_control_reads_as_the_zero_field(self, params16, smooth_state16, rng):
+        g = params16.grid
+        p = synth.random_divfree_velocity(g, rng, amplitude=0.5, k_cut=4.0)
+        adj = AdjointState(p, synth.random_scalar(g, rng, amplitude=0.3, k_cut=4.0), 0.0)
+        targets = CostTargets(u_d=smooth_state16.u * 0.5, weights=CostWeights(control=2.0))
+        args = (adj, targets, params16, 0.1)
+        H_none = hamiltonian(smooth_state16, None, *args)
+        assert H_none == hamiltonian(smooth_state16, VectorField.zeros(g), *args)
+
 
 class TestMinimumPrinciple:
     def _adjoint_of(self, p, n_nodes, dt):
@@ -991,3 +1014,37 @@ class TestFieldValidationBudget:
             assert calls["n"] == without_control, N
         assert used[10, False] == used[20, False]
         assert used[10, True] == used[20, True]
+
+    def test_costs_flat_in_the_number_of_steps(self, params16, smooth_state16, monkeypatch):
+        """cost_ocp and cost_da read each node's mismatch as arrays, so the
+        checked fields they build do not grow with N, node-indexed
+        references included."""
+        g = params16.grid
+        calls = {"n": 0}
+        checked = grid_module._as_grid_array
+
+        def counted(*args):
+            calls["n"] += 1
+            return checked(*args)
+
+        monkeypatch.setattr(grid_module, "_as_grid_array", counted)
+        used = {}
+        for N in (10, 20):
+            cfg = SolverConfig(dt=1e-3, T=N * 1e-3, nu=0.1)
+            traj = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+            u_ref = [0.5 * s.u for s in traj.states]
+            phi_ref = [0.5 * s.phi for s in traj.states]
+            targets = CostTargets(
+                u_d=u_ref, phi_d=phi_ref, u_f=u_ref[0], phi_f=phi_ref[0],
+                u_M=u_ref, phi_M=phi_ref, u_M_f=u_ref[0], phi_M_f=phi_ref[0],
+            )
+            U = _const_signal(g, N + 1, cfg.dt, amp=0.01)
+            problem = AssimilationProblem(targets, smooth_state16.phi, None, params16, cfg)
+            counts = []
+            for cost in (lambda: cost_ocp(traj, U, targets),
+                         lambda: cost_da(traj, smooth_state16.u, problem)):
+                calls["n"] = 0
+                cost()
+                counts.append(calls["n"])
+            used[N] = counts
+        assert used[10] == used[20]

@@ -370,6 +370,31 @@ class TestStepFunction:
         assert np.max(np.abs(s1.phi.values - traj.final.phi.values)) <= 1e-13
         assert s1.t == pytest.approx(1e-3)
 
+    @pytest.mark.parametrize("form", ["none", "control", "control-and-forcing",
+                                      "two-node-list", "two-node-signal"])
+    def test_step_is_a_one_step_simulate_bit_for_bit(self, form):
+        g = TorusGrid(32, 48, 2.0 * np.pi, 3.0 * np.pi)
+        params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), Potential.double_well())
+        cfg = SolverConfig(dt=1e-3, T=0.01, nu=0.1)
+        phi = synth.sine_scalar(g, (1, 1), 0.1, mean=0.2)
+        state = FlowState(synth.taylor_green(g, 0.5), phi, 0.37)
+        c = synth.single_mode_velocity(g, (1, 0), 0.2)
+        pair = [c, synth.single_mode_velocity(g, (0, 1), 0.3)]
+        control, forcing = {
+            "none": (None, None),
+            "control": (c, None),
+            "control-and-forcing": (c, synth.single_mode_velocity(g, (1, 1), 0.1)),
+            "two-node-list": (pair, None),
+            "two-node-signal": (ControlSignal(ControlSignal.DISTRIBUTED, pair, cfg.dt), None),
+        }[form]
+        got = step(state, control, forcing, params, cfg)
+        one = SolverConfig(dt=cfg.dt, T=cfg.dt, nu=cfg.nu)
+        want = simulate(state, control, forcing, params, one, with_diagnostics=False).final
+        for a, b in ((got.u.u_x, want.u.u_x), (got.u.u_y, want.u.u_y),
+                     (got.phi.values, want.phi.values)):
+            assert a.tobytes() == b.tobytes()
+        assert got.t == 0.37 + cfg.dt
+
     def test_repeated_steps_match_simulate(self, params16, smooth_state16):
         cfg = SolverConfig(dt=1e-3, T=5e-3, nu=0.1)
         s = smooth_state16

@@ -556,6 +556,37 @@ class TestOneSignalReader:
         assert offenders == []
 
 
+class TestOneStepDriver:
+    def test_simulate_drives_every_step_and_a_stepper_has_one_store(self):
+        """forward.simulate is the one caller of Stepper.forward_step_hat
+        (forward.step is a one-step simulate), and a Stepper keeps its
+        scratch arrays in one store, buffer: it binds no stack or _work,
+        and no module asks one for a stack."""
+        import chnsopt
+
+        root = Path(chnsopt.__file__).parent
+        callers, offenders = set(), []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for n in ast.walk(tree):
+                if isinstance(n, ast.FunctionDef) and any(
+                    isinstance(c, ast.Call) and getattr(c.func, "attr", None) == "forward_step_hat"
+                    for c in ast.walk(n)
+                ):
+                    callers.add(f"{path.name}:{n.name}")
+                elif isinstance(n, ast.ClassDef) and n.name == "Stepper":
+                    bound = {m.name for m in n.body if isinstance(m, ast.FunctionDef)} | {
+                        t.attr for m in ast.walk(n) if isinstance(m, ast.Assign)
+                        for t in m.targets if isinstance(t, ast.Attribute)
+                    }
+                    offenders += [f"Stepper binds {name}" for name in {"stack", "_work"} & bound]
+                elif (isinstance(n, ast.Attribute) and n.attr == "stack"
+                      and getattr(n.value, "id", None) != "np"):
+                    offenders.append(f"{path.name}:{n.lineno} reads a stack")
+        assert callers == {"forward.py:simulate"}
+        assert offenders == []
+
+
 class TestNoUnusedImports:
     def test_every_imported_name_is_used(self):
         """No module of the package imports a name it never reads; the
