@@ -139,7 +139,6 @@ def _one_of(*choices: str) -> Callable:
 
 _number = _typed(_finite, "a finite number", float)
 _integer = _typed(_is_int, "an integer")
-_boolean = _typed(lambda v: isinstance(v, bool), "a boolean")
 _path = _typed(lambda v: isinstance(v, str) and v != "", "a path")
 # the Fourier mode of a field description
 _mode = _typed(
@@ -225,7 +224,6 @@ _SOLVER = {
     "dt": _Key(_number, 1e-3, bound=_POSITIVE),
     "T": _Key(_number, 0.5, bound=_POSITIVE),
     "stabilization": _Key(_number, bound=_NONNEGATIVE),  # the kernel mass when absent
-    "dealias": _Key(_boolean, True, null=None),
 }
 _KERNEL = {
     "family": _Key(_one_of(*KERNEL_FAMILIES), "gaussian", null=None),

@@ -533,10 +533,10 @@ def hamiltonian(
     pairings with the state equations' right-hand sides.
 
     The right-hand sides are the scheme's: the dealiased explicit terms a
-    forward step uses (Stepper.explicit_rhs, default stabilization and
-    dealiasing) plus the implicit viscous and stabilization terms.  As a
-    function of U_value this is (w_c/2)|U|^2 + <p, U> + const, so its
-    minimizer over all fields is -p/w_c; U_value None is no control.
+    forward step uses (Stepper.explicit_rhs, default stabilization) plus
+    the implicit viscous and stabilization terms.  As a function of
+    U_value this is (w_c/2)|U|^2 + <p, U> + const, so its minimizer over
+    all fields is -p/w_c; U_value None is no control.
     node, a node index from 0, picks the tracking references; None reads
     them at node 0, which is every node for references constant in time.
     """
@@ -551,7 +551,8 @@ def hamiltonian(
     # dt does not enter the right-hand side
     st = Stepper(params, SolverConfig(dt=1.0, T=1.0, nu=nu))
     ux_h, uy_h, ph = spectral(state.u, state.phi)
-    fx_h, fy_h, rhs = st.explicit_rhs(Frame(st, ux_h, uy_h, ph, ("conv",)), *(U or (None, None)))
+    fr = Frame(st, ux_h, uy_h, ph, ("conv",), "frame")
+    fx_h, fy_h, rhs = st.explicit_rhs(fr, *(U or (None, None)))
     n1, n2 = physical(
         g, fx_h - nu * g.ksq * ux_h, fy_h - nu * g.ksq * uy_h, rhs - st.S * g.ksq * ph
     )
@@ -580,7 +581,7 @@ def build_trial_controls(
 
     def trials(node: int):
         Un = control.at_node(node)
-        pn = adjoint_traj.at_node(node).p
+        pn = adjoint_traj.states[node].p
         scale = Un.norm()
         out = [VectorField.zeros(g), pn * (-1.0 / w_c)]
         for r in randoms:
@@ -617,7 +618,7 @@ def minimum_principle_residual(
     def lowest(n):
         # the trial sets arrive one node at a time
         trials = trial_controls(n) if callable(trial_controls) else trial_controls
-        p = adjoint_traj.at_node(n).p
+        p = adjoint_traj.states[n].p
         return min((0.5 * w_c * W.dot(W) + p.dot(W) for W in trials), default=np.inf)
 
     return base - np.array([lowest(n) for n in range(n_nodes)])

@@ -74,7 +74,6 @@ class SolverConfig:
     T: float
     nu: float
     stabilization: float | None = None  # None resolves to the kernel mass
-    dealias: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
@@ -121,8 +120,9 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    """Record of one sweep: a state per time node start_node..N, or None
-    at a node a simulate sweep did not keep (see its keep).
+    """Record of one sweep: a state per time node 0..N, or None at a node
+    a simulate sweep did not keep (see its keep) or a tangent sweep had
+    not yet started (see its start_node).
 
     Forward runs hold FlowState, tangent sweeps TangentState and adjoint
     sweeps AdjointState; only a forward record has a grid.  diagnostics
@@ -133,14 +133,10 @@ class Trajectory:
 
     states: list
     dt: float
-    start_node: int = 0
     diagnostics: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def at_node(self, n: int):
-        return self.states[n - self.start_node]
 
     @property
     def n_steps(self) -> int:
@@ -148,9 +144,9 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        """Node times n * dt, n = start_node..N: the bits of the sweeps'
-        own state times, read from no state."""
-        return np.arange(self.start_node, self.start_node + len(self.states)) * self.dt
+        """Node times n * dt, n = 0..N: the bits of the sweeps' own state
+        times, read from no state."""
+        return np.arange(len(self.states)) * self.dt
 
     @property
     def initial(self):
@@ -166,12 +162,12 @@ class Trajectory:
 
     def every_node(self) -> list:
         """The states, for a reader of whole records: ValidationError naming
-        the first node a simulate sweep did not keep."""
+        the first node the record holds no state at."""
         for n, s in enumerate(self.states):
             if s is None:
                 raise ValidationError(
-                    f"the record holds no state at node {self.start_node + n} (simulate's keep "
-                    "dropped it); this reader needs every node"
+                    f"the record holds no state at node {n} (simulate's keep dropped it, or "
+                    "the tangent started later); this reader needs every node"
                 )
         return self.states
 
@@ -259,17 +255,17 @@ class Frame:
     (J*grad(phi), a pair) and "lap" (Lap(phi)), both for the adjoint.
     The tangent and adjoint sweeps build frames of their own (w, psi)
     and (p, eta) too, with the same layout.  Every field is a slice of
-    one real stack, never of the Stepper's "work" buffer: out, of 9 fields
-    plus one per extra field, when the caller passes it, or else a fresh
-    one.  The forward step passes its Stepper's "frame" buffer, which the
-    next step overwrites; the tangent, the adjoint and hamiltonian hold
-    two frames at once, so build fresh ones.
+    the real stack of 9 fields plus one per extra field that the Stepper
+    keeps under name (never "work", which holds the transform's input);
+    the next frame of that name overwrites it, so a sweep that holds two
+    frames at once names two buffers.
     """
 
-    def __init__(self, st: "Stepper", ux_h, uy_h, ph, extras: tuple = (), out=None):
+    def __init__(self, st: "Stepper", ux_h, uy_h, ph, extras: tuple, name: str):
         m = st.mask
-        ks = [k for name in extras for k in st.frame_extras[name]]
-        w = st.buffer("work", 9 + len(ks), complex)
+        ks = [k for e in extras for k in st.frame_extras[e]]
+        out = st.buffer(name, 9 + len(ks), float)
+        w = st.buffer("work", len(out), complex)
         for i, h in enumerate((ux_h, uy_h, ph)):
             np.multiply(h, m, out=w[i])
             np.multiply(st.dkx, h, out=w[3 + 2 * i])
@@ -281,9 +277,9 @@ class Frame:
         self.ux, self.uy, self.phi = f[0], f[1], f[2]
         self.dux, self.duy, self.dphi = (f[3], f[4]), (f[5], f[6]), (f[7], f[8])
         rest = iter(f[9:])
-        for name in extras:
-            parts = tuple(next(rest) for _ in st.frame_extras[name])
-            setattr(self, name, parts[0] if len(parts) == 1 else parts)
+        for e in extras:
+            parts = tuple(next(rest) for _ in st.frame_extras[e])
+            setattr(self, e, parts[0] if len(parts) == 1 else parts)
 
 
 class Stepper:
@@ -298,8 +294,9 @@ class Stepper:
     (``buffer``), each allocated on first need and grown to the largest
     request: "work", where a sweep gathers each group of fields before the
     one call that transforms the group (transform inputs only: each group
-    overwrites the last), the forward step's "frame" (10 real fields), two
-    real "products", the right-hand side's transforms ("rhs") and two
+    overwrites the last), the frames (``Frame``: the forward step's
+    "frame", and a second name where a sweep holds two), two real
+    "products", the right-hand side's transforms ("rhs") and two
     half-spectrum temporaries ("spectra", those of ``project``).  Each is
     complex memory, viewed as real fields or as half spectra.  Every
     operation writes into them with ufunc ``out=``, in the order the
@@ -331,7 +328,7 @@ class Stepper:
         self.kx = multiplier(g.kxg_d)
         self.ky = multiplier(g.kyg_d)
         self.ksq = g.ksq
-        self.mask = multiplier(g.dealias_mask if config.dealias else 1.0)
+        self.mask = multiplier(g.dealias_mask)
         # masked derivative multipliers i*k*mask of Frame's gradients
         self.dkx = 1j * self.kx * self.mask
         self.dky = 1j * self.ky * self.mask
@@ -464,7 +461,7 @@ class Stepper:
         step (already time-averaged), physical or transformed as
         explicit_rhs takes them, or None.
         """
-        fr = Frame(self, ux_h, uy_h, ph, ("conv",), self.buffer("frame", 10, float))
+        fr = Frame(self, ux_h, uy_h, ph, ("conv",), "frame")
         return self.advance((ux_h, uy_h, ph), self.explicit_rhs(fr, extra_x, extra_y))
 
     def check_cfl(self, ux, uy):
@@ -643,13 +640,14 @@ def simulate(
     step, as a one-thread loop would: the handoffs between the threads
     cost about the same at every size, the node work they hide grows
     with the grid, and a diagnostics row adds a transform and several
-    Parseval sums to it.  Measured on a 2-core machine on the ocp-64
-    inputs (a control and a forcing), worker against one thread
-    interleaved in one process, median of the paired time ratios: with
-    diagnostics +16% at 64^2 (faster in 7 of 80 rounds), -6% at 96^2
-    (31 of 48), -19% at 128^2 (38 of 40) and -17% at 256^2 (14 of 16);
-    without diagnostics +18% at 64^2, +6% at 96^2 and -4% at 128^2 and
-    at 256^2, too little to carry a second threaded path.
+    Parseval sums to it.  Worker against one thread, interleaved in one
+    process on a 2-core machine, median of the paired time ratios: a
+    50-step diagnostics sweep, re-measured once the step computed in the
+    Stepper's buffers, read 0.993 at 64^2 (faster in 22 of 40 rounds),
+    0.806 at 96^2 (28 of 30), 0.693 at 128^2 (29 of 30) and 0.656 at
+    256^2 (16 of 16); without diagnostics, on the ocp-64 inputs before
+    that change, +18% at 64^2, +6% at 96^2 and -4% at 128^2 and 256^2,
+    too little to carry a second threaded path.
     """
     g = params.grid
     if initial.grid != g:

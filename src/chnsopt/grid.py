@@ -74,8 +74,7 @@ class TorusGrid:
         kx = 2.0 * np.pi / self.l_x * np.fft.fftfreq(self.n_x, 1.0 / self.n_x)
         ky = 2.0 * np.pi / self.l_y * np.fft.rfftfreq(self.n_y, 1.0 / self.n_y)
         kxg = kx[:, None]
-        kyg = ky[None, :]
-        ksq = kxg**2 + kyg**2
+        ksq = kxg**2 + ky[None, :] ** 2
         # First derivatives of a real field must vanish at the Nyquist
         # frequency or the transform loses conjugate symmetry; kxg_d and
         # kyg_d are the derivative wavenumbers with that line zeroed.
@@ -86,7 +85,6 @@ class TorusGrid:
         kxg_d = kx_d[:, None]
         kyg_d = ky_d[None, :]
         ksq_d = kxg_d**2 + kyg_d**2
-        inv_ksq = np.where(ksq > 0.0, 1.0 / np.where(ksq > 0.0, ksq, 1.0), 0.0)
         inv_ksq_d = np.where(ksq_d > 0.0, 1.0 / np.where(ksq_d > 0.0, ksq_d, 1.0), 0.0)
 
         ix = np.abs(np.fft.fftfreq(self.n_x, 1.0 / self.n_x))
@@ -103,8 +101,7 @@ class TorusGrid:
         y = dy * np.arange(self.n_y)
 
         for name, value in (
-            ("kx", kx), ("ky", ky), ("kxg", kxg), ("kyg", kyg),
-            ("ksq", ksq), ("inv_ksq", inv_ksq),
+            ("kx", kx), ("ky", ky), ("kxg", kxg), ("ksq", ksq),
             ("kxg_d", kxg_d), ("kyg_d", kyg_d),
             ("ksq_d", ksq_d), ("inv_ksq_d", inv_ksq_d),
             ("dealias_mask", mask), ("hermitian_weight", weight),

@@ -82,7 +82,8 @@ def tangent_solve(
 
     delta_control is a time signal (read_signal).  start_node
     lets a perturbation be injected mid-trajectory (the spike limit
-    diagnostic); the returned states then cover nodes start_node..N.
+    diagnostic); the record then holds None at nodes 0..start_node-1,
+    as simulate marks the nodes its keep drops.
     """
     g = params.grid
     n_total = base.n_steps
@@ -102,13 +103,13 @@ def tangent_solve(
 
     wx_h, wy_h, psh = spectral(w0, psi0)
     t0 = base.states[start_node].t
-    states = [TangentState(w0.copy(), psi0.copy(), t0)]
+    states = [None] * start_node + [TangentState(w0.copy(), psi0.copy(), t0)]
 
     for n in range(start_node, n_total):
         # c: the base state; d: the tangent state (w, psi)
         hats = spectral(base.states[n].u, base.states[n].phi, st.buffer("work", 3, float))
-        c = Frame(st, *hats, ("conv",))
-        d = Frame(st, wx_h, wy_h, psh, ("conv",))
+        c = Frame(st, *hats, ("conv",), "frame")
+        d = Frame(st, wx_h, wy_h, psh, ("conv",), "sweep frame")
 
         force = _applied_force(n, control)
         w = st.products(force[0])
@@ -122,7 +123,7 @@ def tangent_solve(
 
         new = physical(g, wx_h, wy_h, psh, st.buffer("work", 3, complex))
         states.append(TangentState(*new, base.states[n + 1].t))
-    return Trajectory(states=states, dt=config.dt, start_node=start_node)
+    return Trajectory(states=states, dt=config.dt)
 
 
 def tracking_references(mode: AdjointMode, targets, grid, n_nodes: int | None = None):
@@ -253,8 +254,8 @@ def adjoint_solve(
         node = n + 1  # explicit terms live at the later time level
         # c: the base state; d: the adjoint state (p, eta)
         hats = spectral(base.states[node].u, base.states[node].phi, st.buffer("work", 3, float))
-        c = Frame(st, *hats, ("conv_grad",))
-        d = Frame(st, px_h, py_h, eh, ("lap",))
+        c = Frame(st, *hats, ("conv_grad",), "frame")
+        d = Frame(st, px_h, py_h, eh, ("lap",), "sweep frame")
         sx_h, sy_h, seta_h = tracking_sources(mode, targets.weights, g, hats, ref_hats[node])
         px, py = d.ux, d.uy
 
@@ -295,14 +296,16 @@ def _trapz_weights(n_nodes: int, dt: float) -> np.ndarray:
 def tracking_pairing(base: Trajectory, tang: Trajectory, mode, targets):
     """Derivative of tracking_cost's state terms along a tangent solution
     started at node 0: the cost sources paired with the tangent states
-    (trapezoidal in time) plus the terminal pairings."""
+    (trapezoidal in time) plus the terminal pairings.  ValidationError
+    unless both records hold every node, and as many."""
+    if len(tang) != len(base):
+        raise ValidationError(f"the tangent record has {len(tang)} nodes, the base {len(base)}")
     g = base.grid
     tw = _trapz_weights(len(base), base.dt)
     refs = reference_transforms(mode, targets, g, len(base))
     val = 0.0
-    for n, s in enumerate(base.states):
+    for n, (s, ts) in enumerate(zip(base.every_node(), tang.every_node())):
         src = tracking_sources(mode, targets.weights, g, spectral(s.u, s.phi), refs[n])
-        ts = tang.at_node(n)
         val += tw[n] * sum(
             g.inner(g.ifft2(h), v) for h, v in zip(src, (ts.w.u_x, ts.w.u_y, ts.psi.values))
         )

@@ -72,6 +72,12 @@ class TestErrorPaths:
         assert rc == 2
         assert "unknown config key solver.typo_key" in capsys.readouterr().err
 
+    def test_dealias_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out")
+        cfg["solver"]["dealias"] = True
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "unknown config key solver.dealias" in capsys.readouterr().err
+
     def test_problem_command_mismatch(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out", problem="ocp")
         rc = main(["simulate", "--config", write_config(tmp_path, cfg)])

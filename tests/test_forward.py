@@ -283,15 +283,16 @@ class TestFrame:
         st = Stepper(params, SolverConfig(dt=1e-3, T=1e-3, nu=0.1))
         x, y = TWO_PI * g.X / g.l_x, TWO_PI * g.Y / g.l_y
         phi = ScalarField(g, np.sin(x) + 0.5 * np.cos(2.0 * y) + 0.3 * np.sin(x + y))
-        got = Frame(st, *spectral(VectorField.zeros(g), phi), ("conv_grad",)).conv_grad
+        got = Frame(st, *spectral(VectorField.zeros(g), phi), ("conv_grad",), "frame").conv_grad
         want = grad(convolve(params.kernel.hat, phi)).dealiased()
         for a, b in zip(got, (want.u_x, want.u_y)):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
     def test_frames_keep_their_own_fields(self, double_well):
-        """Two frames built in a row on one Stepper, from different states:
-        the second must not overwrite the first, as it would if a frame's
-        fields aliased the Stepper's work stack."""
+        """Two frames built in a row on one Stepper under two names, from
+        different states: the second must not overwrite the first, as it
+        would if a frame's fields aliased the Stepper's work stack or the
+        other name's buffer."""
         g = TorusGrid(32, 48, TWO_PI, 3.0 * np.pi)
         params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), double_well)
         cfg = SolverConfig(dt=1e-3, T=1e-3, nu=0.1)
@@ -302,9 +303,10 @@ class TestFrame:
         ]
         extras = ("conv", "conv_grad", "lap")
         st = Stepper(params, cfg)
-        a, b = (Frame(st, *spectral(u, phi), extras) for u, phi in states)
+        a, b = (Frame(st, *spectral(u, phi), extras, name)
+                for (u, phi), name in zip(states, ("frame", "sweep frame")))
         for fr, (u, phi) in zip((a, b), states):
-            alone = Frame(Stepper(params, cfg), *spectral(u, phi), extras)
+            alone = Frame(Stepper(params, cfg), *spectral(u, phi), extras, "frame")
             for name in ("ux", "uy", "dux", "duy", "phi", "dphi", *extras):
                 assert np.array_equal(getattr(fr, name), getattr(alone, name))
         assert not np.array_equal(a.phi, b.phi)
@@ -987,7 +989,9 @@ class TestKeep:
         assert np.array_equal(full.times, [s.t for s in full.states])
         assert np.array_equal(part.times, full.times)
         tang = tangent_solve(full, None, None, None, params16, cfg, start_node=3)
-        assert np.array_equal(tang.times, [s.t for s in tang.states])
+        assert tang.states[:3] == [None] * 3
+        assert np.array_equal(tang.times, full.times)
+        assert np.array_equal(tang.times[3:], [s.t for s in tang.states[3:]])
 
     @pytest.mark.parametrize(
         "keep",

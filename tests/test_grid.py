@@ -587,6 +587,48 @@ class TestOneStepDriver:
         assert offenders == []
 
 
+class TestOneWayPerJob:
+    GONE = {"Trajectory": {"start_node", "at_node"}, "SolverConfig": {"dealias"}}
+
+    def test_records_start_at_node_zero_and_the_scheme_always_dealiases(self):
+        """A record indexes its states from node 0 (None where a node was
+        dropped or not yet reached), so Trajectory binds no start_node
+        offset or at_node lookup and no module reads a .start_node; the
+        2/3 mask is always on, so SolverConfig binds no dealias switch and
+        no module reads a .dealias.  SolverConfig holds dt, T, nu and
+        stabilization, and a Frame names its Stepper buffer: it takes no
+        out, so it has no path that allocates a fresh stack."""
+        import dataclasses
+        import inspect
+
+        import chnsopt
+        from chnsopt.forward import Frame, SolverConfig
+
+        root = Path(chnsopt.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for n in ast.walk(tree):
+                if isinstance(n, ast.ClassDef) and n.name in self.GONE:
+                    for m in ast.walk(n):
+                        bound = (
+                            getattr(m, "name", None) if isinstance(m, ast.FunctionDef)
+                            else getattr(m, "id", None) or getattr(m, "attr", None)
+                            if isinstance(getattr(m, "ctx", None), ast.Store) else None
+                        )
+                        if bound in self.GONE[n.name]:
+                            offenders.append(f"{path.name}:{m.lineno} {n.name} binds {bound}")
+                elif isinstance(n, ast.Attribute) and n.attr in {"start_node", "dealias"}:
+                    offenders.append(f"{path.name}:{n.lineno} reads .{n.attr}")
+        assert offenders == []
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "dt", "T", "nu", "stabilization"]
+        params = inspect.signature(Frame).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            (name, inspect.Parameter.empty)
+            for name in ("st", "ux_h", "uy_h", "ph", "extras", "name")]
+
+
 class TestNoUnusedImports:
     def test_every_imported_name_is_used(self):
         """No module of the package imports a name it never reads; the

@@ -27,10 +27,12 @@ from chnsopt import (
     terminal_adjoint_data,
 )
 from chnsopt import synth
-from chnsopt.forward import Stepper, spectral
+from chnsopt import tangent_adjoint
+from chnsopt.forward import Frame, Stepper, spectral
 from chnsopt.tangent_adjoint import (
     reference_transforms,
     running_cost,
+    tracking_pairing,
     tracking_references,
     tracking_sources,
 )
@@ -124,9 +126,9 @@ class TestTangent:
         base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
         seed = synth.single_mode_velocity(params16.grid, (1, 0), 0.4)
         tang = tangent_solve(base, None, seed, None, params16, cfg, start_node=2)
-        assert len(tang) == 4
-        assert tang.at_node(2) is tang.states[0]
-        assert tang.at_node(2).t == pytest.approx(2e-3)
+        assert len(tang) == 6
+        assert tang.states[:2] == [None, None]
+        assert tang.states[2].t == pytest.approx(2e-3)
         assert tang.final.t == pytest.approx(5e-3)
 
     def test_rejects_bad_inputs(self, params16, smooth_state16, g32):
@@ -221,8 +223,8 @@ class TestAdjoint:
         adj = adjoint_solve(base, AdjointMode.DISTRIBUTED, targets, params16, cfg)
         for n in range(6):
             expect = v.norm() / (1.0 + cfg.nu * cfg.dt) ** (5 - n)
-            assert adj.at_node(n).p.norm() == pytest.approx(expect, rel=1e-12), n
-            assert adj.at_node(n).eta.norm() == 0.0
+            assert adj.states[n].p.norm() == pytest.approx(expect, rel=1e-12), n
+            assert adj.states[n].eta.norm() == 0.0
 
     def test_tracking_source_accumulates_geometrically(self, params16):
         # rest base again; a constant velocity reference makes the adjoint
@@ -277,7 +279,7 @@ class TestAdjoint:
         adj = adjoint_solve(base, AdjointMode.DISTRIBUTED, CostTargets(), params16, cfg)
         assert len(adj) == 6
         assert adj.initial is adj.states[0]
-        assert adj.at_node(3).t == pytest.approx(3e-3)
+        assert adj.states[3].t == pytest.approx(3e-3)
 
     def test_overflow_raises_numeric_error(self, params16, smooth_state16):
         cfg = SolverConfig(dt=1e-3, T=5e-3, nu=0.1)
@@ -322,6 +324,64 @@ def _tracked_run(args, refs, T=3e-3):
             synth.random_scalar(g, rng, 0.1, 4.0, mean=0.1) for _ in base.states
         ]
     return base, targets, params, cfg
+
+
+class TestSweepFrames:
+    @pytest.mark.parametrize("sweep", ["tangent", "adjoint"])
+    def test_frames_live_in_the_buffers_they_name(
+        self, sweep, params16, smooth_state16, monkeypatch
+    ):
+        """Every field of a tangent or adjoint frame is a view of the
+        Stepper buffer the frame names, and the base state's frame and the
+        sweep's own name two buffers, so neither overwrites the other."""
+        steps = []
+
+        class Recorded(Frame):
+            def __init__(self, st, *args):
+                super().__init__(st, *args)
+                extras, name = args[-2:]
+                fields = [self.ux, self.uy, self.phi, *self.dux, *self.duy, *self.dphi]
+                for e in extras:
+                    part = getattr(self, e)
+                    fields += part if isinstance(part, tuple) else [part]
+                store = st.buffer(name, len(fields), float)
+                assert all(np.shares_memory(f, store) for f in fields), name
+                if name == "frame":
+                    steps.append([])
+                steps[-1].append((name, self.phi))
+
+        monkeypatch.setattr(tangent_adjoint, "Frame", Recorded)
+        cfg = SolverConfig(dt=1e-3, T=3e-3, nu=0.1)
+        base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+        if sweep == "tangent":
+            tangent_solve(base, None, None, smooth_state16.phi, params16, cfg)
+        else:
+            adjoint_solve(base, AdjointMode.DISTRIBUTED, CostTargets(), params16, cfg)
+        assert len(steps) == 3
+        for (c_name, c_phi), (d_name, d_phi) in steps:
+            assert (c_name, d_name) == ("frame", "sweep frame")
+            assert not np.shares_memory(c_phi, d_phi)
+
+
+class TestTrackingPairing:
+    def test_a_tangent_started_late_is_refused(self, params16, smooth_state16):
+        cfg = SolverConfig(dt=1e-3, T=1e-2, nu=0.1)
+        base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+        seed = synth.single_mode_velocity(params16.grid, (1, 1), 0.4)
+        tang = tangent_solve(base, None, seed, None, params16, cfg, start_node=4)
+        targets = CostTargets(u_f=base.final.u * 0.5)
+        with pytest.raises(ValidationError, match=r"no state at node 0 \(simulate's keep"):
+            tracking_pairing(base, tang, AdjointMode.DISTRIBUTED, targets)
+
+    def test_a_tangent_of_another_length_is_refused(self, params16, smooth_state16):
+        short, long = (SolverConfig(dt=1e-3, T=T, nu=0.1) for T in (1e-2, 2e-2))
+        base = simulate(smooth_state16, None, None, params16, short, with_diagnostics=False)
+        longer = simulate(smooth_state16, None, None, params16, long, with_diagnostics=False)
+        seed = synth.single_mode_velocity(params16.grid, (1, 1), 0.4)
+        tang = tangent_solve(longer, None, seed, None, params16, long)
+        targets = CostTargets(u_f=base.final.u * 0.5)
+        with pytest.raises(ValidationError, match="the tangent record has 21 nodes, the base 11"):
+            tracking_pairing(base, tang, AdjointMode.DISTRIBUTED, targets)
 
 
 class TestTrackingSources:
