@@ -102,6 +102,7 @@ class InitialVelocityProblem:
             self.problem.params,
             self.problem.config,
             self.ref_hats,
+            keep=(),  # the gradient reads p(0) only
         )
         g = reduced_gradient_da(
             control.initial, adj, self.problem.measurements.weights
@@ -164,16 +165,13 @@ def twin_experiment(
     history.
     """
     tmpl = problem_template
-    truth_traj = simulate(
-        tmpl.initial_state(U_true),
-        None,
-        tmpl.forcing,
-        tmpl.params,
-        tmpl.config,
-        with_diagnostics=False,
-    )
+    # the truth record lives only as long as record_measurements copies it
     measurements = record_measurements(
-        truth_traj, tmpl.measurements.weights, noise_level, rng
+        simulate(tmpl.initial_state(U_true), None, tmpl.forcing, tmpl.params, tmpl.config,
+                 with_diagnostics=False),
+        tmpl.measurements.weights,
+        noise_level,
+        rng,
     )
     problem = AssimilationProblem(
         measurements=measurements,

@@ -686,21 +686,26 @@ def _load_config(path: str) -> dict:
 class _Command(NamedTuple):
     run: Callable[[RunContext], int]
     problem: str  # the config's problem, when it names one
-    # dense trajectories kept at once: the optimizing ones hold the targets
-    # or measurements, the current and the trial forward sweep and the
-    # adjoint sweep.  check steps at most _CHECK_STEPS times.  simulate
-    # keeps only the nodes it writes but counts one on purpose: the guard
-    # then also bounds its diagnostics rows, which still grow with N.
+    # dense trajectories kept at once: for the optimizing ones the slope in
+    # N of the subcommand's tracemalloc peak, in states per node, rounded
+    # up (32^2, N = 20 against 60 and 40 against 120).  optimize (8.47)
+    # and gradient-test (8.56) hold the targets and their transforms, a
+    # forward and a full adjoint record and the optimizer's per-node
+    # control signals; assimilate (3.14) the measurements, their
+    # transforms and one forward record.  check steps at most
+    # _CHECK_STEPS times.  simulate keeps only the nodes it writes but
+    # counts one on purpose: the guard then also bounds its diagnostics
+    # rows, which still grow with N.
     dense: int
     targets: dict  # the table of the targets section
 
 
 _COMMANDS = {
     "simulate": _Command(_run_simulate, "simulate", 1, {}),
-    "optimize": _Command(_run_optimize, "ocp", 4, _TWIN_TARGETS),
+    "optimize": _Command(_run_optimize, "ocp", 9, _TWIN_TARGETS),
     "assimilate": _Command(_run_assimilate, "da", 4, _TRUTH_TARGETS),
     "check": _Command(_run_check, "check", 1, {}),
-    "gradient-test": _Command(_run_gradient_test, "gradient-test", 4, _TWIN_TARGETS),
+    "gradient-test": _Command(_run_gradient_test, "gradient-test", 9, _TWIN_TARGETS),
 }
 
 

@@ -381,7 +381,7 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
     s_pair = G_prev = None  # last accepted move and the gradient before it
     for it in range(opt_config.max_iters):
         G = problem.gradient(U, aux)
-        aux = None  # the line search needs only U, J and G
+        aux = None  # the line search needs only U, J and G: the record is let go
         gn = G.norm()
         history[-1]["grad_norm"] = gn
         if gn / max(1.0, U.norm()) <= opt_config.grad_tol:
@@ -403,6 +403,7 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
             max_move = max(max_move, move)
             if move == 0.0:
                 break  # projection pinned the iterate exactly
+            aux_try = None  # a rejected trial's record goes before the next sweep
             J_try, aux_try = problem.cost(U_try)
             slope = G.inner(dU)  # >= 0 only where the ball bent a quasi-Newton trial
             if slope < 0.0 and J_try <= J + opt_config.armijo_c * slope:
@@ -421,6 +422,7 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
         if U_try is V:  # the ball did not move the trial: keep the pair
             s_pair, G_prev = dU, G
         U, J, aux = U_try, J_try, aux_try
+        aux_try = None  # aux alone holds the accepted record
         d = V = None  # nothing control-sized beyond U, s and G_prev meets the gradient
         step = s / opt_config.armijo_shrink  # warm start, one notch up
         history.append(

@@ -121,8 +121,8 @@ class FlowState:
 @dataclass
 class Trajectory:
     """Record of one sweep: a state per time node 0..N, or None at a node
-    a simulate sweep did not keep (see its keep) or a tangent sweep had
-    not yet started (see its start_node).
+    a simulate or adjoint sweep did not keep (see their keep) or a tangent
+    sweep had not yet started (see its start_node).
 
     Forward runs hold FlowState, tangent sweeps TangentState and adjoint
     sweeps AdjointState; only a forward record has a grid.  diagnostics
@@ -166,7 +166,7 @@ class Trajectory:
         for n, s in enumerate(self.states):
             if s is None:
                 raise ValidationError(
-                    f"the record holds no state at node {n} (simulate's keep dropped it, or "
+                    f"the record holds no state at node {n} (a sweep's keep dropped it, or "
                     "the tangent started later); this reader needs every node"
                 )
         return self.states
@@ -296,8 +296,9 @@ class Stepper:
     one call that transforms the group (transform inputs only: each group
     overwrites the last), the frames (``Frame``: the forward step's
     "frame", and a second name where a sweep holds two), two real
-    "products", the right-hand side's transforms ("rhs") and two
-    half-spectrum temporaries ("spectra", those of ``project``).  Each is
+    "products", the right-hand side's transforms ("rhs"), two
+    half-spectrum temporaries ("spectra", those of ``project``) and the
+    adjoint's tracking sources ("sources").  Each is
     complex memory, viewed as real fields or as half spectra.  Every
     operation writes into them with ufunc ``out=``, in the order the
     fresh-array expression would take, so with its bits, and a forward
@@ -348,18 +349,25 @@ class Stepper:
             "lap": (self.neg_ksq,),
         }
         self._buffers = {}
+        self._views = {}
 
     def buffer(self, name: str, k: int, dtype) -> np.ndarray:
         """The first k fields of the scratch array kept under name, as real
         fields (dtype float) or half spectra (complex); see the class
-        docstring."""
+        docstring.  A view is made once per (name, k, dtype) and handed out
+        again; growing a name's array drops the views of the old one."""
+        view = self._views.get((name, k, dtype))
+        if view is not None:
+            return view
         real = np.dtype(dtype).kind == "f"
         shape = (k, *(self.grid.shape if real else self.grid.spectral_shape))
         n = math.prod(shape) // (2 if real else 1)  # in complex entries
         b = self._buffers.get(name)
         if b is None or b.size < n:
             b = self._buffers[name] = np.empty(n, complex)
-        return b[:n].view(dtype).reshape(shape)
+            self._views = {key: v for key, v in self._views.items() if key[0] != name}
+        view = self._views[name, k, dtype] = b[:n].view(dtype).reshape(shape)
+        return view
 
     def force_hat(self, force_x, force_y):
         """Half spectra (f_x, f_y) of a force, in one call, or (None, None)
@@ -430,17 +438,19 @@ class Stepper:
         """
         w = self.products(force_x)
         a, b = self.buffer("products", 2, float)
-
-        def dot(p, q, out):  # p[0] q[0] + p[1] q[1], by way of a and b
-            return np.add(np.multiply(p[0], q[0], out=a), np.multiply(p[1], q[1], out=b), out=out)
-
         u = (fr.ux, fr.uy)
         for i, d in enumerate((fr.dux, fr.duy)):  # -(u.grad)u_i - (J*phi) d_i(phi)
-            np.negative(dot(u, d, a), out=a)
+            np.negative(self.dot(u, d, a), out=a)
             np.subtract(a, np.multiply(fr.conv, fr.dphi[i], out=b), out=w[i])
         self.params.potential.df(fr.phi, out=w[2])
-        dot(u, fr.dphi, w[3])
+        self.dot(u, fr.dphi, w[3])
         return self.assemble(w, fr.ph, force_x, force_y)
+
+    def dot(self, p, q, out):
+        """p[0] q[0] + p[1] q[1] into out, the products formed in the two
+        real "products" fields, so out may be the first of them."""
+        a, b = self.buffer("products", 2, float)
+        return np.add(np.multiply(p[0], q[0], out=a), np.multiply(p[1], q[1], out=b), out=out)
 
     def advance(self, hats, incs):
         """(old + dt * inc) / den for the transforms hats (u_x, u_y, phi),

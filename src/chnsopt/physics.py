@@ -112,6 +112,17 @@ def kernel_weight_a(kernel: Kernel, grid: TorusGrid) -> ScalarField:
     return convolve(kernel.hat, ScalarField.constant(grid, 1.0))
 
 
+def _polyval(s, c, out=None):
+    """``P.polyval(s, c)``, or, into the float array out of s's shape, the
+    same Horner's rule in polyval's operation order, so with its bits."""
+    if out is None:
+        return P.polyval(np.asarray(s, dtype=np.float64), c)
+    np.add(c[-1], np.multiply(s, 0.0, out=out), out=out)
+    for ci in c[-2::-1]:
+        np.add(ci, np.multiply(out, s, out=out), out=out)
+    return out
+
+
 @dataclass(frozen=True)
 class Potential:
     """Polynomial free-energy density F with derivatives up to third order.
@@ -161,16 +172,11 @@ class Potential:
         """F'(s); out, a float array of s's shape, takes the values in
         place of a fresh array, by Horner's rule in ``polyval``'s
         operation order, so with its bits."""
-        if out is None:
-            return P.polyval(np.asarray(s, dtype=np.float64), self._c1)
-        c = self._c1
-        np.add(c[-1], np.multiply(s, 0.0, out=out), out=out)
-        for ci in c[-2::-1]:
-            np.add(ci, np.multiply(out, s, out=out), out=out)
-        return out
+        return _polyval(s, self._c1, out)
 
-    def d2f(self, s):
-        return P.polyval(np.asarray(s, dtype=np.float64), self._c2)
+    def d2f(self, s, out=None):
+        """F''(s); out as for ``df``."""
+        return _polyval(s, self._c2, out)
 
     def d3f(self, s):
         return P.polyval(np.asarray(s, dtype=np.float64), self._c3)

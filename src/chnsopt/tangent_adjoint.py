@@ -43,6 +43,7 @@ from .forward import (
     Stepper,
     Trajectory,
     _applied_force,
+    _kept_nodes,
     physical,
     read_signal,
     spectral,
@@ -195,16 +196,20 @@ def tracking_cost(mode: AdjointMode, targets, traj: Trajectory, control=None) ->
     return float(total)
 
 
-def tracking_sources(mode: AdjointMode, weights, grid, hats, ref):
+def tracking_sources(mode: AdjointMode, weights, grid, hats, ref, out=None):
     """Transforms (S_p_x, S_p_y, S_eta) of the tracking sources at one node,
     the derivative of running_cost in the state, from the base state's
-    transforms hats and the node's reference_transforms entry ref.  The
+    transforms hats and the node's reference_transforms entry ref, as a
+    complex stack of three half spectra: out, or a fresh one.  The
     distributed mode pairs the velocity mismatch through -Lap (enstrophy
     tracking) with the Nyquist derivative lines zeroed, as the cost's
     gradient norm pairs it; the assimilation mode pairs it in L2."""
-    ux_h, uy_h, ph = (h if r is None else h - r for h, r in zip(hats, ref))
+    if out is None:
+        out = np.empty((3, *grid.spectral_shape), complex)
     scale = weights.track_u * grid.ksq_d if mode is AdjointMode.DISTRIBUTED else weights.track_u
-    return scale * ux_h, scale * uy_h, weights.track_phi * ph
+    for h, r, w, o in zip(hats, ref, (scale, scale, weights.track_phi), out):
+        np.multiply(w, h if r is None else np.subtract(h, r, out=o), out=o)
+    return out
 
 
 def terminal_adjoint_data(base: Trajectory, mode: AdjointMode, targets):
@@ -224,6 +229,7 @@ def adjoint_solve(
     params: ModelParams,
     config: SolverConfig,
     ref_hats: list | None = None,
+    keep=None,
 ) -> Trajectory:
     """Integrate the adjoint pair (p, eta) backward from t = T to 0.
 
@@ -233,6 +239,15 @@ def adjoint_solve(
     takes anyway and ref_hats, the reference_transforms of targets: a
     caller solving repeatedly against the same targets passes them in,
     None computes them here.
+
+    keep names the nodes the record holds, as simulate's keep does (the
+    same checks, ValidationError before the first step): None for every
+    node, else those nodes with 0 and N, and None at every other node.
+    Only a kept node's state is transformed back to physical space and
+    checked for finiteness (NumericError), so keep=() holds p(0), all
+    the assimilation gradient reads, and the sweep's memory does not grow
+    with N.  A step computes in its Stepper's buffers (see Stepper),
+    with the bits of the fresh-array expressions.
     """
     g = params.grid
     if abs(base.dt - config.dt) > 1e-14 * max(1.0, config.dt):
@@ -240,7 +255,11 @@ def adjoint_solve(
     base.every_node()
     st = Stepper(params, config)
     n_total = base.n_steps
+    kept = _kept_nodes(keep, n_total)
     m = st.mask
+    # the concentration operator's multipliers, the same every step
+    k_J = st.ksq * st.J_hat
+    k_aS = st.ksq * (st.a - st.S) if st.a != st.S else None
 
     if ref_hats is None:
         ref_hats = reference_transforms(mode, targets, g, n_total + 1)
@@ -256,33 +275,39 @@ def adjoint_solve(
         hats = spectral(base.states[node].u, base.states[node].phi, st.buffer("work", 3, float))
         c = Frame(st, *hats, ("conv_grad",), "frame")
         d = Frame(st, px_h, py_h, eh, ("lap",), "sweep frame")
-        sx_h, sy_h, seta_h = tracking_sources(mode, targets.weights, g, hats, ref_hats[node])
-        px, py = d.ux, d.uy
+        src = tracking_sources(mode, targets.weights, g, hats, ref_hats[node],
+                               st.buffer("sources", 3, complex))
+        cu, p = (c.ux, c.uy), (d.ux, d.uy)
 
         w = st.buffer("work", 6, float)
-        fx = (c.ux * d.dux[0] + c.uy * d.dux[1]) - (px * c.dux[0] + py * c.duy[0])
-        fy = (c.ux * d.duy[0] + c.uy * d.duy[1]) - (px * c.dux[1] + py * c.duy[1])
-        np.subtract(fx, d.phi * c.dphi[0], out=w[0])
-        np.subtract(fy, d.phi * c.dphi[1], out=w[1])
-        np.multiply(params.potential.d2f(c.phi), d.lap, out=w[2])
-        np.add(c.ux * d.dphi[0], c.uy * d.dphi[1], out=w[3])
-        np.add(px * c.dphi[0], py * c.dphi[1], out=w[4])
-        np.add(c.conv_grad[0] * px, c.conv_grad[1] * py, out=w[5])
+        a = st.buffer("products", 2, float)[0]
+        for i, dd in enumerate((d.dux, d.duy)):
+            # (u.grad)p_i - p_j d_i(u_j) - eta d_i(phi)
+            st.dot(cu, dd, w[i])
+            np.subtract(w[i], st.dot(p, (c.dux[i], c.duy[i]), a), out=w[i])
+            np.subtract(w[i], np.multiply(d.phi, c.dphi[i], out=a), out=w[i])
+        np.multiply(params.potential.d2f(c.phi, out=w[2]), d.lap, out=w[2])
+        st.dot(cu, d.dphi, w[3])
+        st.dot(p, c.dphi, w[4])
+        st.dot(c.conv_grad, p, w[5])
         h = g.fft2(w, out=st.buffer("rhs", 6, complex))
-        fx_h, fy_h = st.momentum(h[0], h[1], sx_h, sy_h)
+        fx_h, fy_h = st.momentum(h[0], h[1], src[0], src[1])
 
-        r_h = h[2] * m
-        r_h = r_h + st.ksq * st.J_hat * eh
-        if st.a != st.S:
-            r_h = r_h - st.ksq * (st.a - st.S) * eh
-        r_h = r_h + h[3] * m
-        r_h = r_h - st.J_hat * (h[4] * m)
-        r_h = r_h + h[5] * m
-        r_h = r_h + seta_h
-        px_h, py_h, eh = st.advance((px_h, py_h, eh), (fx_h, fy_h, r_h))
+        # r = h2 m + k^2 J^ eh [- k^2 (a - S) eh] + h3 m - J^ (h4 m) + h5 m + S_eta
+        r, t = h[2], st.buffer("spectra", 1, complex)[0]
+        np.multiply(r, m, out=r)
+        np.add(r, np.multiply(k_J, eh, out=t), out=r)
+        if k_aS is not None:
+            np.subtract(r, np.multiply(k_aS, eh, out=t), out=r)
+        np.add(r, np.multiply(h[3], m, out=t), out=r)
+        np.subtract(r, np.multiply(st.J_hat, np.multiply(h[4], m, out=t), out=t), out=r)
+        np.add(r, np.multiply(h[5], m, out=t), out=r)
+        np.add(r, src[2], out=r)
+        px_h, py_h, eh = st.advance((px_h, py_h, eh), (fx_h, fy_h, r))
 
-        new = physical(g, px_h, py_h, eh, st.buffer("work", 3, complex))
-        states[n] = AdjointState(*new, base.states[n].t)
+        if n in kept:
+            new = physical(g, px_h, py_h, eh, st.buffer("work", 3, complex))
+            states[n] = AdjointState(*new, base.states[n].t)
     return Trajectory(states=states, dt=config.dt)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,13 @@ from chnsopt import (
     CostTargets,
     CostWeights,
     InitialVelocityProblem,
+    Kernel,
+    ModelParams,
     OptimizerConfig,
+    Potential,
     ScalarField,
     SolverConfig,
+    TorusGrid,
     ValidationError,
     VectorField,
     cost_da,
@@ -255,3 +261,36 @@ class TestTwinExperiment:
         )
         assert report["final_cost"] < report["initial_cost"]
         assert report["recovery_error"] <= 0.2
+
+
+class TestTwinMemory:
+    def test_peak_grows_by_at_most_three_and_a_half_states_per_node(self):
+        """Tooling: twin_experiment holds the measurements, their transforms
+        and one forward record at a time, and its gradient only p(0) of
+        the adjoint; the truth record goes once measured.  Its tracemalloc
+        peak then grows by 3.14 states per node at 32^2 (5.2 while the
+        truth, a rejected trial and a full adjoint record stayed alive)."""
+        g = TorusGrid(32, 32, 2.0 * np.pi, 2.0 * np.pi)
+        params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), Potential.double_well())
+        U_true = synth.random_divfree_velocity(g, np.random.default_rng(42), 0.5, 2.0)
+        stub = CostTargets(
+            u_M_f=VectorField.zeros(g), phi_M_f=ScalarField.zeros(g),
+            weights=CostWeights(control=1e-3),
+        )
+        opt = OptimizerConfig(max_iters=1, grad_tol=1e-12, step0=1.0)
+
+        def peak(n_steps):
+            cfg = SolverConfig(dt=1e-3, T=n_steps * 1e-3, nu=0.1)
+            phi0 = synth.sine_scalar(g, (1, 1), 0.1, mean=0.2)
+            template = AssimilationProblem(stub, phi0, None, params, cfg)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                twin_experiment(U_true, 0.0, template, opt)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # first-call caches stay out of the peaks
+        one_state = 3 * g.n_points * 8
+        assert (peak(60) - peak(20)) / 40 <= 3.5 * one_state

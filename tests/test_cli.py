@@ -332,7 +332,7 @@ class TestNullValues:
     """A null number reads as absent; a null initial field, targets.control
     or targets.truth is the zero field; a null forcing is no forcing; a null
     targets is absent; any other null section, output.directory,
-    solver.dealias or kernel.family is refused."""
+    kernel.family or potential.family is refused."""
 
     SIMULATED = ["diagnostics.csv", "u_final_x.fld", "u_final_y.fld", "phi_final.fld"]
 
@@ -395,8 +395,8 @@ class TestNullValues:
             ("optimizer",),
             ("output",),
             ("output", "directory"),
-            ("solver", "dealias"),
             ("kernel", "family"),
+            ("potential", "family"),
         ],
         ids=".".join,
     )

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -574,6 +576,52 @@ class TestLineSearchReplay:
         self._check(InitialVelocityProblem(problem), ControlSignal.zeros_initial(g))
 
 
+class _Record:
+    """A stand-in for a forward record, weakly referable."""
+
+
+class _RecordKeeping:
+    """Forwards to a problem and hands out a fresh record with every cost;
+    at each call it asserts which of its records optimize still holds:
+    none when a cost is asked for, the accepted one for a gradient."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.records = []  # weak references, in the order handed out
+        self.gradients = 0
+
+    def _alive(self):
+        return [r() for r in self.records if r() is not None]
+
+    def cost(self, U):
+        assert self._alive() == [], "an earlier trial's record is alive"
+        J, _ = self.problem.cost(U)
+        record = _Record()
+        self.records.append(weakref.ref(record))
+        return J, record
+
+    def gradient(self, U, aux):
+        alive = self._alive()
+        assert len(alive) == 1 and alive[0] is aux, "records beside the accepted one are alive"
+        self.gradients += 1
+        return self.problem.gradient(U, None)
+
+    def project(self, U):
+        return self.problem.project(U)
+
+
+class TestRecordLifetimes:
+    def test_optimize_holds_the_accepted_record_only(self, g16):
+        """A rejected trial's record is let go before the next trial's sweep,
+        and the accepted one once its gradient is taken."""
+        oracle = _RecordKeeping(_ill_conditioned(g16, np.random.default_rng(3)))
+        opt = OptimizerConfig(max_iters=20, grad_tol=1e-10, step0=8.0)
+        _, hist = optimize(oracle, _random_signal(g16, np.random.default_rng(4)), opt)
+        iterations = len(hist) - 1
+        assert iterations >= 3 and oracle.gradients >= iterations
+        assert len(oracle.records) > iterations + 1  # some trials were rejected
+
+
 class TestSpikeVariation:
     def test_window_nodes_on_grid(self, g16):
         dt = 1e-3
@@ -973,7 +1021,7 @@ def test_a_sparse_record_is_refused_by_readers_of_whole_records(
     cfg = SolverConfig(dt=1e-3, T=1e-2, nu=0.1)
     sparse = simulate(smooth_state16, None, None, params16, cfg, keep=[5])
     targets = CostTargets(u_M_f=VectorField.zeros(g), phi_M_f=ScalarField.zeros(g))
-    with pytest.raises(ValidationError, match=r"no state at node 1 \(simulate's keep"):
+    with pytest.raises(ValidationError, match=r"no state at node 1 \(a sweep's keep"):
         _SPARSE_READERS[reader](sparse, params16, cfg, targets)
 
 

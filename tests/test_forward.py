@@ -633,6 +633,27 @@ class TestStepBuffers:
         # the three results plus one half spectrum of slack
         assert peak <= 4 * hats[0].nbytes
 
+    def test_views_are_kept_and_follow_a_grown_buffer(self, params16, smooth_state16):
+        """A name's view is made once and handed out again; growing the name's
+        array drops its views, so a view taken after the growth lives in the
+        grown array, and a step computed there has the bits of a fresh
+        Stepper's."""
+        cfg = SolverConfig(dt=1e-3, T=1e-3, nu=0.1)
+        st = Stepper(params16, cfg)
+        hats = spectral(smooth_state16.u, smooth_state16.phi)
+        first = st.forward_step_hat(*hats, None, None)
+        small = st.buffer("work", 3, float)
+        assert st.buffer("work", 3, float) is small
+        frame = st.buffer("frame", 10, float)
+        grown = st.buffer("work", 64, float)
+        after = st.buffer("work", 3, float)
+        assert np.shares_memory(after, grown) and not np.shares_memory(after, small)
+        assert st.buffer("frame", 10, float) is frame  # other names keep theirs
+        again = st.forward_step_hat(*hats, None, None)
+        fresh = Stepper(params16, cfg).forward_step_hat(*hats, None, None)
+        for a, b, c in zip(first, again, fresh, strict=True):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
     def test_results_outlive_the_next_step(self, params16, smooth_state16):
         st = Stepper(params16, SolverConfig(dt=1e-3, T=1e-3, nu=0.1))
         forcing = synth.single_mode_velocity(params16.grid, (1, 0), 0.1)

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from chnsopt import (
     AssumptionError,
@@ -110,6 +111,18 @@ class TestPotential:
         out = np.full(s.shape, np.nan)
         assert potential.df(s, out=out) is out
         assert np.array_equal(out, potential.df(s))
+
+    @pytest.mark.parametrize(
+        "coefficients", [(1.0, 0.0, -2.0, 0.0, 1.0), (0.1, 0.3, -1.0, 0.2, 0.5, 0.0, 0.05)]
+    )
+    def test_second_derivative_into_an_array_has_polyvals_bits(self, coefficients):
+        potential = Potential.polynomial(coefficients)
+        s = 3.0 * np.random.default_rng(6).standard_normal((16, 24))
+        out = np.full(s.shape, np.nan)
+        assert potential.d2f(s, out=out) is out
+        want = P.polyval(s, P.polyder(np.asarray(coefficients), 2))
+        assert np.array_equal(out, want)
+        assert np.array_equal(potential.d2f(s), want)
 
     def test_degenerate_degree_rejected(self):
         with pytest.raises(ValidationError):

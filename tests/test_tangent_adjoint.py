@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,13 @@ from chnsopt import (
     VectorField,
     adjoint_solve,
     duality_gap,
+    reduced_gradient_da,
     relative_divergence,
     simulate,
     tangent_solve,
     terminal_adjoint_data,
 )
-from chnsopt import synth
+from chnsopt import assimilation, synth
 from chnsopt import tangent_adjoint
 from chnsopt.forward import Frame, Stepper, spectral
 from chnsopt.tangent_adjoint import (
@@ -370,7 +373,7 @@ class TestTrackingPairing:
         seed = synth.single_mode_velocity(params16.grid, (1, 1), 0.4)
         tang = tangent_solve(base, None, seed, None, params16, cfg, start_node=4)
         targets = CostTargets(u_f=base.final.u * 0.5)
-        with pytest.raises(ValidationError, match=r"no state at node 0 \(simulate's keep"):
+        with pytest.raises(ValidationError, match=r"no state at node 0 \(a sweep's keep"):
             tracking_pairing(base, tang, AdjointMode.DISTRIBUTED, targets)
 
     def test_a_tangent_of_another_length_is_refused(self, params16, smooth_state16):
@@ -496,6 +499,117 @@ class TestAdjointTransformBudget:
         """A step transforms each group of fields in one call: the base
         state, the two frames, the right-hand side and the new state."""
         assert self._per_step(mode, transform_counter, "calls") <= 5
+
+
+class TestAdjointKeep:
+    """adjoint_solve(keep=...) holds the named nodes, 0 and N only, as
+    simulate's keep does; only those are transformed back and checked, so
+    the sweep's memory does not grow with N."""
+
+    ANISO = (32, 48, TWO_PI, 3.0 * np.pi)
+
+    @pytest.mark.parametrize(
+        "keep", [5, 2.0, True, [1.5], [True], [-1], [11]],
+        ids=["int", "float", "bool", "float-node", "bool-node", "negative", "beyond-N"],
+    )
+    def test_a_bad_keep_fails_before_the_first_step(
+        self, keep, params16, smooth_state16, monkeypatch
+    ):
+        cfg = SolverConfig(dt=1e-3, T=1e-2, nu=0.1)
+        base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+
+        def stepped(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(tangent_adjoint, "Frame", stepped)
+        with pytest.raises(ValidationError, match="keep"):
+            adjoint_solve(base, AdjointMode.ASSIMILATION, CostTargets(), params16, cfg, keep=keep)
+
+    @pytest.mark.parametrize("keep", [(), (3,), [np.int64(2), 4]], ids=["empty", "one", "two"])
+    @pytest.mark.parametrize("mode", list(AdjointMode), ids=lambda m: m.value)
+    def test_kept_nodes_match_a_full_record_bitwise(self, mode, keep):
+        base, targets, params, cfg = _tracked_run(self.ANISO, "node-indexed", T=6e-3)
+        full = adjoint_solve(base, mode, targets, params, cfg)
+        part = adjoint_solve(base, mode, targets, params, cfg, keep=keep)
+        kept = {0, 6, *map(int, keep)}
+        assert len(part) == len(full) == 7
+        for n, (a, b) in enumerate(zip(part.states, full.states, strict=True)):
+            if n not in kept:
+                assert a is None, n
+                continue
+            assert a.t == b.t
+            assert np.array_equal(a.p.u_x, b.p.u_x)
+            assert np.array_equal(a.p.u_y, b.p.u_y)
+            assert np.array_equal(a.eta.values, b.eta.values)
+        assert part.initial is part.states[0] and part.final is part.states[-1]
+        with pytest.raises(ValidationError, match=r"no state at node 1 \(a sweep's keep"):
+            part.every_node()
+
+    def test_the_assimilation_gradient_keeps_p0_only(self, monkeypatch):
+        """InitialVelocityProblem.gradient asks adjoint_solve, by that name,
+        for keep=(), and its gradient is the full record's bit for bit."""
+        base, targets, params, cfg = _tracked_run(self.ANISO, "node-indexed", T=6e-3)
+        problem = InitialVelocityProblem(
+            AssimilationProblem(targets, base.initial.phi, None, params, cfg)
+        )
+        records = []
+
+        def recorded(*args, **kwargs):
+            records.append(adjoint_solve(*args, **kwargs))
+            return records[-1]
+
+        monkeypatch.setattr(assimilation, "adjoint_solve", recorded)
+        U = ControlSignal(ControlSignal.INITIAL, initial=base.initial.u)
+        G = problem.gradient(U, base).initial
+        assert [s is None for s in records[0].states] == [False] + [True] * 5 + [False]
+        full = adjoint_solve(base, problem.mode, targets, params, cfg, problem.ref_hats)
+        want = reduced_gradient_da(base.initial.u, full, targets.weights)
+        assert np.array_equal(G.u_x, want.u_x) and np.array_equal(G.u_y, want.u_y)
+
+    @pytest.mark.parametrize("mode", list(AdjointMode), ids=lambda m: m.value)
+    def test_thirty_transforms_per_step_but_the_last(self, mode, transform_counter):
+        """keep=() skips a step's inverse transform of the new state (3 of
+        its 33) at every node but node 0."""
+        used = {}
+        for T in (3e-3, 5e-3):
+            base, targets, params, cfg = _tracked_run((32, 32, TWO_PI, TWO_PI), "node-indexed", T)
+            ref_hats = reference_transforms(mode, targets, params.grid, len(base))
+            for keep in (None, ()):
+                transform_counter["fields"] = 0
+                adjoint_solve(base, mode, targets, params, cfg, ref_hats, keep=keep)
+                used[base.n_steps, keep] = transform_counter["fields"]
+        assert (used[5, ()] - used[3, ()]) / 2 == 30
+        assert (used[5, None] - used[3, None]) / 2 == 33
+        for n in (3, 5):
+            assert used[n, None] - used[n, ()] == 3 * (n - 1)
+
+    def test_peak_memory_is_flat_in_the_step_count(self):
+        """Tooling: an assimilation sweep with keep=() holds no state per
+        node (a full record adds three fields per node)."""
+        mode = AdjointMode.ASSIMILATION
+        peaks = {}
+        for n_steps in (2, 10):
+            base, targets, params, cfg = _tracked_run(
+                (32, 32, TWO_PI, TWO_PI), "node-indexed", n_steps * 1e-3
+            )
+            ref_hats = reference_transforms(mode, targets, params.grid, len(base))
+            adjoint_solve(base, mode, targets, params, cfg, ref_hats, keep=())  # warm caches
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                adjoint_solve(base, mode, targets, params, cfg, ref_hats, keep=())
+                peaks[n_steps] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        half_spectrum = 16 * 32 * (32 // 2 + 1)
+        assert abs(peaks[10] - peaks[2]) <= half_spectrum
+
+    def test_overflow_raises_numeric_error(self, params16, smooth_state16):
+        cfg = SolverConfig(dt=1e-3, T=5e-3, nu=0.1)
+        base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+        targets = CostTargets(weights=CostWeights(track_u=1e307))
+        with pytest.raises(NumericError, match="non-finite"), np.errstate(all="ignore"):
+            adjoint_solve(base, AdjointMode.DISTRIBUTED, targets, params16, cfg, keep=())
 
 
 class TestDualityGap:
