@@ -423,9 +423,17 @@ def _run_simulate(ctx: RunContext) -> int:
     out = ctx.ensure_outdir()
     state = ctx.initial_state()
     forcing = ctx.forcing()
-    # the record holds the dumped nodes and the final one only
-    dumps = range(0, ctx.solver.n_steps + 1, ctx.dump_every) if ctx.dump_every > 0 else ()
-    traj = simulate(state, None, forcing, ctx.params, ctx.solver, keep=dumps)
+    every = ctx.dump_every
+
+    def dump(n, s):
+        # each dumped node is written as soon as simulate finishes it, so the
+        # record holds nodes 0 and N only; a failed run leaves the dumps of
+        # the nodes before the failure, and no diagnostics or final fields
+        if every > 0 and n % every == 0:
+            write_vector_snapshot(os.path.join(out, f"u_{n:06d}"), s.u)
+            write_snapshot(os.path.join(out, f"phi_{n:06d}.fld"), s.phi)
+
+    traj = simulate(state, None, forcing, ctx.params, ctx.solver, keep=(), sink=dump)
     d = traj.diagnostics
     residual = np.append(d["residual"], 0.0)  # no step leaves the last node
     write_csv(
@@ -436,10 +444,6 @@ def _run_simulate(ctx: RunContext) -> int:
             for n in range(len(traj))
         ),
     )
-    for n in dumps:
-        s = traj.states[n]
-        write_vector_snapshot(os.path.join(out, f"u_{n:06d}"), s.u)
-        write_snapshot(os.path.join(out, f"phi_{n:06d}.fld"), s.phi)
     write_vector_snapshot(os.path.join(out, "u_final"), traj.final.u)
     write_snapshot(os.path.join(out, "phi_final.fld"), traj.final.phi)
     return 0
@@ -688,14 +692,14 @@ class _Command(NamedTuple):
     problem: str  # the config's problem, when it names one
     # dense trajectories kept at once: for the optimizing ones the slope in
     # N of the subcommand's tracemalloc peak, in states per node, rounded
-    # up (32^2, N = 20 against 60 and 40 against 120).  optimize (8.47)
-    # and gradient-test (8.56) hold the targets and their transforms, a
-    # forward and a full adjoint record and the optimizer's per-node
-    # control signals; assimilate (3.14) the measurements, their
-    # transforms and one forward record.  check steps at most
-    # _CHECK_STEPS times.  simulate keeps only the nodes it writes but
-    # counts one on purpose: the guard then also bounds its diagnostics
-    # rows, which still grow with N.
+    # up (32^2, N = 20 against 60 and 40 against 120).  optimize (8.48)
+    # and gradient-test (8.56) peak in a forward sweep, which holds the
+    # targets and their transforms, the sweep's record and the optimizer's
+    # per-node control signals (their gradients hold no adjoint record);
+    # assimilate (3.13) the measurements, their transforms and one
+    # forward record.  check steps at most _CHECK_STEPS times.  simulate
+    # holds nodes 0 and N only (slope 0.01) but counts one on purpose: the
+    # guard then also bounds its diagnostics rows, which still grow with N.
     dense: int
     targets: dict  # the table of the targets section
 

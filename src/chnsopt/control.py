@@ -253,21 +253,34 @@ def cost_ocp(traj: Trajectory, control: ControlSignal, targets: CostTargets) -> 
     return tracking_cost(AdjointMode.DISTRIBUTED, targets, traj, control)
 
 
+def _gradient_sum(control: ControlSignal, n_nodes: int, weights: CostWeights | None):
+    """The array w_c*U of the distributed gradient over n_nodes adjoint
+    nodes, and the adjoint sink that adds node n's p into its row n: the
+    one assembly of w_c*U + p, from a record or during a sweep."""
+    w_c = (weights or CostWeights()).control
+    if control.kind != ControlSignal.DISTRIBUTED:
+        raise ValidationError("distributed gradient needs a distributed control")
+    if control.n_nodes != n_nodes:
+        raise ValidationError("control and adjoint time grids differ")
+    data = w_c * control.data
+
+    def add(n, s):
+        data[n, 0] += s.p.u_x
+        data[n, 1] += s.p.u_y
+
+    return data, add
+
+
 def reduced_gradient_ocp(
     control: ControlSignal,
     adjoint_traj: Trajectory,
     weights: CostWeights | None = None,
 ) -> ControlSignal:
-    """Nodewise gradient w_c*U + p of the reduced cost."""
-    w_c = (weights or CostWeights()).control
-    if control.kind != ControlSignal.DISTRIBUTED:
-        raise ValidationError("distributed gradient needs a distributed control")
-    if control.n_nodes != len(adjoint_traj):
-        raise ValidationError("control and adjoint time grids differ")
-    data = w_c * control.data
+    """Nodewise gradient w_c*U + p of the reduced cost, from a full
+    adjoint record."""
+    data, add = _gradient_sum(control, len(adjoint_traj), weights)
     for n, s in enumerate(adjoint_traj.states):
-        data[n, 0] += s.p.u_x
-        data[n, 1] += s.p.u_y
+        add(n, s)
     return control._with(data)
 
 
@@ -275,7 +288,8 @@ class DistributedControlProblem:
     """Reduced-cost oracle for the distributed problem.
 
     cost(U) simulates forward; gradient(U, traj) solves the adjoint and
-    assembles w_c*U + p; project is the identity (whole-space admissible
+    adds each node's p into w_c*U as the sweep gives it, holding no
+    adjoint record; project is the identity (whole-space admissible
     set; the optimizer applies the optional norm ball separately).  The
     tracking references are transformed once, here, for every adjoint solve.
     """
@@ -298,8 +312,10 @@ class DistributedControlProblem:
         return cost_ocp(traj, control, self.targets), traj
 
     def gradient(self, control: ControlSignal, traj: Trajectory) -> ControlSignal:
-        adj = adjoint_solve(traj, self.mode, self.targets, self.params, self.config, self.ref_hats)
-        return reduced_gradient_ocp(control, adj, self.targets.weights)
+        data, add = _gradient_sum(control, len(traj), self.targets.weights)
+        adjoint_solve(traj, self.mode, self.targets, self.params, self.config, self.ref_hats,
+                      keep=(), sink=add)
+        return control._with(data)
 
     def project(self, control: ControlSignal) -> ControlSignal:
         return control

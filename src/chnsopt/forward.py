@@ -31,8 +31,10 @@ allocates nothing field-sized but the three half spectra it returns.
 A force constant in time (control and forcing each None or one field)
 is transformed once per sweep, not with every step's products.  A
 simulate sweep holds every node's state unless its caller names the
-nodes to keep (``keep``); ``chnsopt simulate`` keeps the nodes it
-writes only, so its record no longer grows with N.
+nodes to keep (``keep``), and hands each node's state to its caller's
+``sink`` as soon as the node is finished: ``chnsopt simulate`` keeps
+nodes 0 and N only and writes each snapshot from its sink, so it holds
+two states whatever N and ``dump_every`` are.
 """
 
 from __future__ import annotations
@@ -225,12 +227,15 @@ def _applied_force(n: int, *signals):
     return (None, None) if total is None else total
 
 
-def spectral(u: VectorField, phi: ScalarField, work: np.ndarray | None = None):
+def spectral(u: VectorField, phi: ScalarField, work: np.ndarray | None = None,
+             out: np.ndarray | None = None):
     """Half-spectrum transforms (u_x, u_y, phi) of a velocity and a scalar,
     in one call; work is a real (3, n_x, n_y) stack to gather the fields
-    in, such as ``st.buffer("work", 3, float)``, or None for a fresh one."""
+    in, such as ``st.buffer("work", 3, float)``, and out a complex
+    (3, n_x, n_y // 2 + 1) stack to transform them into, each None for a
+    fresh one."""
     g = phi.grid
-    return tuple(g.fft2(np.stack((u.u_x, u.u_y, phi.values), out=work)))
+    return tuple(g.fft2(np.stack((u.u_x, u.u_y, phi.values), out=work), out=out))
 
 
 def physical(grid: TorusGrid, ux_h, uy_h, ph, work: np.ndarray | None = None):
@@ -250,7 +255,7 @@ class Frame:
 
     ux, uy, dux, duy, phi and dphi (the gradients as (x, y) pairs) come
     out of one inverse transform, together with the extras the caller
-    names up front from ``Stepper.frame_extras``: "conv" (J*phi, for the
+    names up front from ``Stepper.frame_extra``: "conv" (J*phi, for the
     forward step, the tangent and control.hamiltonian), "conv_grad"
     (J*grad(phi), a pair) and "lap" (Lap(phi)), both for the adjoint.
     The tangent and adjoint sweeps build frames of their own (w, psi)
@@ -263,7 +268,7 @@ class Frame:
 
     def __init__(self, st: "Stepper", ux_h, uy_h, ph, extras: tuple, name: str):
         m = st.mask
-        ks = [k for e in extras for k in st.frame_extras[e]]
+        ks = [k for e in extras for k in st.frame_extra(e)]
         out = st.buffer(name, 9 + len(ks), float)
         w = st.buffer("work", len(out), complex)
         for i, h in enumerate((ux_h, uy_h, ph)):
@@ -278,7 +283,7 @@ class Frame:
         self.dux, self.duy, self.dphi = (f[3], f[4]), (f[5], f[6]), (f[7], f[8])
         rest = iter(f[9:])
         for e in extras:
-            parts = tuple(next(rest) for _ in st.frame_extras[e])
+            parts = tuple(next(rest) for _ in st.frame_extra(e))
             setattr(self, e, parts[0] if len(parts) == 1 else parts)
 
 
@@ -297,8 +302,9 @@ class Stepper:
     overwrites the last), the frames (``Frame``: the forward step's
     "frame", and a second name where a sweep holds two), two real
     "products", the right-hand side's transforms ("rhs"), two
-    half-spectrum temporaries ("spectra", those of ``project``) and the
-    adjoint's tracking sources ("sources").  Each is
+    half-spectrum temporaries ("spectra", those of ``project``), and the
+    adjoint's base-state transforms ("base") and tracking sources
+    ("sources").  Each is
     complex memory, viewed as real fields or as half spectra.  Every
     operation writes into them with ufunc ``out=``, in the order the
     fresh-array expression would take, so with its bits, and a forward
@@ -342,14 +348,19 @@ class Stepper:
         self.J_hat = params.kernel.hat
         self.cfl_length = min(g.dx, g.dy)
         # Frame extras: the multipliers of phi's transform, each product
-        # masked after, in the operation order of J*phi, J*grad(phi), Lap(phi)
-        self.frame_extras = {
-            "conv": (self.J_hat,),
-            "conv_grad": (self.J_hat * 1j * self.kx, self.J_hat * 1j * self.ky),
-            "lap": (self.neg_ksq,),
-        }
+        # masked after, in the operation order of J*phi, J*grad(phi),
+        # Lap(phi); frame_extra builds "conv_grad" on first use
+        self._extras = {"conv": (self.J_hat,), "lap": (self.neg_ksq,)}
         self._buffers = {}
         self._views = {}
+
+    def frame_extra(self, name: str) -> tuple:
+        """The multipliers of phi's transform that give Frame's extra name.
+        "conv_grad" (two half spectra J^ i k) is read by the adjoint alone,
+        so a Stepper builds it when a Frame first names it."""
+        if name == "conv_grad" and name not in self._extras:
+            self._extras[name] = (self.J_hat * 1j * self.kx, self.J_hat * 1j * self.ky)
+        return self._extras[name]
 
     def buffer(self, name: str, k: int, dtype) -> np.ndarray:
         """The first k fields of the scratch array kept under name, as real
@@ -614,9 +625,10 @@ def simulate(
     config: SolverConfig,
     with_diagnostics: bool = True,
     keep=None,
+    sink=None,
 ) -> Trajectory:
     """Run the IMEX scheme from t = 0 to T and record every node, or the
-    nodes keep names.
+    nodes keep names, handing each node's state to sink.
 
     control/forcing are time signals, read and checked by read_signal
     before the first step; when both are constant in time, their sum is
@@ -635,22 +647,31 @@ def simulate(
     the errors have the bits of a full record.  ValidationError before
     the first step when keep is not such a collection.
 
+    sink, None or a callable, is called as sink(n, state) once for each
+    node n = 0..N, in that order, with the node's FlowState, whether keep
+    holds it or not: a caller that reads each state once (``chnsopt
+    simulate`` writes its snapshots so) passes keep=() and holds no
+    record.  The call is the last part of finishing the node, after its
+    checks, so a sweep that fails at node n has called sink for the nodes
+    before n only; an error raised by sink reaches the caller with its
+    type, as a failed check of that node would.
+
     Threads.  The calling thread does the stepping.  Finishing node n,
     which the next step never reads, is one function: the stored state
     (the inverse transform and its finiteness check), the diagnostics
-    row, then the CFL check (nodes 0 .. N-1).  A diagnostics sweep on a
-    grid of at least _WORKER_MIN_POINTS = 96^2 points runs that function
-    on one worker thread while the calling thread computes step n from
-    the same transforms, so the worker runs one node behind the step;
-    the rows and states are collected in node order and have the bits of
-    a one-thread run.  An error of node n is raised with its type and
-    message once step n returns, whose result is then dropped (numpy
-    warnings that step raised on a non-finite node stay raised).  Every
-    other sweep runs the node function on the calling thread, before the
-    step, as a one-thread loop would: the handoffs between the threads
-    cost about the same at every size, the node work they hide grows
-    with the grid, and a diagnostics row adds a transform and several
-    Parseval sums to it.  Worker against one thread, interleaved in one
+    row, the CFL check (nodes 0 .. N-1), then sink.  A diagnostics sweep
+    on a grid of at least _WORKER_MIN_POINTS = 96^2 points runs that
+    function on one worker thread (sink included) while the calling
+    thread computes step n from the same transforms, so the worker runs
+    one node behind the step; the rows and states are collected in node
+    order and have the bits of a one-thread run.  An error of node n is
+    raised with its type and message once step n returns, whose result
+    is then dropped (numpy warnings that step raised on a non-finite node
+    stay raised).  Every other sweep runs the node function on the
+    calling thread, before the step, as a one-thread loop would: the
+    handoffs between the threads cost about the same at every size, the
+    node work they hide grows with the grid, and a diagnostics row adds a
+    transform and several Parseval sums to it.  Worker against one thread, interleaved in one
     process on a 2-core machine, median of the paired time ratios: a
     50-step diagnostics sweep, re-measured once the step computed in the
     Stepper's buffers, read 0.993 at 64^2 (faster in 22 of 40 rounds),
@@ -677,6 +698,8 @@ def simulate(
         row = node_terms(*terms, hats, state, config.nu, force) if with_diagnostics else None
         if n < n_steps:
             st.check_cfl(state.u.u_x, state.u.u_y)
+        if sink is not None:
+            sink(n, state)
         return (state if n in kept else None), row
 
     if with_diagnostics and g.n_points >= _WORKER_MIN_POINTS:

@@ -196,17 +196,31 @@ def tracking_cost(mode: AdjointMode, targets, traj: Trajectory, control=None) ->
     return float(total)
 
 
-def tracking_sources(mode: AdjointMode, weights, grid, hats, ref, out=None):
+def source_scale(mode: AdjointMode, weights, grid):
+    """The multiplier of the velocity mismatch's transforms in
+    tracking_sources: track_u k^2 with the Nyquist derivative lines zeroed
+    (enstrophy tracking) in the distributed mode, as a complex half
+    spectrum, which a product reads through the complex loop it takes
+    anyway, with no cast; track_u in the assimilation mode."""
+    if mode is not AdjointMode.DISTRIBUTED:
+        return weights.track_u
+    return (weights.track_u * grid.ksq_d).astype(complex)
+
+
+def tracking_sources(mode: AdjointMode, weights, grid, hats, ref, out=None, scale=None):
     """Transforms (S_p_x, S_p_y, S_eta) of the tracking sources at one node,
     the derivative of running_cost in the state, from the base state's
     transforms hats and the node's reference_transforms entry ref, as a
     complex stack of three half spectra: out, or a fresh one.  The
     distributed mode pairs the velocity mismatch through -Lap (enstrophy
     tracking) with the Nyquist derivative lines zeroed, as the cost's
-    gradient norm pairs it; the assimilation mode pairs it in L2."""
+    gradient norm pairs it; the assimilation mode pairs it in L2.  scale
+    is source_scale's multiplier, which a sweep forms once, or None to
+    form it here."""
     if out is None:
         out = np.empty((3, *grid.spectral_shape), complex)
-    scale = weights.track_u * grid.ksq_d if mode is AdjointMode.DISTRIBUTED else weights.track_u
+    if scale is None:
+        scale = source_scale(mode, weights, grid)
     for h, r, w, o in zip(hats, ref, (scale, scale, weights.track_phi), out):
         np.multiply(w, h if r is None else np.subtract(h, r, out=o), out=o)
     return out
@@ -230,6 +244,7 @@ def adjoint_solve(
     config: SolverConfig,
     ref_hats: list | None = None,
     keep=None,
+    sink=None,
 ) -> Trajectory:
     """Integrate the adjoint pair (p, eta) backward from t = T to 0.
 
@@ -246,8 +261,20 @@ def adjoint_solve(
     Only a kept node's state is transformed back to physical space and
     checked for finiteness (NumericError), so keep=() holds p(0), all
     the assimilation gradient reads, and the sweep's memory does not grow
-    with N.  A step computes in its Stepper's buffers (see Stepper),
-    with the bits of the fresh-array expressions.
+    with N.
+
+    sink, None or a callable, is called as sink(n, state) once for each
+    node n = N..0, in that order, on the calling thread, with the node's
+    AdjointState once it is checked, whether keep holds it or not; a
+    sweep with a sink transforms back every node, as keep=None does.  The
+    distributed gradient adds each p into w_c*U so and passes keep=():
+    its sweep holds no record.  An error raised by sink reaches the
+    caller with its type.
+
+    A step computes in its Stepper's buffers (see Stepper), with the bits
+    of the fresh-array expressions, and allocates nothing field-sized but
+    the three half spectra it advances to; the distributed sources' scale
+    (source_scale) is formed once per sweep.
     """
     g = params.grid
     if abs(base.dt - config.dt) > 1e-14 * max(1.0, config.dt):
@@ -260,6 +287,7 @@ def adjoint_solve(
     # the concentration operator's multipliers, the same every step
     k_J = st.ksq * st.J_hat
     k_aS = st.ksq * (st.a - st.S) if st.a != st.S else None
+    scale = source_scale(mode, targets.weights, g)
 
     if ref_hats is None:
         ref_hats = reference_transforms(mode, targets, g, n_total + 1)
@@ -268,15 +296,18 @@ def adjoint_solve(
 
     states: list = [None] * (n_total + 1)
     states[n_total] = AdjointState(p_T, eta_T, base.final.t)
+    if sink is not None:
+        sink(n_total, states[n_total])
 
     for n in range(n_total - 1, -1, -1):
         node = n + 1  # explicit terms live at the later time level
         # c: the base state; d: the adjoint state (p, eta)
-        hats = spectral(base.states[node].u, base.states[node].phi, st.buffer("work", 3, float))
+        b = base.states[node]
+        hats = spectral(b.u, b.phi, st.buffer("work", 3, float), st.buffer("base", 3, complex))
         c = Frame(st, *hats, ("conv_grad",), "frame")
         d = Frame(st, px_h, py_h, eh, ("lap",), "sweep frame")
         src = tracking_sources(mode, targets.weights, g, hats, ref_hats[node],
-                               st.buffer("sources", 3, complex))
+                               st.buffer("sources", 3, complex), scale)
         cu, p = (c.ux, c.uy), (d.ux, d.uy)
 
         w = st.buffer("work", 6, float)
@@ -305,9 +336,13 @@ def adjoint_solve(
         np.add(r, src[2], out=r)
         px_h, py_h, eh = st.advance((px_h, py_h, eh), (fx_h, fy_h, r))
 
-        if n in kept:
+        if n in kept or sink is not None:
             new = physical(g, px_h, py_h, eh, st.buffer("work", 3, complex))
-            states[n] = AdjointState(*new, base.states[n].t)
+            state = AdjointState(*new, base.states[n].t)
+            if n in kept:
+                states[n] = state
+            if sink is not None:
+                sink(n, state)
     return Trajectory(states=states, dt=config.dt)
 
 

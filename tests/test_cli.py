@@ -608,11 +608,14 @@ class TestSimulateKeepsWhatItWrites:
                 tmp_path / "full" / name
             ).read_bytes(), name
 
-    def test_peak_memory_does_not_grow_with_the_step_count(self, tmp_path):
-        # a full record of 120 nodes more would add 120 states, about 11 MiB
+    @pytest.mark.parametrize("dump_every", [0, 1])
+    def test_peak_memory_does_not_grow_with_the_step_count(self, tmp_path, dump_every):
+        # a full record of 120 nodes more would add 120 states, about 11 MiB;
+        # with dump_every 1 every node is written, each as it is finished
         def peak(n_steps, traced=True):
             cfg = base_config(tmp_path / f"out{n_steps}", grid={"n": 64})
             cfg["solver"]["T"] = n_steps * 1e-3
+            cfg["output"]["dump_every"] = dump_every
             argv = ["simulate", "--config", write_config(tmp_path, cfg, f"{n_steps}.json")]
             if not traced:
                 return main(argv)
@@ -627,6 +630,35 @@ class TestSimulateKeepsWhatItWrites:
         assert peak(4, traced=False) == 0  # first-call caches stay out of the peaks
         one_state = 3 * 64 * 64 * 8
         assert abs(peak(160) - peak(40)) < one_state
+
+
+class TestSimulateFailure:
+    """A simulate run that fails a numeric check exits with code 3 and its
+    message, leaving the snapshots of the nodes finished before the failure
+    and no diagnostics or final fields."""
+
+    @pytest.mark.parametrize("n", [16, 96], ids=["16x16-one-thread", "96x96-worker"])
+    def test_a_cfl_failure_leaves_the_earlier_snapshots_only(self, tmp_path, capsys, n):
+        # at rest under a uniform-in-y shear force, u_y grows by about
+        # dx / (3.5 dt) a step, so max|u| dt/dx first exceeds 1 at node 4
+        dt = 0.01
+        cfg = base_config(
+            tmp_path / "out",
+            grid={"n": n},
+            solver={"nu": 0.1, "dt": dt, "T": 7 * dt},
+            initial={"u": {"type": "zero"}, "phi": {"type": "zero"}},
+            forcing={"type": "single-mode", "mode": [1, 0],
+                     "amplitude": 2.0 * np.pi / n / dt / (3.5 * dt)},
+        )
+        cfg["output"]["dump_every"] = 1
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: advective CFL heuristic exceeded")
+        written = sorted(os.listdir(tmp_path / "out"))
+        assert written == sorted(
+            name for k in range(4)
+            for name in (f"u_{k:06d}_x.fld", f"u_{k:06d}_y.fld", f"phi_{k:06d}.fld")
+        )
 
 
 class TestGradientTestCommand:

@@ -1032,6 +1032,74 @@ class TestKeep:
             simulate(smooth_state16, None, None, params16, cfg, keep=keep)
 
 
+class _SinkFailed(Exception):
+    """An error of a caller's sink, no error of the package."""
+
+
+class TestSink:
+    """simulate(sink=...) hands each node's state to the sink once, in node
+    order, from the thread that finishes the node, after its checks."""
+
+    @pytest.mark.parametrize(
+        "n, worker", [(96, True), (32, False)], ids=["96x96-worker", "32x32-one-thread"]
+    )
+    def test_once_per_node_in_order_on_the_finishing_thread(self, n, worker, double_well):
+        inputs = _forced_controlled_inputs((n, n, TWO_PI, TWO_PI), double_well)
+        calls = []
+
+        def sink(node, state):
+            calls.append((node, threading.current_thread().name, state))
+
+        full = simulate(*inputs)
+        part = simulate(*inputs, keep=(), sink=sink)
+        assert [c[0] for c in calls] == list(range(len(full)))
+        names = {c[1] for c in calls}
+        if worker:
+            assert len(names) == 1 and names.pop().startswith("chnsopt-nodes")
+        else:
+            assert names == {threading.current_thread().name}
+        for (_, _, got), want in zip(calls, full.states, strict=True):
+            assert got.t == want.t
+            assert np.array_equal(got.u.u_x, want.u.u_x)
+            assert np.array_equal(got.u.u_y, want.u.u_y)
+            assert np.array_equal(got.phi.values, want.phi.values)
+        assert part.states[1:-1] == [None] * (len(full) - 2)
+        assert part.initial is calls[0][2] and part.final is calls[-1][2]
+        for key, series in full.diagnostics.items():
+            assert np.array_equal(part.diagnostics[key], series), key
+
+    @pytest.mark.parametrize("worker", [False, True], ids=["one-thread", "worker"])
+    def test_a_sinks_error_reaches_the_caller_with_its_type(
+        self, worker, double_well, monkeypatch
+    ):
+        monkeypatch.setattr(forward, "_WORKER_MIN_POINTS", 0 if worker else 10**9)
+        inputs = _forced_controlled_inputs((32, 48, TWO_PI, 3.0 * np.pi), double_well)
+        seen = []
+
+        def sink(node, state):
+            seen.append(node)
+            if node == 3:
+                raise _SinkFailed(f"node {node}")
+
+        with pytest.raises(_SinkFailed, match="node 3"):
+            simulate(*inputs, keep=(), sink=sink)
+        assert seen == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("with_diagnostics", [False, True], ids=["plain", "diagnostics"])
+    def test_a_node_that_fails_its_check_is_not_sunk(
+        self, with_diagnostics, double_well, monkeypatch
+    ):
+        # node 4 fails its CFL check (see _accelerated_flow_inputs)
+        monkeypatch.setattr(forward, "_WORKER_MIN_POINTS", 0)
+        initial, forcing, params, dt = _accelerated_flow_inputs((16, 16, TWO_PI, TWO_PI),
+                                                                double_well)
+        seen = []
+        with pytest.raises(StabilityError):
+            simulate(initial, None, forcing, params, SolverConfig(dt=dt, T=7 * dt, nu=0.1),
+                     with_diagnostics, keep=(), sink=lambda n, s: seen.append(n))
+        assert seen == [0, 1, 2, 3]
+
+
 def _error_of(run):
     """(type, message) of the NumericError run raises, or None."""
     try:

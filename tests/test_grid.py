@@ -629,6 +629,43 @@ class TestOneWayPerJob:
             for name in ("st", "ux_h", "uy_h", "ph", "extras", "name")]
 
 
+class TestSweepsHoldWhatTheirCallersRead:
+    GRADIENTS = {
+        "control.py": "DistributedControlProblem",
+        "assimilation.py": "InitialVelocityProblem",
+    }
+
+    @staticmethod
+    def _function(path, name, owner=None):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = tree if owner is None else next(
+            n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == owner)
+        return next(n for n in ast.walk(scope) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+    def test_simulate_streams_and_the_gradients_keep_no_adjoint_record(self):
+        """chnsopt simulate writes its snapshots from simulate's sink, so
+        _run_simulate reads no record's states; both problems' gradient ask
+        adjoint_solve for keep=(); and Stepper.__init__ builds no
+        "conv_grad" multipliers, which only the adjoint's frames read."""
+        import chnsopt
+
+        root = Path(chnsopt.__file__).parent
+        run = self._function(root / "cli.py", "_run_simulate")
+        assert [n.lineno for n in ast.walk(run) if isinstance(n, ast.Attribute)
+                and n.attr == "states"] == []
+        for module, owner in self.GRADIENTS.items():
+            gradient = self._function(root / module, "gradient", owner)
+            keeps = [
+                ast.literal_eval(k.value) for n in ast.walk(gradient)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "adjoint_solve"
+                for k in n.keywords if k.arg == "keep"
+            ]
+            assert keeps == [()], owner
+        init = self._function(root / "forward.py", "__init__", "Stepper")
+        assert [n.lineno for n in ast.walk(init)
+                if "conv_grad" in (getattr(n, "value", None), getattr(n, "attr", None))] == []
+
+
 class TestNoUnusedImports:
     def test_every_imported_name_is_used(self):
         """No module of the package imports a name it never reads; the

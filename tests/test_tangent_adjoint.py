@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,12 +25,13 @@ from chnsopt import (
     adjoint_solve,
     duality_gap,
     reduced_gradient_da,
+    reduced_gradient_ocp,
     relative_divergence,
     simulate,
     tangent_solve,
     terminal_adjoint_data,
 )
-from chnsopt import assimilation, synth
+from chnsopt import assimilation, control, synth
 from chnsopt import tangent_adjoint
 from chnsopt.forward import Frame, Stepper, spectral
 from chnsopt.tangent_adjoint import (
@@ -610,6 +612,156 @@ class TestAdjointKeep:
         targets = CostTargets(weights=CostWeights(track_u=1e307))
         with pytest.raises(NumericError, match="non-finite"), np.errstate(all="ignore"):
             adjoint_solve(base, AdjointMode.DISTRIBUTED, targets, params16, cfg, keep=())
+
+
+class _SinkFailed(Exception):
+    """An error of a caller's sink, no error of the package."""
+
+
+class TestAdjointSink:
+    """adjoint_solve(sink=...) hands each node's state to the sink once,
+    from N down to 0, on the calling thread; the distributed gradient adds
+    each p into w_c*U so and holds no adjoint record."""
+
+    ANISO = (32, 48, TWO_PI, 3.0 * np.pi)
+
+    @pytest.mark.parametrize("mode", list(AdjointMode), ids=lambda m: m.value)
+    def test_once_per_node_backward_on_the_calling_thread(self, mode):
+        base, targets, params, cfg = _tracked_run(self.ANISO, "node-indexed", T=6e-3)
+        calls = []
+
+        def sink(n, state):
+            calls.append((n, threading.get_ident(), state))
+
+        full = adjoint_solve(base, mode, targets, params, cfg)
+        part = adjoint_solve(base, mode, targets, params, cfg, keep=(), sink=sink)
+        assert [c[0] for c in calls] == list(range(6, -1, -1))
+        assert {c[1] for c in calls} == {threading.get_ident()}
+        for (n, _, got), want in zip(calls, full.states[::-1], strict=True):
+            assert got.t == want.t, n
+            assert np.array_equal(got.p.u_x, want.p.u_x)
+            assert np.array_equal(got.p.u_y, want.p.u_y)
+            assert np.array_equal(got.eta.values, want.eta.values)
+        assert part.states[1:-1] == [None] * 5
+        assert part.final is calls[0][2] and part.initial is calls[-1][2]
+
+    def test_a_sinks_error_reaches_the_caller_with_its_type(self):
+        base, targets, params, cfg = _tracked_run(self.ANISO, "node-indexed", T=6e-3)
+        seen = []
+
+        def sink(n, state):
+            seen.append(n)
+            if n == 4:
+                raise _SinkFailed(f"node {n}")
+
+        with pytest.raises(_SinkFailed, match="node 4"):
+            adjoint_solve(base, AdjointMode.DISTRIBUTED, targets, params, cfg, keep=(), sink=sink)
+        assert seen == [6, 5, 4]
+
+    def test_a_sink_sweep_transforms_every_node_back(self, transform_counter):
+        """With a sink every node is transformed back, as keep=None does:
+        33 transforms a step, whatever keep holds."""
+        mode = AdjointMode.DISTRIBUTED
+        base, targets, params, cfg = _tracked_run((32, 32, TWO_PI, TWO_PI), "node-indexed", 5e-3)
+        ref_hats = reference_transforms(mode, targets, params.grid, len(base))
+        used = []
+        for keep, sink in ((None, None), ((), lambda n, s: None)):
+            transform_counter["fields"] = 0
+            adjoint_solve(base, mode, targets, params, cfg, ref_hats, keep=keep, sink=sink)
+            used.append(transform_counter["fields"])
+        assert used[0] == used[1]
+
+    @pytest.mark.parametrize("mode", list(AdjointMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("args", [(64, 64, TWO_PI, TWO_PI), ANISO], ids=["64x64", "32x48"])
+    def test_a_warmed_step_allocates_its_results_only(self, args, mode, monkeypatch):
+        """Tooling: a warmed step allocates nothing field-sized but the three
+        half spectra it advances to (TestStepBuffers holds the forward step
+        to the same bound).  Each step of a keep=() sweep is cut into pieces
+        at the calls it makes, and the traced peak of every piece above its
+        start is summed, so an array a piece makes and lets go still counts;
+        a step starts with the base state's transform.  A step that
+        transformed the base state and formed the sources' scale afresh
+        would sum to 6.25 to 8.22 half spectra here."""
+        base, targets, params, cfg = _tracked_run(args, "node-indexed", T=8e-3)
+        ref_hats = reference_transforms(mode, targets, params.grid, len(base))
+        steps, start = [], [0]
+
+        def cut():
+            if steps:
+                steps[-1] += tracemalloc.get_traced_memory()[1] - start[0]
+            tracemalloc.reset_peak()
+            start[0] = tracemalloc.get_traced_memory()[0]
+
+        def piece(fn, opens_a_step=False):
+            def wrapper(*a, **k):
+                cut()
+                if opens_a_step:
+                    steps.append(0)
+                out = fn(*a, **k)
+                cut()
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(tangent_adjoint, "spectral", piece(spectral, True))
+        for name in ("Frame", "tracking_sources"):
+            monkeypatch.setattr(tangent_adjoint, name, piece(getattr(tangent_adjoint, name)))
+        for name in ("momentum", "advance"):
+            monkeypatch.setattr(Stepper, name, piece(getattr(Stepper, name)))
+        tracemalloc.start()
+        try:
+            adjoint_solve(base, mode, targets, params, cfg, ref_hats, keep=())
+        finally:
+            tracemalloc.stop()
+        # the terminal transform, then 8 steps; the first two warm the Stepper
+        assert len(steps) == 9
+        half_spectrum = 16 * args[0] * (args[1] // 2 + 1)
+        assert max(steps[3:]) <= 4 * half_spectrum
+
+    @pytest.mark.parametrize("args", [(32, 32, TWO_PI, TWO_PI), ANISO], ids=["32x32", "32x48"])
+    def test_the_distributed_gradient_is_the_full_records_bitwise(self, args, monkeypatch):
+        """DistributedControlProblem.gradient asks adjoint_solve, by that
+        name, for keep=() and a sink, and its gradient is reduced_gradient_ocp
+        of the full record bit for bit."""
+        base, targets, params, cfg = _tracked_run(args, "node-indexed", T=6e-3)
+        targets.weights = CostWeights(track_u=2.0, track_phi=0.5, control=0.3)
+        problem = DistributedControlProblem(base.initial, targets, None, params, cfg)
+        asked = []
+
+        def recorded(*args, **kwargs):
+            asked.append(kwargs)
+            return adjoint_solve(*args, **kwargs)
+
+        monkeypatch.setattr(control, "adjoint_solve", recorded)
+        U = _ramp_signal(params.grid, len(base), cfg.dt, 0.7)
+        G = problem.gradient(U, base)
+        assert [sorted(k) for k in asked] == [["keep", "sink"]] and asked[0]["keep"] == ()
+        full = adjoint_solve(base, problem.mode, targets, params, cfg, problem.ref_hats)
+        want = reduced_gradient_ocp(U, full, targets.weights)
+        assert G.kind == want.kind and G.dt == want.dt
+        assert np.array_equal(G.data, want.data)
+
+    def test_the_distributed_gradients_peak_memory_is_flat_in_the_step_count(self):
+        """Tooling: beyond the gradient's own array, a distributed gradient
+        holds no state per node (a full adjoint record adds three fields
+        per node)."""
+        peaks = {}
+        for n_steps in (2, 10):
+            base, targets, params, cfg = _tracked_run(
+                (32, 32, TWO_PI, TWO_PI), "node-indexed", n_steps * 1e-3
+            )
+            problem = DistributedControlProblem(base.initial, targets, None, params, cfg)
+            U = _ramp_signal(params.grid, len(base), cfg.dt, 0.7)
+            problem.gradient(U, base)  # warm caches
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                G = problem.gradient(U, base)
+                peaks[n_steps] = tracemalloc.get_traced_memory()[1] - start - G.data.nbytes
+            finally:
+                tracemalloc.stop()
+        half_spectrum = 16 * 32 * (32 // 2 + 1)
+        assert abs(peaks[10] - peaks[2]) <= half_spectrum
 
 
 class TestDualityGap:
