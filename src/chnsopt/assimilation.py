@@ -180,8 +180,9 @@ def twin_experiment(
         params=tmpl.params,
         config=tmpl.config,
     )
-    U0 = ControlSignal.zeros_initial(tmpl.params.grid)
-    U_rec, history = optimize(InitialVelocityProblem(problem), U0, opt_config)
+    U_rec, history = optimize(
+        InitialVelocityProblem(problem), ControlSignal.zeros_initial(tmpl.params.grid), opt_config
+    )
 
     err = (U_rec.initial - leray_project(U_true)).norm()
     scale = U_true.norm()

@@ -450,16 +450,16 @@ def _run_simulate(ctx: RunContext) -> int:
 
 
 def _twin_targets(ctx: RunContext, initial: FlowState, forcing):
-    """OCP targets generated by simulating a known true control."""
+    """OCP targets generated by simulating a known true control, and the
+    one field that control holds at every node."""
     t = ctx.config["targets"]
-    n_nodes = ctx.solver.n_steps + 1
     if t["mode"] == "zero":
-        return (
-            CostTargets(weights=ctx.weights),
-            ControlSignal.zeros_distributed(ctx.grid, n_nodes, ctx.solver.dt),
-        )
-    U_true = ControlSignal.constant(ctx.field(t["control"]), n_nodes, ctx.solver.dt)
-    traj = simulate(initial, U_true, forcing, ctx.params, ctx.solver, with_diagnostics=False)
+        return CostTargets(weights=ctx.weights), VectorField.zeros(ctx.grid)
+    truth = ctx.field(t["control"])
+    traj = simulate(
+        initial, ControlSignal.constant(truth, ctx.solver.n_steps + 1, ctx.solver.dt), forcing,
+        ctx.params, ctx.solver, with_diagnostics=False,
+    )
     targets = CostTargets(
         u_d=[s.u for s in traj.states],
         phi_d=[s.phi for s in traj.states],
@@ -467,18 +467,20 @@ def _twin_targets(ctx: RunContext, initial: FlowState, forcing):
         phi_f=traj.final.phi,
         weights=ctx.weights,
     )
-    return targets, U_true
+    return targets, truth
 
 
 def _run_optimize(ctx: RunContext) -> int:
     out = ctx.ensure_outdir()
     initial = ctx.initial_state()
     forcing = ctx.forcing()
-    targets, U_true = _twin_targets(ctx, initial, forcing)
+    targets, truth = _twin_targets(ctx, initial, forcing)
     U, history, problem = solve_ocp(
         initial, targets, forcing, ctx.params, ctx.solver, ctx.optimizer
     )
     _write_history(os.path.join(out, "history.csv"), history)
+    # the truth is a signal only now: the run held it as one field
+    U_true = ControlSignal.constant(truth, U.n_nodes, U.dt)
     err = U.axpy(-1.0, U_true).norm()
     scale = max(U_true.norm(), 1e-300)
     _write_report(
@@ -692,24 +694,26 @@ class _Command(NamedTuple):
     problem: str  # the config's problem, when it names one
     # dense trajectories kept at once: for the optimizing ones the slope in
     # N of the subcommand's tracemalloc peak, in states per node, rounded
-    # up (32^2, N = 20 against 60 and 40 against 120).  optimize (8.48)
-    # and gradient-test (8.56) peak in a forward sweep, which holds the
-    # targets and their transforms, the sweep's record and the optimizer's
-    # per-node control signals (their gradients hold no adjoint record);
-    # assimilate (3.13) the measurements, their transforms and one
-    # forward record.  check steps at most _CHECK_STEPS times.  simulate
-    # holds nodes 0 and N only (slope 0.01) but counts one on purpose: the
-    # guard then also bounds its diagnostics rows, which still grow with N.
+    # up (32^2, N = 20 against 60 and 40 against 120).  optimize (5.86)
+    # and gradient-test (7.89) peak in a forward sweep, which holds the
+    # targets and their transforms, the sweep's record and four per-node
+    # control signals (U, G, the direction and the trial, 2/3 of a state
+    # each); gradient-test also holds the base record of its Taylor ladder.
+    # Their gradients hold no adjoint record.  assimilate (3.16) holds the
+    # measurements, their transforms and one forward record.  check steps
+    # at most _CHECK_STEPS times.  simulate holds nodes 0 and N only (slope
+    # 0.01) but counts one on purpose: the guard then also bounds its
+    # diagnostics rows, which still grow with N.
     dense: int
     targets: dict  # the table of the targets section
 
 
 _COMMANDS = {
     "simulate": _Command(_run_simulate, "simulate", 1, {}),
-    "optimize": _Command(_run_optimize, "ocp", 9, _TWIN_TARGETS),
+    "optimize": _Command(_run_optimize, "ocp", 6, _TWIN_TARGETS),
     "assimilate": _Command(_run_assimilate, "da", 4, _TRUTH_TARGETS),
     "check": _Command(_run_check, "check", 1, {}),
-    "gradient-test": _Command(_run_gradient_test, "gradient-test", 9, _TWIN_TARGETS),
+    "gradient-test": _Command(_run_gradient_test, "gradient-test", 8, _TWIN_TARGETS),
 }
 
 

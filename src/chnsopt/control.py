@@ -13,9 +13,10 @@ pair, s the last accepted move and y the change of the gradient over it,
 and H0 = (s.y / y.y) I.  The pair is dropped, and the step is the
 projected-gradient one, when s.y <= 1e-12 |s||y| or when the norm-ball
 projection moved the accepted trial.  One pair reaches the same counts as
-five on the benchmark problems while holding one control-sized array more
-than steepest descent: y is formed in the old gradient's buffer, s is the
-accepted trial's move, and the direction is the one new array.
+five on the benchmark problems.  A distributed control weighs 2/3 of a
+forward record, so the optimizer holds only the signals its next step
+reads: U, G, the direction d and the trial during a trial's sweep, and U,
+s and the old gradient (in whose buffer y is formed) at a gradient.
 
 An Armijo backtracking search along the direction keeps the cost history
 strictly decreasing by construction.  Each search starts one notch above
@@ -374,6 +375,14 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
     be replayed from that column alone; the benchmark's traced runs check
     their cost-evaluation count that way.
 
+    Memory: a trial's sweep meets four control signals (U, G, d and the
+    trial) and one forward record: the previous trial and its record go
+    before the next trial is formed, and the move U_try - U gives its norm
+    and slope before the sweep and is formed again, with the same bits, as
+    s when the trial is accepted.  A gradient meets three (U, s and G_prev)
+    and the accepted record.  initial_guess is not held beyond U, so a
+    guess the caller does not hold dies at the first accepted step.
+
     Returns (control, history); history rows carry iter, cost,
     grad_norm, step, wall_seconds.  When the line search exhausts its 40
     shrinks the run ends normally if the iterate is already stationary
@@ -383,6 +392,7 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
     """
     t_start = time.perf_counter()
     U = problem.project(initial_guess).ball_projected(opt_config.radius)
+    del initial_guess  # a guess passed inline dies at the first accepted step
     J, aux = problem.cost(U)
     history = [
         {
@@ -412,16 +422,19 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
         s = step
         max_move = 0.0
         for _ in range(40):
+            U_try = aux_try = None  # a rejected trial goes before the next is formed
             V = problem.project(U.axpy(s, d))
             U_try = V.ball_projected(opt_config.radius)
+            unbent = U_try is V  # the ball did not move the trial
+            V = None
             dU = U_try.axpy(-1.0, U)
             move = dU.norm() ** 2
+            slope = G.inner(dU)  # >= 0 only where the ball bent a quasi-Newton trial
+            dU = None  # the sweep meets U, G, d and the trial only
             max_move = max(max_move, move)
             if move == 0.0:
                 break  # projection pinned the iterate exactly
-            aux_try = None  # a rejected trial's record goes before the next sweep
             J_try, aux_try = problem.cost(U_try)
-            slope = G.inner(dU)  # >= 0 only where the ball bent a quasi-Newton trial
             if slope < 0.0 and J_try <= J + opt_config.armijo_c * slope:
                 accepted = True
                 break
@@ -435,11 +448,11 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
                 f"line search stalled at iteration {it}: cost {J:.6e}, "
                 f"gradient norm {gn:.3e}, smallest step tried {s:.3e}"
             )
-        if U_try is V:  # the ball did not move the trial: keep the pair
-            s_pair, G_prev = dU, G
+        d = None  # nothing control-sized beyond U, s and G_prev meets the gradient
+        if unbent:  # keep the pair, with s formed again as dU was
+            s_pair, G_prev = U_try.axpy(-1.0, U), G
         U, J, aux = U_try, J_try, aux_try
-        aux_try = None  # aux alone holds the accepted record
-        d = V = None  # nothing control-sized beyond U, s and G_prev meets the gradient
+        U_try = aux_try = None  # U and aux alone hold the accepted trial
         step = s / opt_config.armijo_shrink  # warm start, one notch up
         history.append(
             {
@@ -464,8 +477,10 @@ def solve_ocp(
 ):
     """Convenience wrapper: build the distributed problem and optimize."""
     problem = DistributedControlProblem(initial, targets, forcing, params, config)
-    U0 = initial_guess if initial_guess is not None else problem.zero_control()
-    U, history = optimize(problem, U0, opt_config)
+    # the zero guess is passed unbound, so optimize lets it go (see there)
+    U, history = optimize(
+        problem, problem.zero_control() if initial_guess is None else initial_guess, opt_config
+    )
     return U, history, problem
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .forward import (
     Frame,
     ModelParams,
@@ -265,11 +265,13 @@ def adjoint_solve(
 
     sink, None or a callable, is called as sink(n, state) once for each
     node n = N..0, in that order, on the calling thread, with the node's
-    AdjointState once it is checked, whether keep holds it or not; a
-    sweep with a sink transforms back every node, as keep=None does.  The
-    distributed gradient adds each p into w_c*U so and passes keep=():
-    its sweep holds no record.  An error raised by sink reaches the
-    caller with its type.
+    AdjointState once it is checked, whether keep holds it or not.  At a
+    node keep does not hold, the sweep transforms back p alone: eta is
+    checked finite in transform space and transformed back only if the
+    sink reads it.  The distributed gradient adds each p into w_c*U so and
+    passes keep=(): its sweep holds no record and transforms two fields
+    back a step, not three.  An error raised by sink reaches the caller
+    with its type.
 
     A step computes in its Stepper's buffers (see Stepper), with the bits
     of the fresh-array expressions, and allocates nothing field-sized but
@@ -336,14 +338,33 @@ def adjoint_solve(
         np.add(r, src[2], out=r)
         px_h, py_h, eh = st.advance((px_h, py_h, eh), (fx_h, fy_h, r))
 
-        if n in kept or sink is not None:
-            new = physical(g, px_h, py_h, eh, st.buffer("work", 3, complex))
-            state = AdjointState(*new, base.states[n].t)
-            if n in kept:
-                states[n] = state
+        t = base.states[n].t
+        if n in kept:
+            states[n] = AdjointState(*physical(g, px_h, py_h, eh, st.buffer("work", 3, complex)), t)
             if sink is not None:
-                sink(n, state)
+                sink(n, states[n])
+        elif sink is not None:
+            f = g.ifft2(np.stack((px_h, py_h), out=st.buffer("work", 2, complex)), overwrite=True)
+            if not (np.isfinite(f).all() and np.isfinite(eh).all()):
+                raise NumericError("state contains non-finite values")
+            sink(n, _SinkState(VectorField._of(g, f[0], f[1]), eh, t))
     return Trajectory(states=states, dt=config.dt)
+
+
+class _SinkState(AdjointState):
+    """A node that an adjoint sweep hands to its sink but does not keep:
+    p is transformed back, and eta, checked finite in transform space,
+    only when it is read."""
+
+    def __init__(self, p: VectorField, eta_hat: np.ndarray, t: float):
+        self.p, self.t, self._eta_hat = p, t, eta_hat
+
+    @property
+    def eta(self) -> ScalarField:
+        values = self.p.grid.ifft2(self._eta_hat)
+        if not np.isfinite(values).all():
+            raise NumericError("state contains non-finite values")
+        return ScalarField._of(self.p.grid, values)
 
 
 def _trapz_weights(n_nodes: int, dt: float) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 import chnsopt
 from chnsopt import ScalarField, simulate, write_snapshot, write_vector_snapshot
 from chnsopt import synth
-from chnsopt.cli import RunContext, main, write_csv
+from chnsopt.cli import _COMMANDS, RunContext, main, write_csv
 
 
 def base_config(outdir, problem="simulate", **sections):
@@ -554,6 +554,18 @@ class TestSimulate:
         assert f"config key initial.{key}.path" in capsys.readouterr().err
 
 
+def _traced_peak(argv):
+    """The tracemalloc peak of one successful cli.main run above its start,
+    in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def _dense_artifacts(cfg, out):
     """simulate's artifacts written through the runner's own writers from
     a full record of every node, into out."""
@@ -617,15 +629,7 @@ class TestSimulateKeepsWhatItWrites:
             cfg["solver"]["T"] = n_steps * 1e-3
             cfg["output"]["dump_every"] = dump_every
             argv = ["simulate", "--config", write_config(tmp_path, cfg, f"{n_steps}.json")]
-            if not traced:
-                return main(argv)
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                assert main(argv) == 0
-                return tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
+            return _traced_peak(argv) if traced else main(argv)
 
         assert peak(4, traced=False) == 0  # first-call caches stay out of the peaks
         one_state = 3 * 64 * 64 * 8
@@ -708,6 +712,28 @@ class TestOptimizeCommand:
             assert rc == 0
             outs.append((tmp_path / sub / "history.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_peak_memory_slope_is_within_the_guards_count(self, tmp_path):
+        """Tooling: the memory guard counts six dense trajectories for
+        optimize, and its tracemalloc peak grows by at most six states per
+        node at 32^2 (5.86 measured): the targets and their transforms, the
+        sweep's record and four control signals of 2/3 of a state each.
+        Seven signals, with the zero guess, the move U_try - U and the
+        truth held through the run, read 8.44."""
+
+        def peak(n_steps, traced=True):
+            cfg = base_config(tmp_path / f"out{n_steps}", problem="ocp", grid={"n": 32})
+            cfg["solver"]["T"] = n_steps * 1e-3
+            cfg["cost"] = {"control": 1e-3}
+            cfg["optimizer"] = {"max_iters": 4, "grad_tol": 1e-10}
+            argv = ["optimize", "--config", write_config(tmp_path, cfg, f"{n_steps}.json")]
+            return _traced_peak(argv) if traced else main(argv)
+
+        assert peak(4, traced=False) == 0  # first-call caches stay out of the peaks
+        one_state = 3 * 32 * 32 * 8
+        slope = (peak(60) - peak(20)) / (40 * one_state)
+        assert _COMMANDS["optimize"].dense == 6
+        assert slope <= _COMMANDS["optimize"].dense
 
 
 class TestAssimilateCommand:

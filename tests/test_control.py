@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -620,6 +621,106 @@ class TestRecordLifetimes:
         iterations = len(hist) - 1
         assert iterations >= 3 and oracle.gradients >= iterations
         assert len(oracle.records) > iterations + 1  # some trials were rejected
+
+
+class _SignalKeeping:
+    """The diagonal quadratic of _ill_conditioned with its target and
+    multipliers held as bare arrays.  Every ControlSignal made through
+    ControlSignal._with while it is installed, and every control it is
+    asked about, is watched by weak reference; each call records how many
+    are still alive, and whether the first control it was asked about
+    is."""
+
+    def __init__(self, grid, monkeypatch):
+        q = _ill_conditioned(grid, np.random.default_rng(3))
+        self.target, self.scale = q.target.data, q.scale
+        self.alive = weakref.WeakSet()
+        self.at_cost, self.at_gradient, self.first_alive = [], [], []
+        self.first = None
+        made = ControlSignal._with
+
+        def watched(signal, data):
+            out = made(signal, data)
+            self.alive.add(out)
+            return out
+
+        monkeypatch.setattr(ControlSignal, "_with", watched)
+
+    def _count(self, U):
+        self.alive.add(U)
+        if self.first is None:
+            self.first = weakref.ref(U)
+        return len(self.alive)
+
+    def cost(self, U):
+        self.at_cost.append(self._count(U))
+        r = U.data - self.target
+        return 0.5 * U._with(r).inner(U._with(self.scale * r)), None
+
+    def gradient(self, U, aux):
+        self.at_gradient.append(self._count(U))
+        self.first_alive.append(self.first() is not None)
+        return U._with(self.scale * (U.data - self.target))
+
+    def project(self, U):
+        return U
+
+
+class TestSignalLifetimes:
+    """optimize holds only the control signals its next step reads: U, G,
+    the direction d and the trial when a cost is asked for, U, s and the
+    old gradient when a gradient is; a guess the caller does not hold is
+    let go at the first accepted step."""
+
+    # the unconstrained optimum, the target, has norm 1.76
+    @pytest.mark.parametrize("radius", [np.inf, 1.0], ids=["no-ball", "binding-ball"])
+    def test_four_signals_meet_a_cost_and_three_a_gradient(self, g16, monkeypatch, radius):
+        oracle = _SignalKeeping(g16, monkeypatch)
+        opt = OptimizerConfig(max_iters=12, grad_tol=1e-10, step0=8.0, radius=radius)
+        _, hist = optimize(oracle, ControlSignal.zeros_distributed(g16, 5, 1e-2), opt)
+        assert len(hist) - 1 >= 4
+        assert len(oracle.at_cost) > len(hist)  # some trials were rejected
+        assert max(oracle.at_cost) == 4, oracle.at_cost
+        assert max(oracle.at_gradient) <= 3, oracle.at_gradient
+
+    def test_a_guess_passed_inline_dies_at_the_first_accepted_step(self, g16, monkeypatch):
+        oracle = _SignalKeeping(g16, monkeypatch)
+        opt = OptimizerConfig(max_iters=4, grad_tol=1e-10, step0=8.0)
+        _, hist = optimize(oracle, ControlSignal.zeros_distributed(g16, 5, 1e-2), opt)
+        assert len(hist) - 1 == 4
+        assert oracle.first_alive == [True, False, False, False]
+
+    def test_solve_ocps_peak_memory_slope(self, params32):
+        """Tooling: solve_ocp's tracemalloc peak grows by 4.82 states per
+        node at 32^2: a forward record, the reference transforms (1.06)
+        and four control signals of 2/3 of a state each.  The bound lets no
+        fifth signal in (about 5.5); seven read 6.74."""
+        g = params32.grid
+        initial = FlowState(
+            synth.taylor_green(g, 0.5), synth.sine_scalar(g, (1, 1), 0.1, mean=0.2), 0.0
+        )
+        opt = OptimizerConfig(max_iters=4, grad_tol=1e-10)
+
+        def peak(n_steps):
+            cfg = SolverConfig(dt=1e-3, T=n_steps * 1e-3, nu=0.1)
+            truth = simulate(initial, _const_signal(g, n_steps + 1, cfg.dt, amp=0.2), None,
+                             params32, cfg, with_diagnostics=False)
+            targets = CostTargets(
+                u_d=[s.u for s in truth.states], phi_d=[s.phi for s in truth.states],
+                u_f=truth.final.u, phi_f=truth.final.phi, weights=CostWeights(control=1e-3),
+            )
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                _, hist, _ = solve_ocp(initial, targets, None, params32, cfg, opt)
+                assert len(hist) - 1 == opt.max_iters
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # first-call caches stay out of the peaks
+        one_state = 3 * g.n_x * g.n_y * 8
+        assert (peak(60) - peak(20)) / (40 * one_state) <= 5.25
 
 
 class TestSpikeVariation:

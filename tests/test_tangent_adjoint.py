@@ -659,17 +659,41 @@ class TestAdjointSink:
         assert seen == [6, 5, 4]
 
     def test_a_sink_sweep_transforms_every_node_back(self, transform_counter):
-        """With a sink every node is transformed back, as keep=None does:
-        33 transforms a step, whatever keep holds."""
+        """With a sink every node's p is transformed back, and eta at the
+        nodes keep holds only: 32 transforms a step where keep=None takes
+        33, unless the sink reads eta."""
         mode = AdjointMode.DISTRIBUTED
         base, targets, params, cfg = _tracked_run((32, 32, TWO_PI, TWO_PI), "node-indexed", 5e-3)
         ref_hats = reference_transforms(mode, targets, params.grid, len(base))
         used = []
-        for keep, sink in ((None, None), ((), lambda n, s: None)):
+        sinks = (None, lambda n, s: None, lambda n, s: s.eta)
+        for keep, sink in zip((None, (), ()), sinks):
             transform_counter["fields"] = 0
             adjoint_solve(base, mode, targets, params, cfg, ref_hats, keep=keep, sink=sink)
             used.append(transform_counter["fields"])
-        assert used[0] == used[1]
+        assert used[0] - used[1] == cfg.n_steps - 1  # nodes 1 to N - 1
+        assert used[2] == used[0]
+
+    @pytest.mark.parametrize("keep", [None, ()], ids=["keep-every-node", "keep-none"])
+    def test_a_non_finite_eta_fails_at_its_node(self, keep, monkeypatch):
+        """A sink sweep checks eta at every node, kept or not: NaN in eta
+        alone at node 3 raises NumericError before node 3 reaches the sink."""
+        base, targets, params, cfg = _tracked_run((32, 32, TWO_PI, TWO_PI), "node-indexed", 6e-3)
+        advance, steps = Stepper.advance, []
+
+        def poisoned(st, *args):
+            px_h, py_h, eh = advance(st, *args)
+            steps.append(None)
+            if len(steps) == 3:  # the step from node 4 to node 3
+                eh[1, 1] = np.nan
+            return px_h, py_h, eh
+
+        monkeypatch.setattr(Stepper, "advance", poisoned)
+        seen = []
+        with pytest.raises(NumericError, match="non-finite"):
+            adjoint_solve(base, AdjointMode.DISTRIBUTED, targets, params, cfg, keep=keep,
+                          sink=lambda n, s: seen.append(n))
+        assert seen == [6, 5, 4]
 
     @pytest.mark.parametrize("mode", list(AdjointMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("args", [(64, 64, TWO_PI, TWO_PI), ANISO], ids=["64x64", "32x48"])
