@@ -695,11 +695,13 @@ class _Command(NamedTuple):
     # dense trajectories kept at once: for the optimizing ones the slope in
     # N of the subcommand's tracemalloc peak, in states per node, rounded
     # up (32^2, N = 20 against 60 and 40 against 120).  optimize (5.86)
-    # and gradient-test (7.89) peak in a forward sweep, which holds the
-    # targets and their transforms, the sweep's record and four per-node
-    # control signals (U, G, the direction and the trial, 2/3 of a state
-    # each); gradient-test also holds the base record of its Taylor ladder.
-    # Their gradients hold no adjoint record.  assimilate (3.16) holds the
+    # and gradient-test (6.21) peak in a forward sweep, which holds the
+    # targets and their transforms and the sweep's record; optimize also
+    # holds four per-node control signals (U, G, the direction and the
+    # trial, 2/3 of a state each), gradient-test three (U, the direction
+    # and the trial: its Taylor ladder lets the gradient and the base
+    # record go once their pairing is taken).  Their gradients hold no
+    # adjoint record.  assimilate (3.16) holds the
     # measurements, their transforms and one forward record.  check steps
     # at most _CHECK_STEPS times.  simulate holds nodes 0 and N only (slope
     # 0.01) but counts one on purpose: the guard then also bounds its
@@ -713,7 +715,7 @@ _COMMANDS = {
     "optimize": _Command(_run_optimize, "ocp", 6, _TWIN_TARGETS),
     "assimilate": _Command(_run_assimilate, "da", 4, _TRUTH_TARGETS),
     "check": _Command(_run_check, "check", 1, {}),
-    "gradient-test": _Command(_run_gradient_test, "gradient-test", 8, _TWIN_TARGETS),
+    "gradient-test": _Command(_run_gradient_test, "gradient-test", 7, _TWIN_TARGETS),
 }
 
 

@@ -683,8 +683,8 @@ def taylor_remainders(problem, U: ControlSignal, direction: ControlSignal, hs):
     Returns (remainders, gradient_pairing, base_cost).
     """
     J0, aux = problem.cost(U)
-    G = problem.gradient(U, aux)
-    gv = G.inner(direction)
+    gv = problem.gradient(U, aux).inner(direction)
+    del aux  # the base record: the ladder's costs need it no more than the gradient
     rem = []
     for h in hs:
         Jh, _ = problem.cost(U.axpy(float(h), direction))

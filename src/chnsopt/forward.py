@@ -15,26 +15,29 @@ The k = 0 mode of the concentration update is frozen, so the mean of
 phi is conserved exactly.  The k = 0 velocity mode is driven only by
 the mean of the applied force.
 
-Threads: a sweep steps on the calling thread only.  A simulate sweep
+Sweeps and threads: simulate, the tangent and the adjoint share one
+node loop, ``_sweep``, and supply only their step and their node's
+state.  A sweep steps on the calling thread only.  A simulate sweep
 that records diagnostics on a grid of at least 96^2 points hands the
-bookkeeping of each node (its stored state, its checks and its
-diagnostics row) to one worker thread, which runs one node behind the
-step; every other sweep runs in one thread (see ``simulate``).
+finishing of each node (its stored state, its checks, its diagnostics
+row and the sink call) to one worker thread, which runs one node behind
+the step; every other sweep runs in one thread (see ``_sweep``).
 
 Time signals: the control, the forcing and the states a cost tracks are
 read by ``read_signal``, the one function that knows a signal's forms.
 It checks a signal once, before a sweep does any work, and gives each
 node's arrays as views, so no sweep builds a field per node.
 
-Memory: a forward step computes in buffers its Stepper keeps and
-allocates nothing field-sized but the three half spectra it returns.
-A force constant in time (control and forcing each None or one field)
-is transformed once per sweep, not with every step's products.  A
-simulate sweep holds every node's state unless its caller names the
-nodes to keep (``keep``), and hands each node's state to its caller's
-``sink`` as soon as the node is finished: ``chnsopt simulate`` keeps
-nodes 0 and N only and writes each snapshot from its sink, so it holds
-two states whatever N and ``dump_every`` are.
+Memory: a forward, tangent or adjoint step computes in buffers its
+Stepper keeps and allocates nothing field-sized but the three half
+spectra it returns.  A force constant in time (control and forcing each
+None or one field) is transformed once per simulate sweep, not with
+every step's products.  A simulate or adjoint sweep holds every node's
+state unless its caller names the nodes to keep (``keep``), and hands
+each node's state to its caller's ``sink`` as soon as the node is
+finished: ``chnsopt simulate`` keeps nodes 0 and N only and writes each
+snapshot from its sink, so it holds two states whatever N and
+``dump_every`` are.  A tangent sweep holds every node from its start.
 """
 
 from __future__ import annotations
@@ -488,12 +491,14 @@ class Stepper:
     def check_cfl(self, ux, uy):
         """StabilityError when max|u|*dt/min(dx, dy) > 1, tested as
         max(u_x^2 + u_y^2) > (min(dx, dy)/dt)^2.  A square that overflows
-        reads inf and fails the test without a warning; the speed itself
-        is taken only for the message."""
+        reads inf without a warning: a velocity's fails the test, the
+        bound's (a box of side 1e154) passes every finite velocity.  The
+        speed itself is taken only for the message."""
         with np.errstate(over="ignore"):
             sq = ux * ux
             sq += uy * uy
-        if float(sq.max()) > (self.cfl_length / self.dt) ** 2:
+            bound = np.float64(self.cfl_length / self.dt) ** 2  # x ** 2's bits, not x * x's
+        if float(sq.max()) > bound:
             speed = float(np.max(np.hypot(ux, uy)))
             raise StabilityError(
                 f"advective CFL heuristic exceeded: max|u|*dt/dx = "
@@ -597,7 +602,7 @@ def energy_identity_residual(
 
 
 def _kept_nodes(keep, n_steps: int):
-    """The nodes a sweep of n_steps holds (see simulate): every node for
+    """The nodes a sweep of n_steps holds (see _sweep): every node for
     keep None, else keep's nodes with 0 and n_steps.  ValidationError
     unless keep is None or a collection of node indices in 0..n_steps."""
     if keep is None:
@@ -613,8 +618,93 @@ def _kept_nodes(keep, n_steps: int):
 
 
 # The smallest grid whose diagnostics sweep hands its nodes to the worker
-# thread (see simulate)
+# thread (see simulate and _sweep)
 _WORKER_MIN_POINTS = 96 * 96
+
+
+def _sweep(nodes: range, start, step_from, finish, dt: float, keep=None, sink=None,
+           worker: bool = False) -> Trajectory:
+    """The one node loop of the forward, tangent and adjoint sweeps, over
+    nodes in sweep order (0..N forward, N..0 backward, or from the node a
+    tangent starts at).  A sweep supplies start(), its state x at nodes[0]
+    (called once keep is checked), step_from(n, x), x stepped from node n
+    to the next node, and finish(n, x, kept), node n's state built from x
+    and checked, kept telling whether the record holds it.  Returns the
+    record, indexed from node 0.
+
+    keep, None for every node or a collection of node indices in 0..N,
+    names the nodes whose states the record holds; it holds nodes 0 and
+    N too, so initial, final and len answer as on a full record, and None
+    at every other node.  Every node is still finished, so the kept
+    states and the errors have the bits of a full record.
+    ValidationError before start() when keep is not such a collection.
+
+    sink, None or a callable, is called as sink(n, state) once for each
+    node, in sweep order, with what finish built, whether keep holds it
+    or not: a caller that reads each state once passes keep=() and holds
+    no record.  The call is the last part of finishing the node, after
+    its checks, so a sweep that fails at node n has called sink for the
+    nodes before n only; an error raised by sink reaches the caller with
+    its type, as a failed check of that node would.
+
+    Threads.  The calling thread does the stepping.  Finishing node n,
+    which the next step never reads, is finish and then sink.  A worker
+    sweep runs that on one worker thread while the calling thread
+    computes step n from the same x, so the worker runs one node behind
+    the step; the states are collected in node order and have the bits
+    of a one-thread run.  An error of node n is raised with its type and
+    message once step n returns, whose result is then dropped (numpy
+    warnings that step raised on a non-finite node stay raised).  Every
+    other sweep finishes node n on the calling thread, before step n, as
+    a one-thread loop would.  simulate asks for the worker in a
+    diagnostics sweep on a grid of at least _WORKER_MIN_POINTS = 96^2
+    points: the handoffs between the threads cost about the same at every
+    size, the node work they hide grows with the grid, and a diagnostics
+    row adds a transform and several Parseval sums to it.  Worker against
+    one thread, interleaved in one process on a 2-core machine, median of
+    the paired time ratios: a 50-step diagnostics sweep, re-measured once
+    the step computed in the Stepper's buffers, read 0.993 at 64^2
+    (faster in 22 of 40 rounds), 0.806 at 96^2 (28 of 30), 0.693 at 128^2
+    (29 of 30) and 0.656 at 256^2 (16 of 16); without diagnostics, on the
+    ocp-64 inputs before that change, +18% at 64^2, +6% at 96^2 and -4%
+    at 128^2 and 256^2, too little to carry a second threaded path.
+    """
+    n_steps = max(nodes[0], nodes[-1])
+    kept = _kept_nodes(keep, n_steps)
+    states = [None] * (n_steps + 1)
+
+    if worker:
+        # imported here: concurrent.futures loads logging, a cost of every
+        # fresh start that most runs would not use
+        from concurrent.futures import ThreadPoolExecutor
+
+    def node(n, x):
+        """Finish node n, then hand its state to sink.  Returns the call
+        that waits for node n, with nothing left to wait for."""
+        state = finish(n, x, n in kept)
+        if sink is not None:
+            sink(n, state)
+        states[n] = state if n in kept else None
+        return lambda: None
+
+    def put(n, x):
+        """Finish node n, here or on the worker, in the caller's context (so
+        with its numpy error state); returns the call that waits for it."""
+        if worker:
+            return runner.submit(contextvars.copy_context().run, node, n, x).result
+        return node(n, x)
+
+    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="chnsopt-nodes") if worker
+          else contextlib.nullcontext()) as runner:
+        take = put(nodes[0], x := start())
+        for n in nodes[:-1]:
+            try:
+                x = step_from(n, x)
+            finally:
+                take()  # node n's error takes precedence
+            take = put(n + nodes.step, x)
+        take()
+    return Trajectory(states=states, dt=dt)
 
 
 def simulate(
@@ -628,7 +718,7 @@ def simulate(
     sink=None,
 ) -> Trajectory:
     """Run the IMEX scheme from t = 0 to T and record every node, or the
-    nodes keep names, handing each node's state to sink.
+    nodes keep names, handing each node's FlowState to sink (see _sweep).
 
     control/forcing are time signals, read and checked by read_signal
     before the first step; when both are constant in time, their sum is
@@ -638,47 +728,11 @@ def simulate(
     transforms the step holds, at one extra transform per node (for the
     chemical potential); the stored states do not depend on it.
 
-    keep, None for every node or a collection of node indices in 0..N,
-    names the nodes whose states the record holds; it holds nodes 0 and
-    N too, so initial, final, grid and len answer as on a full record,
-    and None at every other node.  Every node is still computed, checked
-    and its row taken by the node function below: only the reference to
-    a dropped state is let go, so the kept states, the diagnostics and
-    the errors have the bits of a full record.  ValidationError before
-    the first step when keep is not such a collection.
-
-    sink, None or a callable, is called as sink(n, state) once for each
-    node n = 0..N, in that order, with the node's FlowState, whether keep
-    holds it or not: a caller that reads each state once (``chnsopt
-    simulate`` writes its snapshots so) passes keep=() and holds no
-    record.  The call is the last part of finishing the node, after its
-    checks, so a sweep that fails at node n has called sink for the nodes
-    before n only; an error raised by sink reaches the caller with its
-    type, as a failed check of that node would.
-
-    Threads.  The calling thread does the stepping.  Finishing node n,
-    which the next step never reads, is one function: the stored state
-    (the inverse transform and its finiteness check), the diagnostics
-    row, the CFL check (nodes 0 .. N-1), then sink.  A diagnostics sweep
-    on a grid of at least _WORKER_MIN_POINTS = 96^2 points runs that
-    function on one worker thread (sink included) while the calling
-    thread computes step n from the same transforms, so the worker runs
-    one node behind the step; the rows and states are collected in node
-    order and have the bits of a one-thread run.  An error of node n is
-    raised with its type and message once step n returns, whose result
-    is then dropped (numpy warnings that step raised on a non-finite node
-    stay raised).  Every other sweep runs the node function on the
-    calling thread, before the step, as a one-thread loop would: the
-    handoffs between the threads cost about the same at every size, the
-    node work they hide grows with the grid, and a diagnostics row adds a
-    transform and several Parseval sums to it.  Worker against one thread, interleaved in one
-    process on a 2-core machine, median of the paired time ratios: a
-    50-step diagnostics sweep, re-measured once the step computed in the
-    Stepper's buffers, read 0.993 at 64^2 (faster in 22 of 40 rounds),
-    0.806 at 96^2 (28 of 30), 0.693 at 128^2 (29 of 30) and 0.656 at
-    256^2 (16 of 16); without diagnostics, on the ocp-64 inputs before
-    that change, +18% at 64^2, +6% at 96^2 and -4% at 128^2 and 256^2,
-    too little to carry a second threaded path.
+    Finishing node n is its stored state (the inverse transform and its
+    finiteness check), its diagnostics row and its CFL check (nodes
+    0 .. N-1), then sink, in that order.  A diagnostics sweep on a grid of
+    at least _WORKER_MIN_POINTS points finishes its nodes on one worker
+    thread (sink included); ``chnsopt simulate`` writes its snapshots so.
     """
     g = params.grid
     if initial.grid != g:
@@ -687,60 +741,32 @@ def simulate(
     n_steps = config.n_steps
     control, forcing = (read_signal(s, name, g, n_steps + 1, dt=config.dt)
                         for s, name in ((control, "control"), (forcing, "forcing")))
-    kept = _kept_nodes(keep, n_steps)
-    start = initial.copy()
-    start.t = 0.0
-    terms = (params.kernel, params.potential)
-    work = np.empty((3, *g.spectral_shape), complex)  # the node function's own
+    first = FlowState(initial.u.copy(), initial.phi.copy(), 0.0)
+    work = np.empty((3, *g.spectral_shape), complex)  # finish's own
+    rows = []
+    # a force the same every step is transformed once, at step 0, and
+    # handed on with the step's x = (transforms, that force's transform)
+    constant = control[0] is control[-1] and forcing[0] is forcing[-1]
 
-    def finish(n, hats, force):
-        state = start if n == 0 else FlowState(*physical(g, *hats, work), n * config.dt)
-        row = node_terms(*terms, hats, state, config.nu, force) if with_diagnostics else None
+    def step_from(n, x):
+        held = st.force_hat(*_applied_force(0, control, forcing)) if constant and n == 0 else x[1]
+        force = held if constant else _applied_force(n, control, forcing)
+        return st.forward_step_hat(*x[0], *force), held
+
+    def finish(n, x, kept):
+        state = first if n == 0 else FlowState(*physical(g, *x[0], work), n * config.dt)
+        if with_diagnostics:
+            force = _applied_force(n - 1, control, forcing) if n else (None, None)
+            rows.append(node_terms(params.kernel, params.potential, x[0], state, config.nu, force))
         if n < n_steps:
             st.check_cfl(state.u.u_x, state.u.u_y)
-        if sink is not None:
-            sink(n, state)
-        return (state if n in kept else None), row
+        return state
 
-    if with_diagnostics and g.n_points >= _WORKER_MIN_POINTS:
-        # imported here: concurrent.futures loads logging, a cost of every
-        # fresh start that most runs would not use
-        from concurrent.futures import ThreadPoolExecutor
-
-        runner = ThreadPoolExecutor(max_workers=1, thread_name_prefix="chnsopt-nodes")
-        ctx = contextvars.copy_context()  # the caller's numpy error state
-
-        def put(*args):
-            return runner.submit(ctx.run, finish, *args).result
-    else:
-        runner = contextlib.nullcontext()
-
-        def put(*args):
-            out = finish(*args)
-            return lambda: out
-
-    # a force the same every step is transformed once, at step 0
-    constant = control[0] is control[-1] and forcing[0] is forcing[-1]
-    nodes_out = []
-    hats = spectral(initial.u, initial.phi)
-    with runner:
-        take = put(0, hats, (None, None))
-        for n in range(n_steps):
-            try:
-                if n == 0 or not constant:
-                    force = _applied_force(n, control, forcing)
-                    step_force = st.force_hat(*force) if constant else force
-                hats = st.forward_step_hat(*hats, *step_force)
-            finally:
-                nodes_out.append(take())  # node n's error takes precedence
-            take = put(n + 1, hats, force)
-        nodes_out.append(take())
-
-    states, rows = zip(*nodes_out)
-    traj = Trajectory(states=list(states), dt=config.dt)
-    if with_diagnostics:
-        traj.diagnostics = _diagnostic_series(rows, config.dt)
-    return traj
+    traj = _sweep(range(n_steps + 1), lambda: (spectral(initial.u, initial.phi), None),
+                  step_from, finish, config.dt, keep, sink,
+                  worker=with_diagnostics and g.n_points >= _WORKER_MIN_POINTS)
+    # rows holds a row per node with diagnostics, none without
+    return replace(traj, diagnostics=_diagnostic_series(rows, config.dt) if rows else {})
 
 
 def sup_state_difference(a: Trajectory, b: Trajectory) -> float:

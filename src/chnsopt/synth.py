@@ -57,7 +57,9 @@ def sine_scalar(
 def _lowpass(grid: TorusGrid, k_cut: float) -> np.ndarray:
     if not k_cut > 0.0:
         raise ValidationError(f"k_cut must be positive, got {k_cut!r}")
-    return np.exp(-(grid.ksq / k_cut**2)) * grid.dealias_mask
+    with np.errstate(over="ignore"):  # a square that overflows reads inf: no filter
+        k_sq = np.float64(k_cut) ** 2
+    return np.exp(-(grid.ksq / k_sq)) * grid.dealias_mask
 
 
 def _scale(norm: float, amplitude: float, k_cut: float) -> float:

@@ -43,7 +43,7 @@ from .forward import (
     Stepper,
     Trajectory,
     _applied_force,
-    _kept_nodes,
+    _sweep,
     physical,
     read_signal,
     spectral,
@@ -84,7 +84,10 @@ def tangent_solve(
     delta_control is a time signal (read_signal).  start_node
     lets a perturbation be injected mid-trajectory (the spike limit
     diagnostic); the record then holds None at nodes 0..start_node-1,
-    as simulate marks the nodes its keep drops.
+    as simulate marks the nodes its keep drops.  A step computes in its
+    Stepper's buffers, as the adjoint's does, and allocates nothing
+    field-sized but the three half spectra it advances to and, for a
+    control given per node, its midpoint (_applied_force).
     """
     g = params.grid
     n_total = base.n_steps
@@ -102,29 +105,35 @@ def tangent_solve(
     if w0.grid != g:
         raise ValidationError("tangent initial data on wrong grid")
 
-    wx_h, wy_h, psh = spectral(w0, psi0)
-    t0 = base.states[start_node].t
-    states = [None] * start_node + [TangentState(w0.copy(), psi0.copy(), t0)]
-
-    for n in range(start_node, n_total):
+    def step_from(n, x):
         # c: the base state; d: the tangent state (w, psi)
-        hats = spectral(base.states[n].u, base.states[n].phi, st.buffer("work", 3, float))
+        b = base.states[n]
+        hats = spectral(b.u, b.phi, st.buffer("work", 3, float), st.buffer("base", 3, complex))
         c = Frame(st, *hats, ("conv",), "frame")
-        d = Frame(st, wx_h, wy_h, psh, ("conv",), "sweep frame")
-
+        d = Frame(st, *x, ("conv",), "sweep frame")
         force = _applied_force(n, control)
         w = st.products(force[0])
-        fx = -(d.ux * c.dux[0] + d.uy * c.dux[1]) - (c.ux * d.dux[0] + c.uy * d.dux[1])
-        fy = -(d.ux * c.duy[0] + d.uy * c.duy[1]) - (c.ux * d.duy[0] + c.uy * d.duy[1])
-        np.subtract(fx - d.conv * c.dphi[0], c.conv * d.dphi[0], out=w[0])
-        np.subtract(fy - d.conv * c.dphi[1], c.conv * d.dphi[1], out=w[1])
-        np.multiply(params.potential.d2f(c.phi), d.phi, out=w[2])
-        np.add(c.ux * d.dphi[0] + c.uy * d.dphi[1] + d.ux * c.dphi[0], d.uy * c.dphi[1], out=w[3])
-        wx_h, wy_h, psh = st.advance((wx_h, wy_h, psh), st.assemble(w, psh, *force))
+        a = st.buffer("products", 2, float)[0]
+        cu, du = (c.ux, c.uy), (d.ux, d.uy)
+        for i, (dc, dd) in enumerate(((c.dux, d.dux), (c.duy, d.duy))):
+            # -(w.grad)u_i - (u.grad)w_i - (J*psi) d_i(phi) - (J*phi) d_i(psi)
+            np.negative(st.dot(du, dc, w[i]), out=w[i])
+            np.subtract(w[i], st.dot(cu, dd, a), out=w[i])
+            np.subtract(w[i], np.multiply(d.conv, c.dphi[i], out=a), out=w[i])
+            np.subtract(w[i], np.multiply(c.conv, d.dphi[i], out=a), out=w[i])
+        np.multiply(params.potential.d2f(c.phi, out=w[2]), d.phi, out=w[2])
+        st.dot(cu, d.dphi, w[3])  # u.grad(psi) + w.grad(phi)
+        np.add(w[3], np.multiply(d.ux, c.dphi[0], out=a), out=w[3])
+        np.add(w[3], np.multiply(d.uy, c.dphi[1], out=a), out=w[3])
+        return st.advance(x, st.assemble(w, x[2], *force))
 
-        new = physical(g, wx_h, wy_h, psh, st.buffer("work", 3, complex))
-        states.append(TangentState(*new, base.states[n + 1].t))
-    return Trajectory(states=states, dt=config.dt)
+    def finish(n, x, kept):
+        fields = ((w0.copy(), psi0.copy()) if n == start_node
+                  else physical(g, *x, st.buffer("work", 3, complex)))
+        return TangentState(*fields, base.states[n].t)
+
+    return _sweep(range(start_node, n_total + 1), lambda: spectral(w0, psi0), step_from, finish,
+                  config.dt)
 
 
 def tracking_references(mode: AdjointMode, targets, grid, n_nodes: int | None = None):
@@ -255,23 +264,17 @@ def adjoint_solve(
     caller solving repeatedly against the same targets passes them in,
     None computes them here.
 
-    keep names the nodes the record holds, as simulate's keep does (the
-    same checks, ValidationError before the first step): None for every
-    node, else those nodes with 0 and N, and None at every other node.
-    Only a kept node's state is transformed back to physical space and
-    checked for finiteness (NumericError), so keep=() holds p(0), all
-    the assimilation gradient reads, and the sweep's memory does not grow
-    with N.
-
-    sink, None or a callable, is called as sink(n, state) once for each
-    node n = N..0, in that order, on the calling thread, with the node's
-    AdjointState once it is checked, whether keep holds it or not.  At a
-    node keep does not hold, the sweep transforms back p alone: eta is
-    checked finite in transform space and transformed back only if the
+    keep and sink work as _sweep says: sink(n, state) is called for the
+    nodes N..0, in that order, on the calling thread, with the node's
+    AdjointState once it is checked.  Only a kept node's state is
+    transformed back to physical space and checked for finiteness
+    (NumericError), so keep=() holds p(0), all the assimilation gradient
+    reads, and the sweep's memory does not grow with N.  At a node a sink
+    reads and keep does not hold, the sweep transforms back p alone: eta
+    is checked finite in transform space and transformed back only if the
     sink reads it.  The distributed gradient adds each p into w_c*U so and
     passes keep=(): its sweep holds no record and transforms two fields
-    back a step, not three.  An error raised by sink reaches the caller
-    with its type.
+    back a step, not three.
 
     A step computes in its Stepper's buffers (see Stepper), with the bits
     of the fresh-array expressions, and allocates nothing field-sized but
@@ -284,31 +287,29 @@ def adjoint_solve(
     base.every_node()
     st = Stepper(params, config)
     n_total = base.n_steps
-    kept = _kept_nodes(keep, n_total)
     m = st.mask
     # the concentration operator's multipliers, the same every step
     k_J = st.ksq * st.J_hat
     k_aS = st.ksq * (st.a - st.S) if st.a != st.S else None
     scale = source_scale(mode, targets.weights, g)
 
-    if ref_hats is None:
-        ref_hats = reference_transforms(mode, targets, g, n_total + 1)
-    p_T, eta_T = terminal_adjoint_data(base, mode, targets)
-    px_h, py_h, eh = spectral(p_T, eta_T)
+    terminal = None
 
-    states: list = [None] * (n_total + 1)
-    states[n_total] = AdjointState(p_T, eta_T, base.final.t)
-    if sink is not None:
-        sink(n_total, states[n_total])
+    def start():  # the targets are read once _sweep has checked keep
+        nonlocal ref_hats, terminal
+        if ref_hats is None:
+            ref_hats = reference_transforms(mode, targets, g, n_total + 1)
+        terminal = AdjointState(*terminal_adjoint_data(base, mode, targets), base.final.t)
+        return spectral(terminal.p, terminal.eta)
 
-    for n in range(n_total - 1, -1, -1):
-        node = n + 1  # explicit terms live at the later time level
-        # c: the base state; d: the adjoint state (p, eta)
-        b = base.states[node]
+    def step_from(n, x):
+        # c: the base state at node n, the later time level the explicit
+        # terms live at; d: the adjoint state (p, eta)
+        b = base.states[n]
         hats = spectral(b.u, b.phi, st.buffer("work", 3, float), st.buffer("base", 3, complex))
         c = Frame(st, *hats, ("conv_grad",), "frame")
-        d = Frame(st, px_h, py_h, eh, ("lap",), "sweep frame")
-        src = tracking_sources(mode, targets.weights, g, hats, ref_hats[node],
+        d = Frame(st, *x, ("lap",), "sweep frame")
+        src = tracking_sources(mode, targets.weights, g, hats, ref_hats[n],
                                st.buffer("sources", 3, complex), scale)
         cu, p = (c.ux, c.uy), (d.ux, d.uy)
 
@@ -326,38 +327,38 @@ def adjoint_solve(
         h = g.fft2(w, out=st.buffer("rhs", 6, complex))
         fx_h, fy_h = st.momentum(h[0], h[1], src[0], src[1])
 
-        # r = h2 m + k^2 J^ eh [- k^2 (a - S) eh] + h3 m - J^ (h4 m) + h5 m + S_eta
+        # r = h2 m + k^2 J^ eta^ [- k^2 (a - S) eta^] + h3 m - J^ (h4 m) + h5 m + S_eta
         r, t = h[2], st.buffer("spectra", 1, complex)[0]
         np.multiply(r, m, out=r)
-        np.add(r, np.multiply(k_J, eh, out=t), out=r)
+        np.add(r, np.multiply(k_J, x[2], out=t), out=r)
         if k_aS is not None:
-            np.subtract(r, np.multiply(k_aS, eh, out=t), out=r)
+            np.subtract(r, np.multiply(k_aS, x[2], out=t), out=r)
         np.add(r, np.multiply(h[3], m, out=t), out=r)
         np.subtract(r, np.multiply(st.J_hat, np.multiply(h[4], m, out=t), out=t), out=r)
         np.add(r, np.multiply(h[5], m, out=t), out=r)
         np.add(r, src[2], out=r)
-        px_h, py_h, eh = st.advance((px_h, py_h, eh), (fx_h, fy_h, r))
+        return st.advance(x, (fx_h, fy_h, r))
 
-        t = base.states[n].t
-        if n in kept:
-            states[n] = AdjointState(*physical(g, px_h, py_h, eh, st.buffer("work", 3, complex)), t)
-            if sink is not None:
-                sink(n, states[n])
-        elif sink is not None:
-            f = g.ifft2(np.stack((px_h, py_h), out=st.buffer("work", 2, complex)), overwrite=True)
-            if not (np.isfinite(f).all() and np.isfinite(eh).all()):
-                raise NumericError("state contains non-finite values")
-            sink(n, _SinkState(VectorField._of(g, f[0], f[1]), eh, t))
-    return Trajectory(states=states, dt=config.dt)
+    def finish(n, x, kept):
+        if n == n_total:
+            return terminal
+        if kept:
+            return AdjointState(*physical(g, *x, st.buffer("work", 3, complex)), base.states[n].t)
+        return None if sink is None else _SinkState(st, x, base.states[n].t)
+
+    return _sweep(range(n_total, -1, -1), start, step_from, finish, config.dt, keep, sink)
 
 
 class _SinkState(AdjointState):
-    """A node that an adjoint sweep hands to its sink but does not keep:
-    p is transformed back, and eta, checked finite in transform space,
-    only when it is read."""
+    """A node that an adjoint sweep hands to its sink but does not keep,
+    from its transforms hats: p is transformed back, and eta, checked
+    finite in transform space, only when it is read."""
 
-    def __init__(self, p: VectorField, eta_hat: np.ndarray, t: float):
-        self.p, self.t, self._eta_hat = p, t, eta_hat
+    def __init__(self, st: Stepper, hats, t: float):
+        f = st.grid.ifft2(np.stack(hats[:2], out=st.buffer("work", 2, complex)), overwrite=True)
+        if not (np.isfinite(f).all() and np.isfinite(hats[2]).all()):
+            raise NumericError("state contains non-finite values")
+        self.p, self.t, self._eta_hat = VectorField._of(st.grid, f[0], f[1]), t, hats[2]
 
     @property
     def eta(self) -> ScalarField:

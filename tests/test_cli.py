@@ -320,6 +320,35 @@ class TestFailsBeforeOutput:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+# (config edit, {subcommand: exit code}): finite values inside the schema
+# whose squares overflow a float, which used to exit 1 with an
+# OverflowError traceback in every subcommand
+OVERFLOWING_SQUARES = [
+    pytest.param(_set("grid", value={"n": 8, "l": 1e154}), {"check": 3}, id="grid-l-1e154"),
+    pytest.param(
+        _set("initial", "phi", value={"type": "random", "k_cut": 1e300}), {}, id="phi-k-cut-1e300"
+    ),
+    pytest.param(
+        _set("initial", "u", value={"type": "random-divfree", "k_cut": 1e300}), {},
+        id="u-k-cut-1e300",
+    ),
+]
+
+
+class TestOverflowingSquares:
+    @pytest.mark.parametrize("command", list(PROBLEM_OF))
+    @pytest.mark.parametrize("edit, codes", OVERFLOWING_SQUARES)
+    def test_runs_without_a_traceback(self, tmp_path, capsys, command, edit, codes):
+        """A CFL bound or a k_cut whose square overflows reads inf: the box
+        of side 1e154 lets every finite speed pass (check exits 3, since
+        its checks fail on that grid), and the filter at k_cut 1e300 keeps
+        every dealiased mode."""
+        cfg = base_config(tmp_path / "out", problem=PROBLEM_OF[command])
+        edit(cfg)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == codes.get(command, 0)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def _run_bytes(tmp_path, command, cfg, name, files):
     """The named artifact files of one run, which must succeed."""
     cfg = json.loads(json.dumps(cfg))
@@ -680,6 +709,28 @@ class TestGradientTestCommand:
         rem = column(header, rows, "remainder")
         assert rem[0] > rem[1] > rem[2]
         assert float(rows[1][2]) >= 1.7
+
+    def test_peak_memory_slope_is_within_the_guards_count(self, tmp_path):
+        """Tooling: the memory guard counts seven dense trajectories for
+        gradient-test, and its tracemalloc peak grows by at most seven
+        states per node at 32^2 (6.21 measured): the targets and their
+        transforms, a cost sweep's record and three control signals of 2/3
+        of a state each.  With the base record and the gradient held
+        through the Taylor ladder it read 7.92."""
+
+        def peak(n_steps, traced=True):
+            cfg = base_config(tmp_path / f"out{n_steps}", problem="gradient-test",
+                              grid={"n": 32})
+            cfg["solver"]["T"] = n_steps * 1e-3
+            cfg["cost"] = {"control": 1e-2}
+            argv = ["gradient-test", "--config", write_config(tmp_path, cfg, f"{n_steps}.json")]
+            return _traced_peak(argv) if traced else main(argv)
+
+        assert peak(4, traced=False) == 0  # first-call caches stay out of the peaks
+        one_state = 3 * 32 * 32 * 8
+        slope = (peak(60) - peak(20)) / (40 * one_state)
+        assert _COMMANDS["gradient-test"].dense == 7
+        assert slope <= _COMMANDS["gradient-test"].dense
 
 
 class TestOptimizeCommand:

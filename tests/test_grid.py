@@ -556,24 +556,35 @@ class TestOneSignalReader:
         assert offenders == []
 
 
+def _top_functions(tree):
+    """The module's functions and its classes' methods, each with every
+    function nested in it, so a closure counts as the function it is in."""
+    return [m for n in tree.body
+            for m in ([n] if isinstance(n, ast.FunctionDef) else getattr(n, "body", []))
+            if isinstance(m, ast.FunctionDef)]
+
+
 class TestOneStepDriver:
     def test_simulate_drives_every_step_and_a_stepper_has_one_store(self):
-        """forward.simulate is the one caller of Stepper.forward_step_hat
-        (forward.step is a one-step simulate), and a Stepper keeps its
-        scratch arrays in one store, buffer: it binds no stack or _work,
-        and no module asks one for a stack."""
+        """forward.simulate, with the closures in it, is the one caller of
+        Stepper.forward_step_hat (forward.step is a one-step simulate, and
+        the only function named step), and a Stepper keeps its scratch
+        arrays in one store, buffer: it binds no stack or _work, and no
+        module asks one for a stack."""
         import chnsopt
 
         root = Path(chnsopt.__file__).parent
-        callers, offenders = set(), []
+        callers, offenders, steps = set(), [], []
         for path in sorted(root.rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
+            for fn in _top_functions(tree):
+                if any(isinstance(c, ast.Call)
+                       and getattr(c.func, "attr", None) == "forward_step_hat"
+                       for c in ast.walk(fn)):
+                    callers.add(f"{path.name}:{fn.name}")
             for n in ast.walk(tree):
-                if isinstance(n, ast.FunctionDef) and any(
-                    isinstance(c, ast.Call) and getattr(c.func, "attr", None) == "forward_step_hat"
-                    for c in ast.walk(n)
-                ):
-                    callers.add(f"{path.name}:{n.name}")
+                if isinstance(n, ast.FunctionDef) and n.name == "step":
+                    steps.append(f"{path.name}:{n.lineno}")
                 elif isinstance(n, ast.ClassDef) and n.name == "Stepper":
                     bound = {m.name for m in n.body if isinstance(m, ast.FunctionDef)} | {
                         t.attr for m in ast.walk(n) if isinstance(m, ast.Assign)
@@ -584,7 +595,80 @@ class TestOneStepDriver:
                       and getattr(n.value, "id", None) != "np"):
                     offenders.append(f"{path.name}:{n.lineno} reads a stack")
         assert callers == {"forward.py:simulate"}
+        assert len(steps) == 1 and steps[0].startswith("forward.py:")
         assert offenders == []
+
+
+class TestOneSweepDriver:
+    SWEEPS = {"forward.py": ["simulate"], "tangent_adjoint.py": ["tangent_solve", "adjoint_solve"]}
+
+    @staticmethod
+    def _own_statements(fn):
+        """The nodes of fn's own body, not of the functions nested in it."""
+        todo = [fn]
+        while todo:
+            n = todo.pop()
+            yield n
+            todo += [c for c in ast.iter_child_nodes(n)
+                     if not isinstance(c, (ast.FunctionDef, ast.Lambda))]
+
+    def test_only_the_driver_keeps_nodes_starts_a_worker_or_calls_a_sink(self):
+        """forward._sweep, with the closures in it, is the one function of
+        the package that calls _kept_nodes, builds a ThreadPoolExecutor or
+        calls a sink."""
+        import chnsopt
+
+        root = Path(chnsopt.__file__).parent
+        seen = []
+        for path in sorted(root.rglob("*.py")):
+            for fn in _top_functions(ast.parse(path.read_text(encoding="utf-8"))):
+                for n in ast.walk(fn):
+                    name = getattr(n, "func", None)
+                    name = getattr(name, "id", None) or getattr(name, "attr", None)
+                    if isinstance(n, ast.Call) and name in {
+                            "_kept_nodes", "ThreadPoolExecutor", "sink"}:
+                        seen.append((f"{path.name}:{fn.name}", name))
+        assert sorted(set(seen)) == [
+            ("forward.py:_sweep", "ThreadPoolExecutor"),
+            ("forward.py:_sweep", "_kept_nodes"),
+            ("forward.py:_sweep", "sink"),
+        ]
+
+    def test_each_sweep_calls_the_driver_once_and_has_no_loop_of_its_own(self):
+        """simulate, tangent_solve and adjoint_solve each call _sweep once
+        and hold no for or while statement in their own bodies; the loops
+        of the step functions nested in them are theirs."""
+        import chnsopt
+
+        root = Path(chnsopt.__file__).parent
+        for module, names in self.SWEEPS.items():
+            tree = ast.parse((root / module).read_text(encoding="utf-8"))
+            fns = {fn.name: fn for fn in _top_functions(tree)}
+            for name in names:
+                calls = [n for n in ast.walk(fns[name]) if isinstance(n, ast.Call)
+                         and getattr(n.func, "id", None) == "_sweep"]
+                loops = [n.lineno for n in self._own_statements(fns[name])
+                         if isinstance(n, (ast.For, ast.While))]
+                assert (len(calls), loops) == (1, []), name
+
+    def test_the_sweeps_keep_their_signatures(self):
+        import inspect
+
+        from chnsopt.forward import simulate, step
+        from chnsopt.tangent_adjoint import adjoint_solve, tangent_solve
+
+        flow = "params: 'ModelParams', config: 'SolverConfig'"
+        sweeps = (simulate, step, tangent_solve, adjoint_solve)
+        assert [str(inspect.signature(f)) for f in sweeps] == [
+            f"(initial: 'FlowState', control, forcing, {flow}, with_diagnostics: 'bool' = True, "
+            "keep=None, sink=None) -> 'Trajectory'",
+            "(state: 'FlowState', control_value: 'VectorField | None', forcing: 'VectorField | "
+            f"None', {flow}) -> 'FlowState'",
+            "(base: 'Trajectory', delta_control, w0: 'VectorField | None', psi0: 'ScalarField | "
+            f"None', {flow}, start_node: 'int' = 0) -> 'Trajectory'",
+            f"(base: 'Trajectory', mode: 'AdjointMode', targets, {flow}, ref_hats: 'list | None' "
+            "= None, keep=None, sink=None) -> 'Trajectory'",
+        ]
 
 
 class TestOneWayPerJob:

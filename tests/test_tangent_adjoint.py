@@ -33,7 +33,7 @@ from chnsopt import (
 )
 from chnsopt import assimilation, control, synth
 from chnsopt import tangent_adjoint
-from chnsopt.forward import Frame, Stepper, spectral
+from chnsopt.forward import Frame, Stepper, physical, spectral
 from chnsopt.tangent_adjoint import (
     reference_transforms,
     running_cost,
@@ -473,6 +473,57 @@ class TestSourcesDifferentiateTheRunningCost:
                 g.inner(g.ifft2(a), b) for a, b in zip(src, (V.u_x, V.u_y, P.values))
             )
             assert paired == pytest.approx(fd, rel=1e-10), n
+
+
+class TestTangentBuffers:
+    @pytest.mark.parametrize("control", ["none", "constant"])
+    @pytest.mark.parametrize("args", [(64, 64, TWO_PI, TWO_PI), (32, 48, TWO_PI, 3.0 * np.pi)],
+                             ids=["64x64", "32x48"])
+    def test_a_warmed_step_allocates_its_results_only(self, args, control, monkeypatch):
+        """Tooling: a warmed tangent step, with no control or one constant
+        in time, allocates nothing field-sized but the three half spectra
+        it advances to, measured as TestAdjointSink measures the adjoint's:
+        each step is cut into pieces at the calls it makes and the traced
+        peak of every piece above its start is summed.  A step starts with
+        the base state's transform; the node's back-transform (physical,
+        the state the record holds) is counted apart.  A step that formed
+        its products as fresh arrays summed to 9.1 half spectra at 64^2
+        and 9.4 at 32x48 here."""
+        base, _, params, cfg = _tracked_run(args, "absent", T=8e-3)
+        delta = None if control == "none" else synth.single_mode_velocity(params.grid, (1, 2))
+        steps, apart, start = [], [], [0]
+
+        def cut(into):
+            if into:
+                into[-1] += tracemalloc.get_traced_memory()[1] - start[0]
+            tracemalloc.reset_peak()
+            start[0] = tracemalloc.get_traced_memory()[0]
+
+        def piece(fn, into, opens=False):
+            def wrapper(*a, **k):
+                cut(steps)
+                if opens:
+                    into.append(0)
+                out = fn(*a, **k)
+                cut(into)
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(tangent_adjoint, "spectral", piece(spectral, steps, True))
+        monkeypatch.setattr(tangent_adjoint, "physical", piece(physical, apart, True))
+        monkeypatch.setattr(tangent_adjoint, "Frame", piece(Frame, steps))
+        for name in ("assemble", "advance"):
+            monkeypatch.setattr(Stepper, name, piece(getattr(Stepper, name), steps))
+        tracemalloc.start()
+        try:
+            tangent_solve(base, delta, None, None, params, cfg)
+        finally:
+            tracemalloc.stop()
+        # the initial transform, then 8 steps; the first two warm the Stepper
+        assert (len(steps), len(apart)) == (9, 8)
+        half_spectrum = 16 * args[0] * (args[1] // 2 + 1)
+        assert max(steps[3:]) <= 4 * half_spectrum
 
 
 class TestAdjointTransformBudget:
