@@ -15,6 +15,13 @@ The k = 0 mode of the concentration update is frozen, so the mean of
 phi is conserved exactly.  The k = 0 velocity mode is driven only by
 the mean of the applied force.
 
+Step kernel: ``Stepper.quadratic`` forms the step's quadratic products
+(advection, the coupling force and u.grad(phi)) from pairs of Frames;
+the forward step takes the one pair (frame, frame) and the tangent the
+two pairs of its state and the base state, the same products under the
+product rule.  ``Stepper.assemble`` and ``Stepper.advance`` finish every
+sweep's step.
+
 Sweeps and threads: simulate, the tangent and the adjoint share one
 node loop, ``_sweep``, and supply only their step and their node's
 state.  A sweep steps on the calling thread only.  A simulate sweep
@@ -294,9 +301,10 @@ class Stepper:
     """Precomputed spectral machinery for one (params, config) pair.
 
     Holds the implicit denominators, dealias mask, masked derivative
-    multipliers and kernel transform, and the step kernel the forward,
+    multipliers and kernel transform, and the step kernel: ``quadratic``,
+    the products of the forward and tangent steps, then what the forward,
     tangent and adjoint sweeps share once they have formed their
-    products: ``assemble`` (``momentum`` for the adjoint) and ``advance``.
+    products, ``assemble`` (``momentum`` for the adjoint) and ``advance``.
 
     It also keeps the scratch arrays a step computes in, one per name
     (``buffer``), each allocated on first need and grown to the largest
@@ -450,15 +458,35 @@ class Stepper:
         F'(phi) and u.grad(phi) of the frame fr (with the "conv" extra).
         The implicit -nu*Lap(u) and -S*Lap(phi) are left to the caller.
         """
-        w = self.products(force_x)
-        a, b = self.buffer("products", 2, float)
-        u = (fr.ux, fr.uy)
-        for i, d in enumerate((fr.dux, fr.duy)):  # -(u.grad)u_i - (J*phi) d_i(phi)
-            np.negative(self.dot(u, d, a), out=a)
-            np.subtract(a, np.multiply(fr.conv, fr.dphi[i], out=b), out=w[i])
+        w = self.quadratic(((fr, fr),), self.products(force_x))
         self.params.potential.df(fr.phi, out=w[2])
-        self.dot(u, fr.dphi, w[3])
         return self.assemble(w, fr.ph, force_x, force_y)
+
+    def quadratic(self, pairs, w):
+        """The step's quadratic products, summed over pairs of Frames (with
+        the "conv" extra), into rows 0, 1 and 3 of w, which is returned:
+        a pair (a, b) adds -(a_u.grad)b_u - (J*a_phi)grad(b_phi) to rows
+        0-1 and b_u.grad(a_phi) to row 3.  The forward step's products are
+        the one pair (fr, fr), the tangent's their derivative, the pairs
+        (d, c) and (c, d) of its state d and the base state c.  Rows 0-1
+        take every pair's convection term, in pair order, then every
+        coupling term; row 3 is a running sum over pairs, then components,
+        so one pair gives ``dot``'s bits."""
+        t = self.buffer("products", 2, float)[0]
+        for i in range(2):
+            for k, (a, b) in enumerate(pairs):
+                c = self.dot((a.ux, a.uy), (b.dux, b.duy)[i], t)
+                if k:
+                    np.subtract(w[i], c, out=w[i])
+                else:
+                    np.negative(c, out=w[i])
+            for a, b in pairs:
+                np.subtract(w[i], np.multiply(a.conv, b.dphi[i], out=t), out=w[i])
+        terms = [(u, a.dphi[j]) for a, b in pairs for j, u in enumerate((b.ux, b.uy))]
+        np.multiply(*terms[0], out=w[3])
+        for p, q in terms[1:]:
+            np.add(w[3], np.multiply(p, q, out=t), out=w[3])
+        return w
 
     def dot(self, p, q, out):
         """p[0] q[0] + p[1] q[1] into out, the products formed in the two

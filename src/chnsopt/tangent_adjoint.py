@@ -1,11 +1,16 @@
 """Linearized and adjoint sweeps around a stored forward trajectory.
 
-The tangent system reuses the forward IMEX layout, step kernel and all
-(Stepper.assemble and Stepper.advance), with coefficients frozen at the
-stored states, so it is the exact derivative of the discrete step map.
-The adjoint discretizes the backward-in-time continuous equations with
-the same splitting and kernel but its own concentration operator; the
-price is an O(dt) duality gap, measured by duality_gap.
+The tangent system reuses the forward IMEX layout, step kernel and all,
+with coefficients frozen at the stored states: its products are the
+forward step's products kernel (Stepper.quadratic) of the pairs
+(tangent, base) and (base, tangent), the product rule by construction,
+so it is the exact derivative of the discrete step map.  The adjoint
+discretizes the backward-in-time continuous equations with the same
+splitting and kernel but its own products and concentration operator;
+the price is an O(dt) duality gap, measured by duality_gap.  Both read
+their base record through one reader, _along: its checks, the sweep's
+Stepper, and at each node the base state's transforms and frame beside
+the sweep's own frame.
 
 Backward sweeps advance in the reversed time variable.  With s = T - t
 the momentum adjoint reads
@@ -70,6 +75,27 @@ class AdjointState:
     t: float
 
 
+def _along(base: Trajectory, params: ModelParams, config: SolverConfig):
+    """What the tangent and adjoint sweeps share about their base record:
+    ValidationError unless it steps config's dt and holds every node,
+    then the sweep's Stepper st and frames(n, x, base_extras, extras).
+    That transforms the base state at node n into st's "base" buffer and
+    returns those transforms, the base state's Frame ("frame", with
+    base_extras) and the Frame of the sweep's own transforms x ("sweep
+    frame", with extras); the next call overwrites all three."""
+    if abs(base.dt - config.dt) > 1e-14 * max(1.0, config.dt):
+        raise ValidationError("base trajectory dt does not match config dt")
+    base.every_node()
+    st = Stepper(params, config)
+
+    def frames(n, x, base_extras, extras):
+        b = base.states[n]
+        hats = spectral(b.u, b.phi, st.buffer("work", 3, float), st.buffer("base", 3, complex))
+        return hats, Frame(st, *hats, base_extras, "frame"), Frame(st, *x, extras, "sweep frame")
+
+    return st, frames
+
+
 def tangent_solve(
     base: Trajectory,
     delta_control,
@@ -91,13 +117,10 @@ def tangent_solve(
     """
     g = params.grid
     n_total = base.n_steps
-    if abs(base.dt - config.dt) > 1e-14 * max(1.0, config.dt):
-        raise ValidationError("base trajectory dt does not match config dt")
+    st, frames = _along(base, params, config)
     if not 0 <= start_node <= n_total:
         raise ValidationError("start_node outside the base trajectory")
-    base.every_node()
     control = read_signal(delta_control, "delta_control", g, n_total + 1, dt=config.dt)
-    st = Stepper(params, config)
 
     w0 = VectorField.zeros(g) if w0 is None else w0
     psi0 = ScalarField.zeros(g) if psi0 is None else psi0
@@ -107,24 +130,10 @@ def tangent_solve(
 
     def step_from(n, x):
         # c: the base state; d: the tangent state (w, psi)
-        b = base.states[n]
-        hats = spectral(b.u, b.phi, st.buffer("work", 3, float), st.buffer("base", 3, complex))
-        c = Frame(st, *hats, ("conv",), "frame")
-        d = Frame(st, *x, ("conv",), "sweep frame")
+        _, c, d = frames(n, x, ("conv",), ("conv",))
         force = _applied_force(n, control)
-        w = st.products(force[0])
-        a = st.buffer("products", 2, float)[0]
-        cu, du = (c.ux, c.uy), (d.ux, d.uy)
-        for i, (dc, dd) in enumerate(((c.dux, d.dux), (c.duy, d.duy))):
-            # -(w.grad)u_i - (u.grad)w_i - (J*psi) d_i(phi) - (J*phi) d_i(psi)
-            np.negative(st.dot(du, dc, w[i]), out=w[i])
-            np.subtract(w[i], st.dot(cu, dd, a), out=w[i])
-            np.subtract(w[i], np.multiply(d.conv, c.dphi[i], out=a), out=w[i])
-            np.subtract(w[i], np.multiply(c.conv, d.dphi[i], out=a), out=w[i])
+        w = st.quadratic(((d, c), (c, d)), st.products(force[0]))
         np.multiply(params.potential.d2f(c.phi, out=w[2]), d.phi, out=w[2])
-        st.dot(cu, d.dphi, w[3])  # u.grad(psi) + w.grad(phi)
-        np.add(w[3], np.multiply(d.ux, c.dphi[0], out=a), out=w[3])
-        np.add(w[3], np.multiply(d.uy, c.dphi[1], out=a), out=w[3])
         return st.advance(x, st.assemble(w, x[2], *force))
 
     def finish(n, x, kept):
@@ -282,10 +291,7 @@ def adjoint_solve(
     (source_scale) is formed once per sweep.
     """
     g = params.grid
-    if abs(base.dt - config.dt) > 1e-14 * max(1.0, config.dt):
-        raise ValidationError("base trajectory dt does not match config dt")
-    base.every_node()
-    st = Stepper(params, config)
+    st, frames = _along(base, params, config)
     n_total = base.n_steps
     m = st.mask
     # the concentration operator's multipliers, the same every step
@@ -305,10 +311,7 @@ def adjoint_solve(
     def step_from(n, x):
         # c: the base state at node n, the later time level the explicit
         # terms live at; d: the adjoint state (p, eta)
-        b = base.states[n]
-        hats = spectral(b.u, b.phi, st.buffer("work", 3, float), st.buffer("base", 3, complex))
-        c = Frame(st, *hats, ("conv_grad",), "frame")
-        d = Frame(st, *x, ("lap",), "sweep frame")
+        hats, c, d = frames(n, x, ("conv_grad",), ("lap",))
         src = tracking_sources(mode, targets.weights, g, hats, ref_hats[n],
                                st.buffer("sources", 3, complex), scale)
         cu, p = (c.ux, c.uy), (d.ux, d.uy)

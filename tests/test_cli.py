@@ -207,6 +207,7 @@ MALFORMED_CONFIGS = [
         "initial.u.path",
         id="field-path-not-a-string",
     ),
+    pytest.param(_set("initial", "u", value=5), "initial.u", id="field-not-a-mapping"),
 ]
 
 
@@ -276,6 +277,18 @@ MALFORMED_BEFORE_OUTPUT = [
         _set("potential", value={"family": "user-polynomial", "coefficients": [1, 0]}),
         "potential.coefficients",
         id="potential-degree-1",
+    ),
+    pytest.param(
+        "simulate",
+        _set("potential", value={"family": "user-polynomial"}),
+        "potential.coefficients",
+        id="user-polynomial-without-coefficients",
+    ),
+    pytest.param(
+        "simulate",
+        _set("potential", value={"family": "double-well", "coefficients": [0, 0, 1]}),
+        "potential.coefficients",
+        id="double-well-with-coefficients",
     ),
     pytest.param(
         "simulate", _set("initial", "u", value={"type": "nope"}), "initial.u.type", id="u-type"
@@ -695,9 +708,10 @@ class TestSimulateFailure:
 
 
 class TestGradientTestCommand:
-    def test_orders_written_and_printed(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["twin", "zero"])
+    def test_orders_written_and_printed(self, tmp_path, capsys, mode):
         out = tmp_path / "out"
-        cfg = base_config(out, problem="gradient-test")
+        cfg = base_config(out, problem="gradient-test", targets={"mode": mode})
         cfg["cost"] = {"control": 1e-2}
         rc = main(["gradient-test", "--config", write_config(tmp_path, cfg)])
         assert rc == 0
@@ -734,9 +748,10 @@ class TestGradientTestCommand:
 
 
 class TestOptimizeCommand:
-    def test_twin_problem_descends(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["twin", "zero"])
+    def test_twin_problem_descends(self, tmp_path, mode):
         out = tmp_path / "out"
-        cfg = base_config(out, problem="ocp")
+        cfg = base_config(out, problem="ocp", targets={"mode": mode})
         cfg["solver"]["T"] = 5e-3
         cfg["cost"] = {"control": 1e-3}
         cfg["optimizer"] = {"max_iters": 4, "grad_tol": 1e-10}

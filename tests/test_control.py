@@ -329,6 +329,42 @@ class TestOptimizer:
         with pytest.raises(LineSearchStallError):
             optimize(prob, U0, OptimizerConfig(step0=1.0))
 
+    @pytest.mark.parametrize("ratio", [0.99, 1.01], ids=["below", "above"])
+    def test_a_flat_cost_ends_normally_only_when_stationary_to_float64(self, g16, ratio):
+        """A scripted oracle whose cost cannot fall: every trial reads one
+        ulp above the start, so every line search exhausts its 40 shrinks.  At a relative gradient norm
+        |G| / max(1, |U|) just below 1.5e-8 (about the square root of
+        float64's epsilon) the run ends normally at U0, its history the
+        one row of iteration 0: the cost, |G| and step 0.  Just above, it
+        raises LineSearchStallError."""
+        U0 = _const_signal(g16, 5, 1e-2, amp=3.0)
+        G = _const_signal(g16, 5, 1e-2, mode=(1, 1))
+        G = G.scaled(ratio * 1.5e-8 * U0.norm() / G.norm())
+        assert U0.norm() > 1.0
+        costs = []
+
+        class Flat:
+            def cost(self, U):
+                costs.append(U)
+                return (2.0 if len(costs) == 1 else np.nextafter(2.0, 3.0)), None
+
+            def gradient(self, U, aux):
+                return G
+
+            def project(self, U):
+                return U
+
+        opt = OptimizerConfig(step0=1.0, grad_tol=1e-12)
+        if ratio > 1.0:
+            with pytest.raises(LineSearchStallError, match="stalled at iteration 0"):
+                optimize(Flat(), U0, opt)
+        else:
+            U, hist = optimize(Flat(), U0, opt)
+            assert np.array_equal(U.data, U0.data)
+            assert [{k: row[k] for k in ("iter", "cost", "grad_norm", "step")}
+                    for row in hist] == [{"iter": 0, "cost": 2.0, "grad_norm": G.norm(), "step": 0.0}]
+        assert len(costs) == 41  # the start, then 40 rejected trials
+
     def test_binding_norm_ball(self, g16):
         # the unconstrained optimum sits outside the ball, so the run
         # must settle on the boundary point along the target

@@ -363,6 +363,48 @@ class TestEnergy:
         assert np.max(np.abs(res)) < 1.0
 
 
+GRIDS = [(32, 32, TWO_PI, TWO_PI), (32, 48, TWO_PI, 3.0 * np.pi)]
+
+
+def _criteria_model(args):
+    """The criteria's 32x32 set-up (Taylor-Green 0.5, sine 0.1 with mean
+    0.2, gaussian kernel of mass 5) on the grid args."""
+    g = TorusGrid(*args)
+    params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), Potential.double_well())
+    initial = FlowState(
+        synth.taylor_green(g, 0.5), synth.sine_scalar(g, (1, 1), 0.1, mean=0.2), 0.0
+    )
+    return params, initial
+
+
+@pytest.mark.parametrize("S", [1.0, 7.0])
+@pytest.mark.parametrize("args", GRIDS, ids=["32x32", "32x48"])
+class TestStabilizationOffTheKernelMass:
+    """S below and above the kernel mass a = 5, so the (a - S) term of
+    Stepper.assemble runs with both signs, held to the bounds of
+    acceptance criteria 1, 2 and 3."""
+
+    def test_mass_and_divergence(self, args, S):
+        params, initial = _criteria_model(args)
+        cfg = SolverConfig(dt=1e-3, T=0.1, nu=0.1, stabilization=S)
+        assert Stepper(params, cfg).a != S
+        forcing = synth.single_mode_velocity(params.grid, (1, 0), 0.1)
+        traj = simulate(initial, None, forcing, params, cfg)
+        mass = traj.diagnostics["mass"]
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12
+        assert max(relative_divergence(s.u) for s in traj.states) <= 1e-12
+
+    def test_energy_residual_is_first_order(self, args, S):
+        params, initial = _criteria_model(args)
+        res = {}
+        for dt in (2e-3, 1e-3, 5e-4):
+            cfg = SolverConfig(dt=dt, T=0.1, nu=0.1, stabilization=S)
+            res[dt] = float(np.max(np.abs(simulate(initial, None, None, params, cfg)
+                                          .diagnostics["residual"])))
+        assert np.log2(res[2e-3] / res[1e-3]) >= 0.9
+        assert np.log2(res[1e-3] / res[5e-4]) >= 0.9
+
+
 class TestStepFunction:
     def test_single_step_matches_simulate(self, params16, smooth_state16):
         cfg = SolverConfig(dt=1e-3, T=1e-3, nu=0.1)

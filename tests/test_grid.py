@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from chnsopt import (
     GridMismatchError,
     Kernel,
+    ModelParams,
     NumericError,
+    Potential,
     ScalarField,
     TorusGrid,
     ValidationError,
@@ -248,6 +250,8 @@ class TestConvolve:
     def test_wrong_grid_kernel_rejected(self, g16, g32, kernel32):
         with pytest.raises(GridMismatchError):
             convolve(kernel32.hat, ScalarField.zeros(g16))
+        with pytest.raises(ValidationError, match="kernel was sampled on a different grid"):
+            ModelParams(g16, kernel32, Potential.double_well())
 
     def test_self_adjoint(self, g16, kernel16, rng):
         a = ScalarField(g16, rng.standard_normal(g16.shape))
@@ -488,6 +492,45 @@ class TestOneStepKernel:
                 ) and getattr(n.value, "value", None) == 0.0:
                     offenders.append(f"{path.name}:{n.lineno} zeroes the mean")
         assert offenders == []
+
+
+class TestOneProductsKernel:
+    @staticmethod
+    def _functions(module):
+        import chnsopt
+
+        path = Path(chnsopt.__file__).parent / module
+        return _top_functions(ast.parse(path.read_text(encoding="utf-8")))
+
+    def test_only_the_kernel_and_the_adjoint_read_velocity_gradients(self):
+        """Stepper.quadratic forms the forward step's products and, under
+        the product rule, the tangent's; the adjoint's step forms its own.
+        No other function of forward.py or tangent_adjoint.py reads a
+        Frame's dux or duy, so the tangent holds no second derivation."""
+        readers = {
+            f"{module}:{fn.name}"
+            for module in ("forward.py", "tangent_adjoint.py")
+            for fn in self._functions(module)
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Attribute) and n.attr in ("dux", "duy")
+            and isinstance(n.ctx, ast.Load)
+        }
+        assert readers == {"forward.py:quadratic", "tangent_adjoint.py:adjoint_solve"}
+
+    def test_the_sweeps_read_their_base_record_through_one_reader(self):
+        """tangent_solve and adjoint_solve make no spectral call of a base
+        state (of a .u or .phi) and build no Frame: they take both from
+        _along, the base-record reader."""
+        seen = set()
+        for fn in self._functions("tangent_adjoint.py"):
+            if fn.name not in ("tangent_solve", "adjoint_solve", "_along"):
+                continue
+            for n in ast.walk(fn):
+                name = getattr(n.func, "id", None) if isinstance(n, ast.Call) else None
+                if name == "Frame" or name == "spectral" and any(
+                        getattr(a, "attr", None) in ("u", "phi") for a in n.args):
+                    seen.add((fn.name, name))
+        assert seen == {("_along", "Frame"), ("_along", "spectral")}
 
 
 class TestOneCostFunctional:

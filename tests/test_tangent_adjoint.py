@@ -142,11 +142,18 @@ class TestTangent:
         other = SolverConfig(dt=2e-3, T=4e-3, nu=0.1)
         with pytest.raises(ValidationError):
             tangent_solve(base, None, None, None, params16, other)
+        with pytest.raises(ValidationError, match="base trajectory dt does not match"):
+            adjoint_solve(base, AdjointMode.DISTRIBUTED, CostTargets(), params16, other)
         with pytest.raises(ValidationError):
             tangent_solve(base, None, None, None, params16, cfg, start_node=9)
         with pytest.raises(ValidationError):
             tangent_solve(
                 base, None, VectorField.zeros(g32), None, params16, cfg
+            )
+        # both on one other grid: the pair agrees, the grid does not
+        with pytest.raises(ValidationError, match="tangent initial data on wrong grid"):
+            tangent_solve(
+                base, None, VectorField.zeros(g32), ScalarField.zeros(g32), params16, cfg
             )
 
     def test_overflow_raises_numeric_error(self, params16, smooth_state16):
@@ -725,25 +732,35 @@ class TestAdjointSink:
         assert used[0] - used[1] == cfg.n_steps - 1  # nodes 1 to N - 1
         assert used[2] == used[0]
 
-    @pytest.mark.parametrize("keep", [None, ()], ids=["keep-every-node", "keep-none"])
-    def test_a_non_finite_eta_fails_at_its_node(self, keep, monkeypatch):
+    @pytest.mark.parametrize("keep, read", [(None, False), ((), False), ((), True)],
+                             ids=["keep-every-node", "keep-none", "keep-none-sink-reads-eta"])
+    def test_a_non_finite_eta_fails_at_its_node(self, keep, read, monkeypatch):
         """A sink sweep checks eta at every node, kept or not: NaN in eta
-        alone at node 3 raises NumericError before node 3 reaches the sink."""
+        alone at node 3 raises NumericError before node 3 reaches the sink.
+        A finite eta whose back-transform overflows passes that check, and
+        fails as the sink reads it."""
         base, targets, params, cfg = _tracked_run((32, 32, TWO_PI, TWO_PI), "node-indexed", 6e-3)
         advance, steps = Stepper.advance, []
 
         def poisoned(st, *args):
             px_h, py_h, eh = advance(st, *args)
             steps.append(None)
-            if len(steps) == 3:  # the step from node 4 to node 3
+            if len(steps) == 3 and read:  # the step from node 4 to node 3
+                eh[...] = 1e308
+            elif len(steps) == 3:
                 eh[1, 1] = np.nan
             return px_h, py_h, eh
 
+        def sink(n, s):
+            if read:
+                s.eta
+            seen.append(n)
+
         monkeypatch.setattr(Stepper, "advance", poisoned)
         seen = []
-        with pytest.raises(NumericError, match="non-finite"):
+        with pytest.raises(NumericError, match="non-finite"), np.errstate(all="ignore"):
             adjoint_solve(base, AdjointMode.DISTRIBUTED, targets, params, cfg, keep=keep,
-                          sink=lambda n, s: seen.append(n))
+                          sink=sink)
         assert seen == [6, 5, 4]
 
     @pytest.mark.parametrize("mode", list(AdjointMode), ids=lambda m: m.value)
@@ -881,3 +898,29 @@ class TestDualityGap:
         gh = self._gap(params, initial, 5e-4, AdjointMode.DISTRIBUTED)
         assert g1 <= 5e-3
         assert 1.5 <= g1 / gh <= 2.5
+
+    @pytest.mark.parametrize("S", [1.0, 7.0])
+    @pytest.mark.parametrize("args", [(32, 32, TWO_PI, TWO_PI), (32, 48, TWO_PI, 3.0 * np.pi)],
+                             ids=["32x32", "32x48"])
+    def test_gap_with_stabilization_off_the_kernel_mass(self, args, S):
+        """S below and above the kernel mass a = 5 runs the adjoint's
+        k^2 (a - S) term with both signs, to criterion 7's bounds on its
+        set-up but for the horizon: at T = 0.1 an adjoint with that term's
+        sign flipped fails at S = 1 (gap 1.0), where at T = 0.04 it
+        passes."""
+        g = TorusGrid(*args)
+        params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), Potential.double_well())
+        initial = FlowState(
+            synth.taylor_green(g, 0.5), synth.sine_scalar(g, (1, 1), 0.1, mean=0.2), 0.0
+        )
+
+        def gap(dt):
+            cfg = SolverConfig(dt=dt, T=0.1, nu=0.1, stabilization=S)
+            assert Stepper(params, cfg).a != S
+            base = simulate(initial, None, None, params, cfg, with_diagnostics=False)
+            sig = ControlSignal.constant(synth.single_mode_velocity(g, (1, 1), 0.5), len(base), dt)
+            return duality_gap(base, sig, AdjointMode.DISTRIBUTED, CostTargets(), params, cfg)
+
+        g1, gh = gap(1e-3), gap(5e-4)
+        assert g1 <= 5e-3
+        assert 1.7 <= g1 / gh <= 2.3
