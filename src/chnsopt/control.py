@@ -362,10 +362,12 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
     s.y <= 1e-12 |s||y|, or when the norm-ball projection moved the
     accepted trial; the direction is then -G, the projected-gradient
     step.  A trial U_try = proj(U + step d) is accepted when
-    J(U_try) <= J + armijo_c <G, U_try - U> and <G, U_try - U> < 0; for
-    d = -G and no projection that is J - (armijo_c / step) |U_try - U|^2.
-    The sign test matters only where the ball bends a quasi-Newton trial
-    uphill, and keeps every accepted cost strictly below the last.
+    J(U_try) <= J + armijo_c <G, U_try - U>, <G, U_try - U> < 0 and
+    J(U_try) < J; for d = -G and no projection the first is
+    J - (armijo_c / step) |U_try - U|^2.  The sign test matters only where
+    the ball bends a quasi-Newton trial uphill; the last keeps every
+    accepted cost strictly below the last one even where armijo_c times
+    the slope is below half an ulp of J.
 
     The trial steps follow one rule: the first search starts at step0,
     each later one at one notch (1 / armijo_shrink) above the step
@@ -435,7 +437,7 @@ def optimize(problem, initial_guess: ControlSignal, opt_config: OptimizerConfig)
             if move == 0.0:
                 break  # projection pinned the iterate exactly
             J_try, aux_try = problem.cost(U_try)
-            if slope < 0.0 and J_try <= J + opt_config.armijo_c * slope:
+            if slope < 0.0 and J_try <= J + opt_config.armijo_c * slope and J_try < J:
                 accepted = True
                 break
             s *= opt_config.armijo_shrink
@@ -516,8 +518,9 @@ def spike_limit_reference(
 
     The spike replaces the control by W on (tau - h, tau]; as h shrinks
     the rescaled terminal difference (u^h(T) - u(T))/h approaches the
-    tangent velocity seeded just after the spike node with the
-    one-step-damped impulse P(W - U(tau)) / (1 + nu |k|^2 dt).
+    terminal velocity of the tangent along the base record's tail from
+    the node after the spike, seeded with the one-step-damped impulse
+    P(W - U(tau)) / (1 + nu |k|^2 dt).
     """
     g = params.grid
     dt = config.dt
@@ -531,9 +534,10 @@ def spike_limit_reference(
         g.ifft2(g.fft2(dW.u_x) / den),
         g.ifft2(g.fft2(dW.u_y) / den),
     )
-    start = min(j + 1, config.n_steps)
-    tan = tangent_solve(base, None, seed, None, params, config, start_node=start)
-    return tan.states[-1].w
+    if base.n_steps != config.n_steps:
+        raise ValidationError(f"the base record must hold the run's {config.n_steps + 1} nodes")
+    tail = Trajectory(base.states[min(j + 1, config.n_steps):], base.dt)
+    return tangent_solve(tail, None, seed, None, params, config).final.w
 
 
 def ekeland_metric(u1: ControlSignal, u2: ControlSignal) -> float:

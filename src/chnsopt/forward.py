@@ -44,7 +44,7 @@ state unless its caller names the nodes to keep (``keep``), and hands
 each node's state to its caller's ``sink`` as soon as the node is
 finished: ``chnsopt simulate`` keeps nodes 0 and N only and writes each
 snapshot from its sink, so it holds two states whatever N and
-``dump_every`` are.  A tangent sweep holds every node from its start.
+``dump_every`` are.  A tangent sweep holds every node.
 """
 
 from __future__ import annotations
@@ -133,14 +133,14 @@ class FlowState:
 @dataclass
 class Trajectory:
     """Record of one sweep: a state per time node 0..N, or None at a node
-    a simulate or adjoint sweep did not keep (see their keep) or a tangent
-    sweep had not yet started (see its start_node).
+    a simulate or adjoint sweep did not keep (see their keep).
 
     Forward runs hold FlowState, tangent sweeps TangentState and adjoint
     sweeps AdjointState; only a forward record has a grid.  diagnostics
     holds per-node series (t, energy, kinetic, enstrophy, mass) and the
     per-step energy-identity residual (length N, entry n belonging to
-    the step from node n to n+1).
+    the step from node n to n+1).  The tail Trajectory(base.states[j:],
+    dt) of a run's record is a record too, its first state at node j.
     """
 
     states: list
@@ -156,9 +156,15 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        """Node times n * dt, n = 0..N: the bits of the sweeps' own state
-        times, read from no state."""
-        return np.arange(len(self.states)) * self.dt
+        """Node times n * dt, n = first_node..first_node + N: the bits of
+        the sweeps' own state times, also where keep dropped a node."""
+        return (self.first_node + np.arange(len(self.states))) * self.dt
+
+    @property
+    def first_node(self) -> int:
+        """The run's node of states[0], read from its time: 0, or j for the
+        tail Trajectory(base.states[j:], dt) and a tangent along it."""
+        return round(self.states[0].t / self.dt)
 
     @property
     def initial(self):
@@ -178,8 +184,8 @@ class Trajectory:
         for n, s in enumerate(self.states):
             if s is None:
                 raise ValidationError(
-                    f"the record holds no state at node {n} (a sweep's keep dropped it, or "
-                    "the tangent started later); this reader needs every node"
+                    f"the record holds no state at node {n} (a sweep's keep dropped it); "
+                    "this reader needs every node"
                 )
         return self.states
 
@@ -653,12 +659,11 @@ _WORKER_MIN_POINTS = 96 * 96
 def _sweep(nodes: range, start, step_from, finish, dt: float, keep=None, sink=None,
            worker: bool = False) -> Trajectory:
     """The one node loop of the forward, tangent and adjoint sweeps, over
-    nodes in sweep order (0..N forward, N..0 backward, or from the node a
-    tangent starts at).  A sweep supplies start(), its state x at nodes[0]
-    (called once keep is checked), step_from(n, x), x stepped from node n
-    to the next node, and finish(n, x, kept), node n's state built from x
-    and checked, kept telling whether the record holds it.  Returns the
-    record, indexed from node 0.
+    nodes in sweep order (0..N forward, N..0 backward).  A sweep supplies
+    start(), its state x at nodes[0] (called once keep is checked),
+    step_from(n, x), x stepped from node n to the next node, and
+    finish(n, x, kept), node n's state built from x and checked, kept
+    telling whether the record holds it.  Returns the record.
 
     keep, None for every node or a collection of node indices in 0..N,
     names the nodes whose states the record holds; it holds nodes 0 and
@@ -697,7 +702,7 @@ def _sweep(nodes: range, start, step_from, finish, dt: float, keep=None, sink=No
     ocp-64 inputs before that change, +18% at 64^2, +6% at 96^2 and -4%
     at 128^2 and 256^2, too little to carry a second threaded path.
     """
-    n_steps = max(nodes[0], nodes[-1])
+    n_steps = len(nodes) - 1
     kept = _kept_nodes(keep, n_steps)
     states = [None] * (n_steps + 1)
 

@@ -113,14 +113,17 @@ def kernel_weight_a(kernel: Kernel, grid: TorusGrid) -> ScalarField:
 
 
 def _polyval(s, c, out=None):
-    """``P.polyval(s, c)``, or, into the float array out of s's shape, the
-    same Horner's rule in polyval's operation order, so with its bits."""
+    """The polynomial with coefficients c (lowest power first) at s, by
+    Horner's rule in ``P.polyval``'s operation order, so with its bits:
+    into out, a float array of s's shape, or a fresh one, a float for a
+    scalar s."""
+    s = np.asarray(s, dtype=np.float64)
     if out is None:
-        return P.polyval(np.asarray(s, dtype=np.float64), c)
+        out = np.empty_like(s)
     np.add(c[-1], np.multiply(s, 0.0, out=out), out=out)
     for ci in c[-2::-1]:
         np.add(ci, np.multiply(out, s, out=out), out=out)
-    return out
+    return out if s.ndim else out[()]
 
 
 @dataclass(frozen=True)
@@ -166,12 +169,11 @@ class Potential:
         return cls("user-polynomial", tuple(coefficients))
 
     def f(self, s):
-        return P.polyval(np.asarray(s, dtype=np.float64), self._c0)
+        return _polyval(s, self._c0)
 
     def df(self, s, out=None):
         """F'(s); out, a float array of s's shape, takes the values in
-        place of a fresh array, by Horner's rule in ``polyval``'s
-        operation order, so with its bits."""
+        place of a fresh array (see ``_polyval``)."""
         return _polyval(s, self._c1, out)
 
     def d2f(self, s, out=None):
@@ -179,7 +181,7 @@ class Potential:
         return _polyval(s, self._c2, out)
 
     def d3f(self, s):
-        return P.polyval(np.asarray(s, dtype=np.float64), self._c3)
+        return _polyval(s, self._c3)
 
     def degree(self) -> int:
         return len(np.trim_zeros(self._c0, "b")) - 1

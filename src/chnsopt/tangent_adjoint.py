@@ -10,7 +10,10 @@ splitting and kernel but its own products and concentration operator;
 the price is an O(dt) duality gap, measured by duality_gap.  Both read
 their base record through one reader, _along: its checks, the sweep's
 Stepper, and at each node the base state's transforms and frame beside
-the sweep's own frame.
+the sweep's own frame.  A tangent starts at node 0 of the record it is
+given and holds a state at every node.  An adjoint node a step computed
+is built one way, whether the record keeps it or a sink reads it: p in
+physical space, eta in transform space until it is read.
 
 Backward sweeps advance in the reversed time variable.  With s = T - t
 the momentum adjoint reads
@@ -103,24 +106,22 @@ def tangent_solve(
     psi0: ScalarField | None,
     params: ModelParams,
     config: SolverConfig,
-    start_node: int = 0,
 ) -> Trajectory:
-    """Integrate the linearized system along the base trajectory.
+    """Integrate the linearized system along the base trajectory from its
+    node 0, where the record holds (w0, psi0), zero for None.
 
-    delta_control is a time signal (read_signal).  start_node
-    lets a perturbation be injected mid-trajectory (the spike limit
-    diagnostic); the record then holds None at nodes 0..start_node-1,
-    as simulate marks the nodes its keep drops.  A step computes in its
-    Stepper's buffers, as the adjoint's does, and allocates nothing
-    field-sized but the three half spectra it advances to and, for a
-    control given per node, its midpoint (_applied_force).
+    delta_control is a time signal (read_signal) on the run's nodes.  A
+    perturbation injected mid-trajectory (the spike limit diagnostic) is
+    a tangent along the tail Trajectory(base.states[j:], dt) of the run's
+    record: it reads delta_control from the tail's first_node j on.  A
+    step computes in its Stepper's buffers, as the adjoint's does, and
+    allocates nothing field-sized but the three half spectra it advances
+    to and, for a control given per node, its midpoint (_applied_force).
     """
     g = params.grid
-    n_total = base.n_steps
     st, frames = _along(base, params, config)
-    if not 0 <= start_node <= n_total:
-        raise ValidationError("start_node outside the base trajectory")
-    control = read_signal(delta_control, "delta_control", g, n_total + 1, dt=config.dt)
+    j = base.first_node
+    control = read_signal(delta_control, "delta_control", g, j + len(base), dt=config.dt)
 
     w0 = VectorField.zeros(g) if w0 is None else w0
     psi0 = ScalarField.zeros(g) if psi0 is None else psi0
@@ -131,18 +132,17 @@ def tangent_solve(
     def step_from(n, x):
         # c: the base state; d: the tangent state (w, psi)
         _, c, d = frames(n, x, ("conv",), ("conv",))
-        force = _applied_force(n, control)
+        force = _applied_force(j + n, control)
         w = st.quadratic(((d, c), (c, d)), st.products(force[0]))
         np.multiply(params.potential.d2f(c.phi, out=w[2]), d.phi, out=w[2])
         return st.advance(x, st.assemble(w, x[2], *force))
 
     def finish(n, x, kept):
-        fields = ((w0.copy(), psi0.copy()) if n == start_node
+        fields = ((w0.copy(), psi0.copy()) if n == 0
                   else physical(g, *x, st.buffer("work", 3, complex)))
         return TangentState(*fields, base.states[n].t)
 
-    return _sweep(range(start_node, n_total + 1), lambda: spectral(w0, psi0), step_from, finish,
-                  config.dt)
+    return _sweep(range(len(base)), lambda: spectral(w0, psi0), step_from, finish, config.dt)
 
 
 def tracking_references(mode: AdjointMode, targets, grid, n_nodes: int | None = None):
@@ -275,15 +275,14 @@ def adjoint_solve(
 
     keep and sink work as _sweep says: sink(n, state) is called for the
     nodes N..0, in that order, on the calling thread, with the node's
-    AdjointState once it is checked.  Only a kept node's state is
-    transformed back to physical space and checked for finiteness
-    (NumericError), so keep=() holds p(0), all the assimilation gradient
-    reads, and the sweep's memory does not grow with N.  At a node a sink
-    reads and keep does not hold, the sweep transforms back p alone: eta
-    is checked finite in transform space and transformed back only if the
-    sink reads it.  The distributed gradient adds each p into w_c*U so and
-    passes keep=(): its sweep holds no record and transforms two fields
-    back a step, not three.
+    AdjointState once it is checked.  A node that keep holds or a sink
+    reads is built one way (_ComputedState): p is transformed back and
+    checked finite (NumericError), and eta is checked finite in transform
+    space and transformed back each time it is read.  Any other node is
+    never transformed back, so keep=() holds p(0), all the assimilation
+    gradient reads, and the sweep's memory does not grow with N.  The
+    distributed gradient adds each p into w_c*U so and passes keep=():
+    its sweep holds no record.
 
     A step computes in its Stepper's buffers (see Stepper), with the bits
     of the fresh-array expressions, and allocates nothing field-sized but
@@ -345,17 +344,15 @@ def adjoint_solve(
     def finish(n, x, kept):
         if n == n_total:
             return terminal
-        if kept:
-            return AdjointState(*physical(g, *x, st.buffer("work", 3, complex)), base.states[n].t)
-        return None if sink is None else _SinkState(st, x, base.states[n].t)
+        return _ComputedState(st, x, base.states[n].t) if kept or sink is not None else None
 
     return _sweep(range(n_total, -1, -1), start, step_from, finish, config.dt, keep, sink)
 
 
-class _SinkState(AdjointState):
-    """A node that an adjoint sweep hands to its sink but does not keep,
-    from its transforms hats: p is transformed back, and eta, checked
-    finite in transform space, only when it is read."""
+class _ComputedState(AdjointState):
+    """A node an adjoint step computed, from its transforms hats: p is
+    transformed back, and eta, checked finite in transform space, each
+    time it is read."""
 
     def __init__(self, st: Stepper, hats, t: float):
         f = st.grid.ifft2(np.stack(hats[:2], out=st.buffer("work", 2, complex)), overwrite=True)

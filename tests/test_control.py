@@ -329,24 +329,37 @@ class TestOptimizer:
         with pytest.raises(LineSearchStallError):
             optimize(prob, U0, OptimizerConfig(step0=1.0))
 
-    @pytest.mark.parametrize("ratio", [0.99, 1.01], ids=["below", "above"])
-    def test_a_flat_cost_ends_normally_only_when_stationary_to_float64(self, g16, ratio):
+    @pytest.mark.parametrize("ratio, trial_cost", [
+        (0.99, np.nextafter(2.0, 3.0)), (1.01, np.nextafter(2.0, 3.0)), (None, 2.0)],
+        ids=["below", "above", "equal"])
+    def test_a_flat_cost_ends_normally_only_when_stationary_to_float64(
+        self, g16, ratio, trial_cost
+    ):
         """A scripted oracle whose cost cannot fall: every trial reads one
         ulp above the start, so every line search exhausts its 40 shrinks.  At a relative gradient norm
         |G| / max(1, |U|) just below 1.5e-8 (about the square root of
         float64's epsilon) the run ends normally at U0, its history the
         one row of iteration 0: the cost, |G| and step 0.  Just above, it
-        raises LineSearchStallError."""
-        U0 = _const_signal(g16, 5, 1e-2, amp=3.0)
+        raises LineSearchStallError.  "equal": every trial reads the start's
+        cost, with |G| = 4e-8 from U0 = 0, so armijo_c times the slope is
+        below half an ulp of 2.0 and the Armijo test alone would accept the
+        first trial; no trial lowers the cost, so none is accepted, and the
+        run raises."""
+        if ratio is None:
+            U0 = ControlSignal.zeros_distributed(g16, 5, 1e-2)
+            norm = 4e-8
+        else:
+            U0 = _const_signal(g16, 5, 1e-2, amp=3.0)
+            norm = ratio * 1.5e-8 * U0.norm()
+            assert U0.norm() > 1.0
         G = _const_signal(g16, 5, 1e-2, mode=(1, 1))
-        G = G.scaled(ratio * 1.5e-8 * U0.norm() / G.norm())
-        assert U0.norm() > 1.0
+        G = G.scaled(norm / G.norm())
         costs = []
 
         class Flat:
             def cost(self, U):
                 costs.append(U)
-                return (2.0 if len(costs) == 1 else np.nextafter(2.0, 3.0)), None
+                return (2.0 if len(costs) == 1 else trial_cost), None
 
             def gradient(self, U, aux):
                 return G
@@ -355,7 +368,7 @@ class TestOptimizer:
                 return U
 
         opt = OptimizerConfig(step0=1.0, grad_tol=1e-12)
-        if ratio > 1.0:
+        if ratio is None or ratio > 1.0:
             with pytest.raises(LineSearchStallError, match="stalled at iteration 0"):
                 optimize(Flat(), U0, opt)
         else:

@@ -18,6 +18,7 @@ from chnsopt import (
     SolverConfig,
     StabilityError,
     TorusGrid,
+    Trajectory,
     ValidationError,
     VectorField,
     convolve,
@@ -1051,10 +1052,12 @@ class TestKeep:
         part = simulate(smooth_state16, None, None, params16, cfg, keep=())
         assert np.array_equal(full.times, [s.t for s in full.states])
         assert np.array_equal(part.times, full.times)
-        tang = tangent_solve(full, None, None, None, params16, cfg, start_node=3)
-        assert tang.states[:3] == [None] * 3
-        assert np.array_equal(tang.times, full.times)
-        assert np.array_equal(tang.times[3:], [s.t for s in tang.states[3:]])
+        tail = Trajectory(full.states[3:], full.dt)
+        assert (full.first_node, tail.first_node) == (0, 3)
+        assert np.array_equal(tail.times, full.times[3:])
+        tang = tangent_solve(tail, None, None, None, params16, cfg)
+        assert np.array_equal(tang.times, full.times[3:])
+        assert np.array_equal(tang.times, [s.t for s in tang.states])
 
     @pytest.mark.parametrize(
         "keep",

@@ -708,7 +708,7 @@ class TestOneSweepDriver:
             "(state: 'FlowState', control_value: 'VectorField | None', forcing: 'VectorField | "
             f"None', {flow}) -> 'FlowState'",
             "(base: 'Trajectory', delta_control, w0: 'VectorField | None', psi0: 'ScalarField | "
-            f"None', {flow}, start_node: 'int' = 0) -> 'Trajectory'",
+            f"None', {flow}) -> 'Trajectory'",
             f"(base: 'Trajectory', mode: 'AdjointMode', targets, {flow}, ref_hats: 'list | None' "
             "= None, keep=None, sink=None) -> 'Trajectory'",
         ]
@@ -718,8 +718,8 @@ class TestOneWayPerJob:
     GONE = {"Trajectory": {"start_node", "at_node"}, "SolverConfig": {"dealias"}}
 
     def test_records_start_at_node_zero_and_the_scheme_always_dealiases(self):
-        """A record indexes its states from node 0 (None where a node was
-        dropped or not yet reached), so Trajectory binds no start_node
+        """A record indexes its states from node 0 (None only where a node
+        was dropped), so Trajectory binds no start_node
         offset or at_node lookup and no module reads a .start_node; the
         2/3 mask is always on, so SolverConfig binds no dealias switch and
         no module reads a .dealias.  SolverConfig holds dt, T, nu and

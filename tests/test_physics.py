@@ -124,6 +124,23 @@ class TestPotential:
         assert np.array_equal(out, want)
         assert np.array_equal(potential.d2f(s), want)
 
+    @pytest.mark.parametrize(
+        "coefficients", [(1.0, 0.0, -2.0, 0.0, 1.0), (0.3, -1.0, 0.5, 2.0, -0.7, 0.25)]
+    )
+    def test_every_derivative_has_polyvals_bits(self, coefficients):
+        """f, df, d2f and d3f go through one Horner evaluator: on an array
+        and on a scalar each has the bits and the type of numpy's polyval."""
+        potential = Potential.polynomial(coefficients)
+        s = np.random.default_rng(7).standard_normal((16, 24))
+        fns = (potential.f, potential.df, potential.d2f, potential.d3f)
+        for m, fn in enumerate(fns):
+            c = P.polyder(np.asarray(coefficients), m)
+            for x in (s, 0.37, -1.25):
+                got, want = fn(x), P.polyval(np.asarray(x), c)
+                assert type(got) is type(want), (m, x)
+                assert np.array_equal(np.asarray(got).view(np.int64),
+                                      np.asarray(want).view(np.int64)), (m, x)
+
     def test_degenerate_degree_rejected(self):
         with pytest.raises(ValidationError):
             Potential.polynomial((1.0, 2.0))

@@ -20,6 +20,7 @@ from chnsopt import (
     ScalarField,
     SolverConfig,
     TorusGrid,
+    Trajectory,
     ValidationError,
     VectorField,
     adjoint_solve,
@@ -126,15 +127,46 @@ class TestTangent:
         assert tang.final.w.norm() == pytest.approx(expect, rel=1e-12)
         assert tang.final.psi.norm() == 0.0
 
-    def test_start_node_indexing(self, params16, smooth_state16):
+    def test_a_tangent_along_a_tail_starts_at_its_first_node(self, params16, smooth_state16):
+        """A perturbation injected mid-trajectory is a tangent along the
+        tail of the base record: it holds the seed, a copy, at the tail's
+        first node and a state at every node, each at its base node's
+        time."""
         cfg = SolverConfig(dt=1e-3, T=5e-3, nu=0.1)
         base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
         seed = synth.single_mode_velocity(params16.grid, (1, 0), 0.4)
-        tang = tangent_solve(base, None, seed, None, params16, cfg, start_node=2)
-        assert len(tang) == 6
-        assert tang.states[:2] == [None, None]
-        assert tang.states[2].t == pytest.approx(2e-3)
-        assert tang.final.t == pytest.approx(5e-3)
+        tail = Trajectory(base.states[2:], base.dt)
+        tang = tangent_solve(tail, None, seed, None, params16, cfg)
+        assert len(tang) == 4 and None not in tang.states
+        assert tang.initial.w is not seed and np.array_equal(tang.initial.w.u_x, seed.u_x)
+        assert [s.t for s in tang.states] == [s.t for s in base.states[2:]]
+        assert np.array_equal(tang.times, base.times[2:])
+
+    def test_a_tangent_along_a_tail_reads_the_control_at_the_run_nodes(
+        self, params16, smooth_state16
+    ):
+        """A tail from node 2 reads a node-indexed control at nodes 2..N of
+        the run: with the control zero at nodes 0..2 the tangent along the
+        whole record is zero there, and from node 2 on it has the bits of
+        the tangent along the tail.  A control cut to the tail's own nodes
+        is refused."""
+        cfg = SolverConfig(dt=1e-3, T=5e-3, nu=0.1)
+        g = params16.grid
+        base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+        ramp = _ramp_signal(g, len(base), cfg.dt)
+        fields = [VectorField.zeros(g)] * 3 + [ramp.at_node(n) for n in range(3, len(base))]
+        sig = ControlSignal(ControlSignal.DISTRIBUTED, fields=fields, dt=cfg.dt)
+        whole = tangent_solve(base, sig, None, None, params16, cfg)
+        tail = Trajectory(base.states[2:], base.dt)
+        tang = tangent_solve(tail, sig, None, None, params16, cfg)
+        assert all(s.w.norm() == 0.0 for s in whole.states[:3])
+        assert tang.final.w.norm() > 0.0
+        for a, b in zip(whole.states[2:], tang.states, strict=True):
+            for x, y in ((a.w.u_x, b.w.u_x), (a.w.u_y, b.w.u_y), (a.psi.values, b.psi.values)):
+                assert np.array_equal(x, y)
+        cut = ControlSignal(ControlSignal.DISTRIBUTED, fields=fields[2:], dt=cfg.dt)
+        with pytest.raises(ValidationError, match="has 4 time nodes, the sweep reads 6"):
+            tangent_solve(tail, cut, None, None, params16, cfg)
 
     def test_rejects_bad_inputs(self, params16, smooth_state16, g32):
         cfg = SolverConfig(dt=1e-3, T=5e-3, nu=0.1)
@@ -144,8 +176,12 @@ class TestTangent:
             tangent_solve(base, None, None, None, params16, other)
         with pytest.raises(ValidationError, match="base trajectory dt does not match"):
             adjoint_solve(base, AdjointMode.DISTRIBUTED, CostTargets(), params16, other)
-        with pytest.raises(ValidationError):
-            tangent_solve(base, None, None, None, params16, cfg, start_node=9)
+        # a spike near T on a base record shorter than the run
+        longer = SolverConfig(dt=1e-3, T=1e-2, nu=0.1)
+        U = ControlSignal.zeros_distributed(params16.grid, 11, longer.dt)
+        W = synth.single_mode_velocity(params16.grid, (1, 0), 1.0)
+        with pytest.raises(ValidationError, match="must hold the run's 11 nodes"):
+            control.spike_limit_reference(base, U, 1e-2, W, params16, longer)
         with pytest.raises(ValidationError):
             tangent_solve(
                 base, None, VectorField.zeros(g32), None, params16, cfg
@@ -176,9 +212,8 @@ class TestTangent:
             raise AssertionError("a step ran")
 
         monkeypatch.setattr(Stepper, "assemble", assembled)
-        for start in (0, 7):
-            with pytest.raises(ValidationError, match="has 5 time nodes, the sweep reads 11"):
-                tangent_solve(base, short, None, None, params16, cfg, start_node=start)
+        with pytest.raises(ValidationError, match="has 5 time nodes, the sweep reads 11"):
+            tangent_solve(base, short, None, None, params16, cfg)
 
 
 class TestAdjoint:
@@ -376,13 +411,13 @@ class TestSweepFrames:
 
 
 class TestTrackingPairing:
-    def test_a_tangent_started_late_is_refused(self, params16, smooth_state16):
+    def test_a_tangent_along_a_tail_is_refused(self, params16, smooth_state16):
         cfg = SolverConfig(dt=1e-3, T=1e-2, nu=0.1)
         base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
         seed = synth.single_mode_velocity(params16.grid, (1, 1), 0.4)
-        tang = tangent_solve(base, None, seed, None, params16, cfg, start_node=4)
+        tang = tangent_solve(Trajectory(base.states[4:], base.dt), None, seed, None, params16, cfg)
         targets = CostTargets(u_f=base.final.u * 0.5)
-        with pytest.raises(ValidationError, match=r"no state at node 0 \(a sweep's keep"):
+        with pytest.raises(ValidationError, match="the tangent record has 7 nodes, the base 11"):
             tracking_pairing(base, tang, AdjointMode.DISTRIBUTED, targets)
 
     def test_a_tangent_of_another_length_is_refused(self, params16, smooth_state16):
@@ -533,6 +568,32 @@ class TestTangentBuffers:
         assert max(steps[3:]) <= 4 * half_spectrum
 
 
+def _step_transforms(counter, run) -> list:
+    """The transformed fields of each step of the one adjoint sweep that
+    run(solve) makes, through solve or through a gradient of control.py or
+    assimilation.py, its node's transforms included: from one step's
+    transform of the base state (tangent_adjoint.spectral, whose first call
+    transforms the terminal state) to the next step's, and from the last
+    step's to the sweep's return."""
+    marks, end = [], []
+
+    def marked(*args, **kwargs):
+        marks.append(counter["fields"])
+        return spectral(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        out = adjoint_solve(*args, **kwargs)
+        end.append(counter["fields"])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tangent_adjoint, "spectral", marked)
+        for module in (control, assimilation):
+            mp.setattr(module, "adjoint_solve", solve)
+        run(solve)
+    return np.diff(marks[1:] + end).tolist()
+
+
 class TestAdjointTransformBudget:
     @staticmethod
     def _per_step(mode, counter, key):
@@ -548,11 +609,12 @@ class TestAdjointTransformBudget:
         return (used[5] - used[3]) / 2
 
     @pytest.mark.parametrize("mode", list(AdjointMode), ids=lambda m: m.value)
-    def test_at_most_33_transforms_per_step(self, mode, transform_counter):
+    def test_at_most_32_transforms_per_step(self, mode, transform_counter):
         """With the reference transforms given, a step transforms nothing
         it already holds (40 per distributed and 36 per assimilation step
-        when the sources went through physical space)."""
-        assert self._per_step(mode, transform_counter, "fields") <= 33
+        when the sources went through physical space, 33 when a full
+        record transformed every eta back)."""
+        assert self._per_step(mode, transform_counter, "fields") <= 32
 
     @pytest.mark.parametrize("mode", list(AdjointMode), ids=lambda m: m.value)
     def test_at_most_5_calls_per_step(self, mode, transform_counter):
@@ -628,20 +690,28 @@ class TestAdjointKeep:
 
     @pytest.mark.parametrize("mode", list(AdjointMode), ids=lambda m: m.value)
     def test_thirty_transforms_per_step_but_the_last(self, mode, transform_counter):
-        """keep=() skips a step's inverse transform of the new state (3 of
-        its 33) at every node but node 0."""
-        used = {}
-        for T in (3e-3, 5e-3):
-            base, targets, params, cfg = _tracked_run((32, 32, TWO_PI, TWO_PI), "node-indexed", T)
-            ref_hats = reference_transforms(mode, targets, params.grid, len(base))
-            for keep in (None, ()):
-                transform_counter["fields"] = 0
-                adjoint_solve(base, mode, targets, params, cfg, ref_hats, keep=keep)
-                used[base.n_steps, keep] = transform_counter["fields"]
-        assert (used[5, ()] - used[3, ()]) / 2 == 30
-        assert (used[5, None] - used[3, None]) / 2 == 33
-        for n in (3, 5):
-            assert used[n, None] - used[n, ()] == 3 * (n - 1)
+        """keep=() skips a step's inverse transform of the new p (2 of its
+        32) at every node but node 0; keep=None makes 32 at every step,
+        since no eta is read."""
+        base, targets, params, cfg = _tracked_run((32, 32, TWO_PI, TWO_PI), "node-indexed", 5e-3)
+        ref_hats = reference_transforms(mode, targets, params.grid, len(base))
+        used = {keep: _step_transforms(transform_counter, lambda solve: solve(
+            base, mode, targets, params, cfg, ref_hats, keep=keep)) for keep in (None, ())}
+        assert used == {None: [32] * 5, (): [30] * 4 + [32]}
+
+    def test_both_gradients_make_32_at_their_last_step(self, transform_counter):
+        """The distributed gradient's sweep reads p at every node, 32
+        transforms a step; the assimilation gradient's reads p(0) alone,
+        30 a step and 32 at its last."""
+        base, targets, params, cfg = _tracked_run(self.ANISO, "node-indexed", T=6e-3)
+        ocp = DistributedControlProblem(base.initial, targets, None, params, cfg)
+        U = _ramp_signal(params.grid, len(base), cfg.dt, 0.7)
+        da = InitialVelocityProblem(
+            AssimilationProblem(targets, base.initial.phi, None, params, cfg))
+        V = ControlSignal(ControlSignal.INITIAL, initial=base.initial.u)
+        counts = [_step_transforms(transform_counter, lambda _: problem.gradient(W, base))
+                  for problem, W in ((ocp, U), (da, V))]
+        assert counts == [[32] * 6, [30] * 5 + [32]]
 
     def test_peak_memory_is_flat_in_the_step_count(self):
         """Tooling: an assimilation sweep with keep=() holds no state per
@@ -717,20 +787,19 @@ class TestAdjointSink:
         assert seen == [6, 5, 4]
 
     def test_a_sink_sweep_transforms_every_node_back(self, transform_counter):
-        """With a sink every node's p is transformed back, and eta at the
-        nodes keep holds only: 32 transforms a step where keep=None takes
-        33, unless the sink reads eta."""
+        """With a sink every node's p is transformed back, as keep=None
+        does: 32 transforms a step, kept or not.  eta is transformed back
+        as it is read, one field a read, at every node but the terminal
+        one, which holds its fields."""
         mode = AdjointMode.DISTRIBUTED
         base, targets, params, cfg = _tracked_run((32, 32, TWO_PI, TWO_PI), "node-indexed", 5e-3)
         ref_hats = reference_transforms(mode, targets, params.grid, len(base))
-        used = []
-        sinks = (None, lambda n, s: None, lambda n, s: s.eta)
-        for keep, sink in zip((None, (), ()), sinks):
-            transform_counter["fields"] = 0
-            adjoint_solve(base, mode, targets, params, cfg, ref_hats, keep=keep, sink=sink)
-            used.append(transform_counter["fields"])
-        assert used[0] - used[1] == cfg.n_steps - 1  # nodes 1 to N - 1
-        assert used[2] == used[0]
+        cases = [(None, None), ((), lambda n, s: None), ((), lambda n, s: s.eta),
+                 ((), lambda n, s: (s.eta, s.eta)), (None, lambda n, s: s.eta)]
+        used = [_step_transforms(transform_counter, lambda solve: solve(
+            base, mode, targets, params, cfg, ref_hats, keep=keep, sink=sink))
+            for keep, sink in cases]
+        assert used == [[32] * 5, [32] * 5, [33] * 5, [34] * 5, [33] * 5]
 
     @pytest.mark.parametrize("keep, read", [(None, False), ((), False), ((), True)],
                              ids=["keep-every-node", "keep-none", "keep-none-sink-reads-eta"])
@@ -898,6 +967,35 @@ class TestDualityGap:
         gh = self._gap(params, initial, 5e-4, AdjointMode.DISTRIBUTED)
         assert g1 <= 5e-3
         assert 1.5 <= g1 / gh <= 2.5
+
+    @pytest.mark.parametrize("S, dt", [(1.0, 2e-4), (7.0, 1e-4)])
+    def test_gap_of_a_phase_tracking_cost(self, params16, smooth_state16, S, dt):
+        """A cost that tracks phi alone (track_u = final_u = 0) pairs the
+        tangent's psi with the concentration adjoint's sources and terminal
+        data; eta reaches the control pairing only through p's
+        -eta grad(phi) term, so the gap sees the adjoint's concentration
+        operator.  The perturbation, on the base phase's |k|^2 = 2 shell,
+        moves phi through u.grad(phi) into the modes cos 2x and cos 2y,
+        which the reference holds.  Criterion 7's bounds at T = 0.1, with
+        dt small enough for them (the O(dt) constant is larger at S = 7):
+        gaps 3.7e-3 and 4.2e-3, ratio 2.00 at both.  An adjoint with the
+        sign of its k^2 (a - S) term flipped reads 0.76 at S = 1 and 0.38
+        at S = 7."""
+        g = params16.grid
+        mean = smooth_state16.phi.mean()
+        phi_d = ScalarField(g, mean + 0.1 * (np.cos(2.0 * g.X) - np.cos(2.0 * g.Y)))
+        targets = CostTargets(phi_d=phi_d, phi_f=phi_d, weights=CostWeights(
+            track_u=0.0, track_phi=1.0, final_u=0.0, final_phi=1.0))
+
+        def gap(dt):
+            cfg = SolverConfig(dt=dt, T=0.1, nu=0.1, stabilization=S)
+            base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+            sig = ControlSignal.constant(synth.single_mode_velocity(g, (1, 1), 0.5), len(base), dt)
+            return duality_gap(base, sig, AdjointMode.DISTRIBUTED, targets, params16, cfg)
+
+        g1, gh = gap(dt), gap(dt / 2)
+        assert g1 <= 5e-3
+        assert 1.7 <= g1 / gh <= 2.3
 
     @pytest.mark.parametrize("S", [1.0, 7.0])
     @pytest.mark.parametrize("args", [(32, 32, TWO_PI, TWO_PI), (32, 48, TWO_PI, 3.0 * np.pi)],
