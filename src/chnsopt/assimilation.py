@@ -81,20 +81,26 @@ class InitialVelocityProblem:
             self.mode, problem.measurements, problem.params.grid, problem.config.n_steps + 1
         )
 
-    def cost(self, control: ControlSignal):
+    @staticmethod
+    def _initial(control: ControlSignal) -> VectorField:
         if control.kind != ControlSignal.INITIAL:
             raise ValidationError("assimilation controls the initial velocity")
+        return control.initial
+
+    def cost(self, control: ControlSignal):
+        U = self._initial(control)
         traj = simulate(
-            self.problem.initial_state(control.initial),
+            self.problem.initial_state(U),
             None,
             self.problem.forcing,
             self.problem.params,
             self.problem.config,
             with_diagnostics=False,
         )
-        return cost_da(traj, control.initial, self.problem), traj
+        return cost_da(traj, U, self.problem), traj
 
     def gradient(self, control: ControlSignal, traj: Trajectory) -> ControlSignal:
+        U = self._initial(control)
         adj = adjoint_solve(
             traj,
             self.mode,
@@ -104,9 +110,7 @@ class InitialVelocityProblem:
             self.ref_hats,
             keep=(),  # the gradient reads p(0) only
         )
-        g = reduced_gradient_da(
-            control.initial, adj, self.problem.measurements.weights
-        )
+        g = reduced_gradient_da(U, adj, self.problem.measurements.weights)
         return ControlSignal(ControlSignal.INITIAL, initial=g)
 
     def project(self, control: ControlSignal) -> ControlSignal:

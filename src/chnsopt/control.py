@@ -47,7 +47,7 @@ from .forward import (
     simulate,
     spectral,
 )
-from .grid import ScalarField, TorusGrid, VectorField, leray_project, require_same_grid
+from .grid import ScalarField, TorusGrid, VectorField, require_same_grid
 from .tangent_adjoint import (
     AdjointMode,
     adjoint_solve,
@@ -278,9 +278,9 @@ def reduced_gradient_ocp(
     weights: CostWeights | None = None,
 ) -> ControlSignal:
     """Nodewise gradient w_c*U + p of the reduced cost, from a full
-    adjoint record."""
+    adjoint record (ValidationError naming a node it does not hold)."""
     data, add = _gradient_sum(control, len(adjoint_traj), weights)
-    for n, s in enumerate(adjoint_traj.states):
+    for n, s in enumerate(adjoint_traj.every_node()):
         add(n, s)
     return control._with(data)
 
@@ -520,24 +520,24 @@ def spike_limit_reference(
     the rescaled terminal difference (u^h(T) - u(T))/h approaches the
     terminal velocity of the tangent along the base record's tail from
     the node after the spike, seeded with the one-step-damped impulse
-    P(W - U(tau)) / (1 + nu |k|^2 dt).
+    P(W - U(tau)) / (1 + nu |k|^2 dt), formed in one transform and one
+    inverse.  The control is read by read_signal on the run's nodes, so
+    ValidationError names it unless it steps dt and holds those nodes.
     """
     g = params.grid
     dt = config.dt
     j = int(round(tau / dt))
     if not 0 <= j <= config.n_steps:
         raise ValidationError("tau falls outside the control time grid")
-    dW = leray_project(W - control.at_node(j))
-    den = 1.0 + config.nu * g.ksq * dt
-    seed = VectorField(
-        g,
-        g.ifft2(g.fft2(dW.u_x) / den),
-        g.ifft2(g.fft2(dW.u_y) / den),
-    )
     if base.n_steps != config.n_steps:
         raise ValidationError(f"the base record must hold the run's {config.n_steps + 1} nodes")
+    U = read_signal(control, "control", g, config.n_steps + 1, dt=dt)[j]
+    Wx, Wy = read_signal(W, "W", g)
+    h = g.fft2(np.stack((Wx, Wy) if U is None else (Wx - U[0], Wy - U[1])))
+    g.project(h[0], h[1], *np.empty_like(h))
+    seed = g.ifft2(np.divide(h, 1.0 + config.nu * g.ksq * dt, out=h), overwrite=True)
     tail = Trajectory(base.states[min(j + 1, config.n_steps):], base.dt)
-    return tangent_solve(tail, None, seed, None, params, config).final.w
+    return tangent_solve(tail, None, VectorField(g, *seed), None, params, config).final.w
 
 
 def ekeland_metric(u1: ControlSignal, u2: ControlSignal) -> float:
@@ -606,11 +606,13 @@ def build_trial_controls(
     """Per-node trial set for the minimum principle: zero, the
     closed-form minimizer -p/w_c, and +-random divergence-free fields
     matched to the control's node norm (16 trials with the default
-    pair count)."""
+    pair count).  ValidationError unless the adjoint record holds every
+    node."""
     from .synth import random_divfree_velocity
 
     w_c = (weights or CostWeights()).control
     g = control.grid
+    states = adjoint_traj.every_node()
     randoms = [
         random_divfree_velocity(g, rng, amplitude=1.0, k_cut=4.0)
         for _ in range(n_random_pairs)
@@ -618,7 +620,7 @@ def build_trial_controls(
 
     def trials(node: int):
         Un = control.at_node(node)
-        pn = adjoint_traj.states[node].p
+        pn = states[node].p
         scale = Un.norm()
         out = [VectorField.zeros(g), pn * (-1.0 / w_c)]
         for r in randoms:
@@ -642,20 +644,22 @@ def minimum_principle_residual(
         [w_c/2 |U|^2 + <p,U>] - [w_c/2 |W|^2 + <p,W>].
 
     Nonpositive entries certify the pointwise minimum property at that
-    node against the sampled trials.
+    node against the sampled trials.  ValidationError unless the adjoint
+    record holds every node, as many as the control.
     """
     w_c = (weights or CostWeights()).control
     n_nodes = control.n_nodes
     if len(adjoint_traj) != n_nodes:
         raise ValidationError("control and adjoint time grids differ")
     U = control.data
-    P = np.array([(s.p.u_x, s.p.u_y) for s in adjoint_traj.states])
+    states = adjoint_traj.every_node()
+    P = np.array([(s.p.u_x, s.p.u_y) for s in states])
     base = control.grid.cell_area * np.sum(U * (0.5 * w_c * U + P), axis=(1, 2, 3))
 
     def lowest(n):
         # the trial sets arrive one node at a time
         trials = trial_controls(n) if callable(trial_controls) else trial_controls
-        p = adjoint_traj.states[n].p
+        p = states[n].p
         return min((0.5 * w_c * W.dot(W) + p.dot(W) for W in trials), default=np.inf)
 
     return base - np.array([lowest(n) for n in range(n_nodes)])

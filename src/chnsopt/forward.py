@@ -35,16 +35,19 @@ read by ``read_signal``, the one function that knows a signal's forms.
 It checks a signal once, before a sweep does any work, and gives each
 node's arrays as views, so no sweep builds a field per node.
 
-Memory: a forward, tangent or adjoint step computes in buffers its
-Stepper keeps and allocates nothing field-sized but the three half
-spectra it returns.  A force constant in time (control and forcing each
-None or one field) is transformed once per simulate sweep, not with
-every step's products.  A simulate or adjoint sweep holds every node's
-state unless its caller names the nodes to keep (``keep``), and hands
-each node's state to its caller's ``sink`` as soon as the node is
-finished: ``chnsopt simulate`` keeps nodes 0 and N only and writes each
-snapshot from its sink, so it holds two states whatever N and
-``dump_every`` are.  A tangent sweep holds every node.
+Memory: a Stepper's constants are two half spectra, the implicit
+denominators; the multipliers that depend on the grid alone are formed
+once per grid (see grid.py), not once per sweep.  A forward, tangent or
+adjoint step computes in buffers its Stepper keeps and allocates
+nothing field-sized but the three half spectra it returns.  A force
+constant in time (control and forcing each None or one field) is
+transformed once per simulate sweep, not with every step's products.
+A simulate or adjoint sweep holds every node's state unless its caller
+names the nodes to keep (``keep``), and hands each node's state to its
+caller's ``sink`` as soon as the node is finished: ``chnsopt
+simulate`` keeps nodes 0 and N only and writes each snapshot from its
+sink, so it holds two states whatever N and ``dump_every`` are.  A
+tangent sweep holds every node.
 """
 
 from __future__ import annotations
@@ -283,17 +286,18 @@ class Frame:
     """
 
     def __init__(self, st: "Stepper", ux_h, uy_h, ph, extras: tuple, name: str):
-        m = st.mask
+        g = st.grid
+        m = g.dealias_mask
         ks = [k for e in extras for k in st.frame_extra(e)]
         out = st.buffer(name, 9 + len(ks), float)
         w = st.buffer("work", len(out), complex)
         for i, h in enumerate((ux_h, uy_h, ph)):
             np.multiply(h, m, out=w[i])
-            np.multiply(st.dkx, h, out=w[3 + 2 * i])
-            np.multiply(st.dky, h, out=w[4 + 2 * i])
+            np.multiply(g.dkx, h, out=w[3 + 2 * i])
+            np.multiply(g.dky, h, out=w[4 + 2 * i])
         for k, row in zip(ks, w[9:]):
             np.multiply(np.multiply(k, ph, out=row), m, out=row)
-        f = st.grid.ifft2(w, overwrite=True, out=out)
+        f = g.ifft2(w, overwrite=True, out=out)
         self.ph = ph
         self.ux, self.uy, self.phi = f[0], f[1], f[2]
         self.dux, self.duy, self.dphi = (f[3], f[4]), (f[5], f[6]), (f[7], f[8])
@@ -306,8 +310,11 @@ class Frame:
 class Stepper:
     """Precomputed spectral machinery for one (params, config) pair.
 
-    Holds the implicit denominators, dealias mask, masked derivative
-    multipliers and kernel transform, and the step kernel: ``quadratic``,
+    Holds what depends on the pair: the implicit denominators visc_den
+    and ch_den, the kernel transform and, built when a Frame first names
+    it, the adjoint's "conv_grad" multipliers.  The multipliers that
+    depend on the grid alone, and the Leray projection, are the grid's
+    (``TorusGrid.project``).  It holds the step kernel: ``quadratic``,
     the products of the forward and tangent steps, then what the forward,
     tangent and adjoint sweeps share once they have formed their
     products, ``assemble`` (``momentum`` for the adjoint) and ``advance``.
@@ -340,34 +347,17 @@ class Stepper:
         self.grid = g
         dt = config.dt
         self.dt = dt
-
-        def multiplier(a):
-            # The real multipliers of half spectra (all but ksq) are held
-            # as C-ordered complex arrays of the half-spectrum shape: a
-            # product takes the complex loop and bits it would anyway,
-            # without casting or broadcasting the multiplier through a
-            # temporary on every call.
-            return np.broadcast_to(a, g.spectral_shape).astype(complex, order="C")
-
-        self.kx = multiplier(g.kxg_d)
-        self.ky = multiplier(g.kyg_d)
-        self.ksq = g.ksq
-        self.mask = multiplier(g.dealias_mask)
-        # masked derivative multipliers i*k*mask of Frame's gradients
-        self.dkx = 1j * self.kx * self.mask
-        self.dky = 1j * self.ky * self.mask
-        self.inv_ksq = multiplier(g.inv_ksq_d)
-        self.neg_ksq = multiplier(-g.ksq)
-        self.visc_den = multiplier(1.0 + config.nu * dt * g.ksq)
+        # complex, as the grid's multipliers are (see grid.py)
+        self.visc_den = (1.0 + config.nu * dt * g.ksq).astype(complex)
         self.S = config.stabilization_value(params.kernel)
-        self.ch_den = multiplier(1.0 + self.S * dt * g.ksq)
+        self.ch_den = (1.0 + self.S * dt * g.ksq).astype(complex)
         self.a = params.kernel.mass
         self.J_hat = params.kernel.hat
         self.cfl_length = min(g.dx, g.dy)
         # Frame extras: the multipliers of phi's transform, each product
         # masked after, in the operation order of J*phi, J*grad(phi),
         # Lap(phi); frame_extra builds "conv_grad" on first use
-        self._extras = {"conv": (self.J_hat,), "lap": (self.neg_ksq,)}
+        self._extras = {"conv": (self.J_hat,), "lap": (g.neg_ksq,)}
         self._buffers = {}
         self._views = {}
 
@@ -376,7 +366,8 @@ class Stepper:
         "conv_grad" (two half spectra J^ i k) is read by the adjoint alone,
         so a Stepper builds it when a Frame first names it."""
         if name == "conv_grad" and name not in self._extras:
-            self._extras[name] = (self.J_hat * 1j * self.kx, self.J_hat * 1j * self.ky)
+            g = self.grid
+            self._extras[name] = (self.J_hat * 1j * g.kxg_d, self.J_hat * 1j * g.kyg_d)
         return self._extras[name]
 
     def buffer(self, name: str, k: int, dtype) -> np.ndarray:
@@ -409,15 +400,9 @@ class Stepper:
     # -- spectral helpers ----------------------------------------------
 
     def project(self, fx_h, fy_h):
-        """Leray projection in transform space, in place: fx_h and fy_h
-        become the projected pair, which is returned; k = 0 passes
-        through."""
-        div_h, t = self.buffer("spectra", 2, complex)
-        np.add(np.multiply(self.kx, fx_h, out=div_h), np.multiply(self.ky, fy_h, out=t), out=div_h)
-        for k, f in ((self.kx, fx_h), (self.ky, fy_h)):
-            np.multiply(np.multiply(k, div_h, out=t), self.inv_ksq, out=t)
-            np.subtract(f, t, out=f)
-        return fx_h, fy_h
+        """TorusGrid.project of fx_h and fy_h, in place, in the "spectra"
+        buffers."""
+        return self.grid.project(fx_h, fy_h, *self.buffer("spectra", 2, complex))
 
     def products(self, force_x) -> np.ndarray:
         """The real "work" buffer of a step's four products, with two rows
@@ -428,7 +413,7 @@ class Stepper:
         """Mask the momentum products' transforms, add the half spectra
         gx, gy of a force or source (or None) and project, in place."""
         for f, s in ((fx_h, gx), (fy_h, gy)):
-            np.multiply(f, self.mask, out=f)
+            np.multiply(f, self.grid.dealias_mask, out=f)
             if s is not None:
                 np.add(f, s, out=f)
         return self.project(fx_h, fy_h)
@@ -448,12 +433,12 @@ class Stepper:
         fx_h, fy_h, rhs, adv_h = h[:4]
         self.momentum(fx_h, fy_h, *(h[4:] if len(w) == 6 else (force_x, force_y)))
 
-        m, t = self.mask, self.buffer("spectra", 1, complex)[0]
+        m, t = self.grid.dealias_mask, self.buffer("spectra", 1, complex)[0]
         np.multiply(rhs, m, out=rhs)
         np.subtract(rhs, np.multiply(self.J_hat, ph, out=t), out=rhs)
         if self.a != self.S:
             np.add(rhs, np.multiply(self.a - self.S, ph, out=t), out=rhs)
-        np.multiply(self.neg_ksq, rhs, out=rhs)
+        np.multiply(self.grid.neg_ksq, rhs, out=rhs)
         np.subtract(rhs, np.multiply(adv_h, m, out=adv_h), out=rhs)
         rhs[0, 0] = 0.0  # exact mass conservation
         return fx_h, fy_h, rhs

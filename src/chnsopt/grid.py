@@ -24,8 +24,16 @@ Conventions used throughout the package:
   ``numpy.fft.fftfreq`` order (all n_x modes), ``ky`` in
   ``numpy.fft.rfftfreq`` order (the n_y // 2 + 1 nonnegative modes, the
   last one the Nyquist mode); every spectral array on the grid
-  (``ksq``, the derivative lines, the dealias mask, ``Kernel.hat``) has
-  the half-spectrum shape,
+  (``ksq``, the derivative multipliers, the dealias mask, ``Kernel.hat``)
+  has the half-spectrum shape,
+* the grid forms its spectral multipliers once, and every sweep's
+  Stepper reads them: those a product of half spectra reads (``kxg_d``,
+  ``kyg_d``, ``inv_ksq_d``, ``dealias_mask``, the masked derivatives
+  ``dkx``, ``dky`` and ``neg_ksq`` = -k^2) are complex; ``ksq``,
+  ``ksq_d`` and ``hermitian_weight``, which the Parseval sums and the
+  implicit denominators read, are real,
+* :meth:`TorusGrid.project` is the one Leray projection: the step's
+  pressure elimination and ``leray_project`` both call it,
 * a Parseval sum over the full spectrum is a sum over the half spectrum
   weighted by ``hermitian_weight``: 1 on the first and last columns
   (k_y = 0 and the Nyquist column), which hold both members of each
@@ -53,8 +61,9 @@ class TorusGrid:
     """Uniform sampling of the periodic rectangle [0, l_x) x [0, l_y).
 
     Resolutions must be even and at least 8 per axis.  All derived
-    arrays (wavenumbers, dealias mask, coordinates) are precomputed once
-    and shared by every field on the grid.
+    arrays (wavenumbers, spectral multipliers, coordinates) are
+    precomputed once and shared by every field and every Stepper on the
+    grid.
     """
 
     n_x: int
@@ -82,14 +91,24 @@ class TorusGrid:
         ky_d = ky.copy()
         kx_d[self.n_x // 2] = 0.0
         ky_d[self.n_y // 2] = 0.0
-        kxg_d = kx_d[:, None]
-        kyg_d = ky_d[None, :]
-        ksq_d = kxg_d**2 + kyg_d**2
+        ksq_d = kx_d[:, None] ** 2 + ky_d[None, :] ** 2
         inv_ksq_d = np.where(ksq_d > 0.0, 1.0 / np.where(ksq_d > 0.0, ksq_d, 1.0), 0.0)
 
         ix = np.abs(np.fft.fftfreq(self.n_x, 1.0 / self.n_x))
         iy = np.fft.rfftfreq(self.n_y, 1.0 / self.n_y)
         mask = (ix[:, None] < self.n_x / 3.0) & (iy[None, :] < self.n_y / 3.0)
+
+        def spectrum(a):
+            # The real multipliers that half spectra are multiplied by are
+            # held as C-ordered complex arrays of the half-spectrum shape: a
+            # product takes the complex loop and bits it would anyway,
+            # without casting or broadcasting the multiplier through a
+            # temporary on every call.
+            return np.broadcast_to(a, self.spectral_shape).astype(complex, order="C")
+
+        kxg_d = spectrum(kx_d[:, None])
+        kyg_d = spectrum(ky_d[None, :])
+        mask = spectrum(mask)
 
         weight = np.full((1, self.n_y // 2 + 1), 2.0)
         weight[0, 0] = 1.0
@@ -103,8 +122,12 @@ class TorusGrid:
         for name, value in (
             ("kx", kx), ("ky", ky), ("kxg", kxg), ("ksq", ksq),
             ("kxg_d", kxg_d), ("kyg_d", kyg_d),
-            ("ksq_d", ksq_d), ("inv_ksq_d", inv_ksq_d),
+            ("ksq_d", ksq_d), ("inv_ksq_d", spectrum(inv_ksq_d)),
             ("dealias_mask", mask), ("hermitian_weight", weight),
+            # the masked derivative multipliers i k mask of a Frame's
+            # gradients, and -k^2 of the Laplacian
+            ("dkx", 1j * kxg_d * mask), ("dky", 1j * kyg_d * mask),
+            ("neg_ksq", spectrum(-ksq)),
             ("dx", dx), ("dy", dy), ("cell_area", dx * dy),
             ("x", x), ("y", y), ("X", x[:, None] + 0.0 * y[None, :]),
             ("Y", 0.0 * x[:, None] + y[None, :]),
@@ -147,6 +170,19 @@ class TorusGrid:
         one; the bits are the same either way."""
         h = np.fft.ifft(hat, axis=-2, out=hat if overwrite else None)
         return np.fft.irfft(h, n=self.n_y, axis=-1, out=out)
+
+    def project(self, fx_h, fy_h, div_h, t):
+        """Leray projection in transform space, in place: the half spectra
+        fx_h and fy_h become the projected pair, which is returned, with
+        fx_h -= (k_x (k.f)) / k^2 and likewise fy_h; k = 0, which carries
+        the mean flow and has no gradient part, passes through.  div_h and
+        t are half-spectrum scratch arrays of the caller's."""
+        np.add(np.multiply(self.kxg_d, fx_h, out=div_h), np.multiply(self.kyg_d, fy_h, out=t),
+               out=div_h)
+        for k, f in ((self.kxg_d, fx_h), (self.kyg_d, fy_h)):
+            np.multiply(np.multiply(k, div_h, out=t), self.inv_ksq_d, out=t)
+            np.subtract(f, t, out=f)
+        return fx_h, fy_h
 
     def parseval_sum(self, density: np.ndarray) -> float:
         """Sum over the full spectrum of a density given on the half
@@ -339,20 +375,12 @@ def laplacian(f: ScalarField) -> ScalarField:
 
 
 def leray_project(v: VectorField) -> VectorField:
-    """Remove the gradient part of ``v`` mode by mode.
-
-    The zero mode carries the mean flow and has no gradient part, so it
-    passes through untouched.
-    """
+    """The divergence-free part of ``v``: TorusGrid.project between a
+    transform and its inverse, one component at a time."""
     g = v.grid
-    uxh = g.fft2(v.u_x)
-    uyh = g.fft2(v.u_y)
-    k_dot_u = (g.kxg_d * uxh + g.kyg_d * uyh) * g.inv_ksq_d
-    return VectorField(
-        g,
-        g.ifft2(uxh - g.kxg_d * k_dot_u),
-        g.ifft2(uyh - g.kyg_d * k_dot_u),
-    )
+    uxh, uyh = g.fft2(v.u_x), g.fft2(v.u_y)
+    g.project(uxh, uyh, np.empty_like(uxh), np.empty_like(uxh))
+    return VectorField(g, g.ifft2(uxh, overwrite=True), g.ifft2(uyh, overwrite=True))
 
 
 def convolve(kernel_hat: np.ndarray, f: ScalarField) -> ScalarField:
@@ -440,15 +468,14 @@ def read_snapshot(path, grid: TorusGrid | None = None) -> ScalarField:
             f"snapshot {path} has {len(raw)} bytes, expected {expected}"
         )
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n_x, n_y)
-    file_grid = TorusGrid(n_x, n_y, l_x, l_y)
-    if grid is not None:
-        if grid != file_grid:
-            raise GridMismatchError(
-                f"snapshot {path} was written on grid {file_grid.shape}, "
-                f"expected {grid.shape}"
-            )
-        file_grid = grid
-    return ScalarField(file_grid, values.copy())
+    if grid is None:
+        grid = TorusGrid(n_x, n_y, l_x, l_y)
+    elif (grid.n_x, grid.n_y, grid.l_x, grid.l_y) != (n_x, n_y, l_x, l_y):
+        # compared field by field: a grid forms its multipliers when built
+        raise GridMismatchError(
+            f"snapshot {path} was written on grid {(n_x, n_y)}, expected {grid.shape}"
+        )
+    return ScalarField(grid, values.copy())
 
 
 def write_vector_snapshot(stem, v: VectorField) -> tuple[str, str]:

@@ -217,9 +217,9 @@ def tracking_cost(mode: AdjointMode, targets, traj: Trajectory, control=None) ->
 def source_scale(mode: AdjointMode, weights, grid):
     """The multiplier of the velocity mismatch's transforms in
     tracking_sources: track_u k^2 with the Nyquist derivative lines zeroed
-    (enstrophy tracking) in the distributed mode, as a complex half
-    spectrum, which a product reads through the complex loop it takes
-    anyway, with no cast; track_u in the assimilation mode."""
+    (enstrophy tracking) in the distributed mode, a complex half spectrum
+    as the grid's multipliers are (see grid.py); track_u in the
+    assimilation mode."""
     if mode is not AdjointMode.DISTRIBUTED:
         return weights.track_u
     return (weights.track_u * grid.ksq_d).astype(complex)
@@ -292,10 +292,10 @@ def adjoint_solve(
     g = params.grid
     st, frames = _along(base, params, config)
     n_total = base.n_steps
-    m = st.mask
+    m = g.dealias_mask
     # the concentration operator's multipliers, the same every step
-    k_J = st.ksq * st.J_hat
-    k_aS = st.ksq * (st.a - st.S) if st.a != st.S else None
+    k_J = g.ksq * st.J_hat
+    k_aS = g.ksq * (st.a - st.S) if st.a != st.S else None
     scale = source_scale(mode, targets.weights, g)
 
     terminal = None

@@ -1053,6 +1053,28 @@ class TestSpikeLimit:
         assert np.all(orders >= 0.7)
         assert np.all(orders <= 1.3)
 
+    def test_reads_the_control_on_the_run_nodes(self, params16, smooth_state16):
+        """U(tau) is the control's node at tau, read on the run's time grid:
+        a control on too few nodes or on another time step is refused with
+        a ValidationError naming it, and a control given per node seeds the
+        reference with the bits of W - U(tau) against a zero control."""
+        cfg = SolverConfig(dt=1e-3, T=5e-3, nu=0.1)
+        g = params16.grid
+        base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+        W = synth.single_mode_velocity(g, (1, 1), 0.8)
+        short = ControlSignal.zeros_distributed(g, 3, cfg.dt)
+        with pytest.raises(ValidationError, match="control has 3 time nodes, the sweep reads 6"):
+            spike_limit_reference(base, short, 4e-3, W, params16, cfg)
+        fine = ControlSignal.zeros_distributed(g, 11, 5e-4)
+        with pytest.raises(ValidationError, match="control steps dt = 0.0005, the sweep 0.001"):
+            spike_limit_reference(base, fine, 2e-3, W, params16, cfg)
+        U = _random_signal(g, np.random.default_rng(5), len(base), cfg.dt).scaled(0.1)
+        ref = spike_limit_reference(base, U, 2e-3, W, params16, cfg)
+        zero = ControlSignal.zeros_distributed(g, len(base), cfg.dt)
+        alt = spike_limit_reference(base, zero, 2e-3, W - U.at_node(2), params16, cfg)
+        assert ref.norm() > 0.0
+        assert np.array_equal(ref.u_x, alt.u_x) and np.array_equal(ref.u_y, alt.u_y)
+
     def test_spike_distance_ladder(self, g16):
         dt = 1e-3
         U = ControlSignal.zeros_distributed(g16, 21, dt)
@@ -1173,6 +1195,39 @@ def test_a_sparse_record_is_refused_by_readers_of_whole_records(
     targets = CostTargets(u_M_f=VectorField.zeros(g), phi_M_f=ScalarField.zeros(g))
     with pytest.raises(ValidationError, match=r"no state at node 1 \(a sweep's keep"):
         _SPARSE_READERS[reader](sparse, params16, cfg, targets)
+
+
+_THINNED = r"no state at node 1 \(a sweep's keep"
+_ADJOINT_RECORD_READERS = {
+    "reduced_gradient_ocp": (lambda U, adj, da, base: reduced_gradient_ocp(U, adj), _THINNED),
+    "minimum_principle_residual": (
+        lambda U, adj, da, base: minimum_principle_residual(U, adj, lambda n: []), _THINNED),
+    "build_trial_controls": (
+        lambda U, adj, da, base: build_trial_controls(U, adj, np.random.default_rng(0))(1),
+        _THINNED),
+    "InitialVelocityProblem.gradient": (
+        lambda U, adj, da, base: da.gradient(U, base),
+        "assimilation controls the initial velocity"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_ADJOINT_RECORD_READERS))
+def test_a_thinned_adjoint_record_or_a_distributed_control_is_refused(
+    reader, params16, smooth_state16
+):
+    """The readers of a whole adjoint record refuse one an adjoint sweep's
+    keep=() thinned, naming its first dropped node; the assimilation
+    gradient refuses a distributed control, as its cost does."""
+    g = params16.grid
+    cfg = SolverConfig(dt=1e-3, T=5e-3, nu=0.1)
+    base = simulate(smooth_state16, None, None, params16, cfg, with_diagnostics=False)
+    thinned = adjoint_solve(base, AdjointMode.DISTRIBUTED, CostTargets(), params16, cfg, keep=())
+    U = ControlSignal.zeros_distributed(g, len(base), cfg.dt)
+    targets = CostTargets(u_M_f=VectorField.zeros(g), phi_M_f=ScalarField.zeros(g))
+    da = InitialVelocityProblem(AssimilationProblem(targets, base.initial.phi, None, params16, cfg))
+    read, message = _ADJOINT_RECORD_READERS[reader]
+    with pytest.raises(ValidationError, match=message):
+        read(U, thinned, da, base)
 
 
 class TestFieldValidationBudget:

@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -492,6 +493,71 @@ class TestOneStepKernel:
                 ) and getattr(n.value, "value", None) == 0.0:
                     offenders.append(f"{path.name}:{n.lineno} zeroes the mean")
         assert offenders == []
+
+
+class TestOneSpectralLayer:
+    def test_only_the_grid_forms_its_multipliers_and_projects(self):
+        """A multiplier that depends on the grid alone is formed in grid.py,
+        once per grid, in the half-spectrum shape: no other module calls
+        broadcast_to or casts to complex an expression of grid arrays alone
+        (a Stepper's denominators and the distributed source scale also
+        read config or weights).  inv_ksq_d is read by TorusGrid.project
+        alone, the one Leray projection."""
+        import chnsopt
+
+        arrays = {k for k, v in vars(TorusGrid(8, 8)).items() if isinstance(v, np.ndarray)}
+
+        def grid_alone(expr):
+            reads = [n for n in ast.walk(expr) if isinstance(n, ast.Attribute) and n.attr in arrays]
+            inside = {id(m) for n in reads for m in ast.walk(n)}
+            return bool(reads) and not any(
+                isinstance(n, ast.Name) and id(n) not in inside and n.id not in ("np", "numpy")
+                for n in ast.walk(expr))
+
+        formed, projects, offenders = [], [], []
+        for path in sorted(Path(chnsopt.__file__).parent.rglob("*.py")):
+            name, tree = path.name, ast.parse(path.read_text(encoding="utf-8"))
+            project = next((m for n in tree.body if isinstance(n, ast.ClassDef)
+                            and n.name == "TorusGrid" for m in n.body
+                            if isinstance(m, ast.FunctionDef) and m.name == "project"), None)
+            inside = {id(n) for n in ast.walk(project)} if project else set()
+            for n in ast.walk(tree):
+                func = getattr(n, "func", None)
+                attr = getattr(func, "attr", None)
+                cast = attr == "astype" and n.args and getattr(n.args[0], "id", None) == "complex"
+                if isinstance(n, ast.Call) and (cast or attr == "broadcast_to"):
+                    if name == "grid.py":
+                        formed.append(n.lineno)
+                    elif not cast or grid_alone(func.value):
+                        offenders.append(f"{name}:{n.lineno} forms a grid multiplier")
+                elif isinstance(n, ast.Attribute) and n.attr == "inv_ksq_d":
+                    (projects if id(n) in inside else offenders).append(f"{name}:{n.lineno}")
+        assert formed and projects  # the scan sees the grid's own
+        assert offenders == []
+
+    @pytest.mark.parametrize("shape, lengths", [((64, 64), (TWO_PI, TWO_PI)),
+                                                ((32, 48), (TWO_PI, 3 * np.pi))])
+    def test_a_stepper_holds_two_half_spectra_of_constants(self, shape, lengths):
+        """Stepper(params, config) allocates its implicit denominators,
+        visc_den and ch_den, and no other field-sized constant: at most two
+        half spectra and 1 KiB of its own objects (it held 9.1 half spectra
+        while it formed the grid's multipliers per sweep)."""
+        import tracemalloc
+
+        from chnsopt.forward import SolverConfig, Stepper
+
+        g = TorusGrid(*shape, *lengths)
+        params = ModelParams(g, Kernel("gaussian", 0.5, 5.0, g), Potential.double_well())
+        config = SolverConfig(dt=1e-3, T=1e-2, nu=0.1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            st = Stepper(params, config)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert st.visc_den.shape == st.ch_den.shape == g.spectral_shape
+        assert held <= 2 * 16 * math.prod(g.spectral_shape) + 1024
 
 
 class TestOneProductsKernel:

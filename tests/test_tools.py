@@ -44,3 +44,34 @@ class TestCodeLines:
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         assert rows == [["module", "lines", "code"], ["a.py", "21", "8"], ["b.py", "2", "1"],
                         ["total", "23", "9"]]
+
+
+class TestBenchmarkHooks:
+    def test_the_trace_hooks_still_resolve(self):
+        """perfbench/bench_trace.py wraps package functions by module and
+        name, and methods from their class's own __dict__, so a refactor
+        that moves one (Stepper.forward_step_hat, a problem's cost or
+        gradient) breaks ``--trace 1``.  Both hook sets install on the
+        imported package and put every original back."""
+        import numpy as np
+
+        import chnsopt
+        import chnsopt.cli  # noqa: F401  (RunContext and write_csv are traced)
+
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "bench_trace.py"
+        spec = importlib.util.spec_from_file_location("bench_trace", path)
+        bench_trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_trace)
+        step = chnsopt.forward.Stepper.__dict__["forward_step_hat"]
+        originals = (chnsopt.simulate, np.fft.fft2, step)
+        counter = bench_trace.SolveCounter()
+        try:
+            tracer = bench_trace.Tracer(0)
+            try:
+                assert chnsopt.forward.Stepper.__dict__["forward_step_hat"] is not step
+            finally:
+                tracer.restore()
+        finally:
+            counter.restore()
+        restored = (chnsopt.simulate, np.fft.fft2, chnsopt.forward.Stepper.forward_step_hat)
+        assert restored == originals
